@@ -10,12 +10,13 @@ in parallel yields identical results.
 from __future__ import annotations
 
 import io
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataParse, MismatchedData, OutOfRange
+from .jsonio import number_fields, read_json, write_json
 from .linalg import DensityMatrix
 from .optics import (
     CALIBRATION_IDLER,
@@ -42,23 +43,17 @@ class AcquisitionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.pairs_per_setting > 0.0:
-            raise OutOfRange(f"pairs_per_setting must be > 0, got {self.pairs_per_setting!r}")
-        if self.accidental_rate < 0.0:
-            raise OutOfRange(f"accidental_rate must be >= 0, got {self.accidental_rate!r}")
+        if not (math.isfinite(self.pairs_per_setting) and self.pairs_per_setting > 0.0):
+            raise OutOfRange(f"pairs_per_setting must be finite and > 0, got {self.pairs_per_setting!r}")
+        if not (math.isfinite(self.accidental_rate) and self.accidental_rate >= 0.0):
+            raise OutOfRange(f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise OutOfRange(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AcquisitionConfig":
-        try:
-            return cls(
-                pairs_per_setting=float(data.get("pairs_per_setting", 1e5)),
-                accidental_rate=float(data.get("accidental_rate", 0.0)),
-                seed=int(data.get("seed", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise DataParse(f"malformed acquisition JSON: {exc}") from exc
+        defaults = {"pairs_per_setting": 1e5, "accidental_rate": 0.0, "seed": 0}
+        return cls(**number_fields(data, "acquisition", defaults))
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,7 +69,6 @@ class CountRecord:
 
     setting_index: int
     outcome_counts: tuple
-    duration_tag: str = ""
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -100,7 +94,6 @@ def simulate_counts(
     rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
 ) -> list[CountRecord]:
     """Poisson counts for every setting; fully determined by acq.seed."""
-    tag = f"pairs={acq.pairs_per_setting:g}"
     records = []
     for setting_index in range(pset.n_settings):
         probs = born_probabilities(rho, pset, setting_index)
@@ -109,9 +102,7 @@ def simulate_counts(
             mean = acq.pairs_per_setting * float(p) + acq.accidental_rate
             rng = stream(acq.seed, setting_index, outcome_index)
             counts.append(int(rng.poisson(mean)))
-        records.append(
-            CountRecord(setting_index=setting_index, outcome_counts=tuple(counts), duration_tag=tag)
-        )
+        records.append(CountRecord(setting_index=setting_index, outcome_counts=tuple(counts)))
     return records
 
 
@@ -186,7 +177,6 @@ def counts_to_json_dict(records) -> dict:
             {
                 "setting_index": int(record.setting_index),
                 "outcome_counts": [int(c) for c in record.outcome_counts],
-                "duration_tag": record.duration_tag,
             }
             for record in records
         ]
@@ -199,7 +189,6 @@ def counts_from_json_dict(data: dict) -> list[CountRecord]:
             CountRecord(
                 setting_index=int(entry["setting_index"]),
                 outcome_counts=tuple(int(c) for c in entry["outcome_counts"]),
-                duration_tag=str(entry.get("duration_tag", "")),
             )
             for entry in data["records"]
         ]
@@ -222,18 +211,11 @@ def read_counts_csv(path) -> list[CountRecord]:
 
 
 def write_counts_json(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(counts_to_json_dict(records), fh, indent=2)
-        fh.write("\n")
+    write_json(path, counts_to_json_dict(records))
 
 
 def read_counts_json(path) -> list[CountRecord]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read counts file {path}: {exc}") from exc
-    return counts_from_json_dict(data)
+    return counts_from_json_dict(read_json(path, "counts file"))
 
 
 def validate_against(records, pset: ProjectorSet) -> None:

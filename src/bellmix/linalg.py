@@ -7,12 +7,12 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataParse, InvalidState, NonHermitianInput, NotNormalized, ZeroTrace
+from .jsonio import read_json, write_json
 
 HERMITIAN_TOL = 1e-10
 
@@ -24,8 +24,8 @@ _EPS = float(np.finfo(float).eps)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger)/2."""
-    return 0.5 * (m + m.conj().T)
+    """(m + m^dagger)/2 of a matrix or of a stack of matrices."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -189,15 +189,8 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_dict(rho.matrix), fh, indent=2)
-        fh.write("\n")
+    write_json(path, matrix_to_json_dict(rho.matrix))
 
 
 def read_state_json(path) -> DensityMatrix:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read state file {path}: {exc}") from exc
-    return DensityMatrix(matrix_from_json_dict(data))
+    return DensityMatrix(matrix_from_json_dict(read_json(path, "state file")))

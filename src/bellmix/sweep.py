@@ -10,10 +10,9 @@ points ran serially or in a process pool.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .counting import (
     _SWEEP_STREAM,
@@ -23,6 +22,7 @@ from .counting import (
     write_counts_csv,
 )
 from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
+from .jsonio import number_fields, read_json
 from .linalg import write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
@@ -38,7 +38,10 @@ SWEEP_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of duty cycles plus acquisition, noise, and output settings."""
+    """Grid of duty cycles plus acquisition, noise, and output settings.
+
+    resamples is the bootstrap size: 0 for no error bars, else at least 2.
+    """
 
     alphas: tuple
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
@@ -53,8 +56,8 @@ class SweepSpec:
         for alpha in self.alphas:
             if not 0.0 <= alpha <= 1.0:
                 raise OutOfRange(f"sweep alpha {alpha!r} outside [0, 1]")
-        if self.resamples < 0:
-            raise OutOfRange(f"resamples must be >= 0, got {self.resamples}")
+        if self.resamples < 0 or self.resamples == 1:
+            raise OutOfRange(f"resamples must be 0 or >= 2, got {self.resamples}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
@@ -64,38 +67,32 @@ class SweepSpec:
         unknown = set(data) - known
         if unknown:
             raise InvalidConfig(f"unknown sweep fields: {sorted(unknown)}")
+        alphas = data.get("alphas")
+        if not isinstance(alphas, list) or any(
+            isinstance(a, bool) or not isinstance(a, (int, float)) for a in alphas
+        ):
+            raise InvalidConfig("sweep spec needs 'alphas' as a JSON list of numbers")
+        noise = number_fields(data.get("noise", {}), "noise", {"dephasing": 0.0, "depolarizing": 0.0})
+        for key, kind, name in (("outputs", str, "a string"), ("resamples", int, "an integer"),
+                                ("include_completely_mixed", bool, "true or false")):
+            value = data.get(key, kind())
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise InvalidConfig(f"sweep field {key!r} must be {name}, got {value!r}")
         try:
-            alphas = tuple(float(a) for a in data["alphas"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfig(f"sweep spec needs a numeric 'alphas' list: {exc}") from exc
-        noise_data = data.get("noise", {})
-        try:
-            noise = NoiseParams(
-                dephasing=float(noise_data.get("dephasing", 0.0)),
-                depolarizing=float(noise_data.get("depolarizing", 0.0)),
-            )
-            acquisition = AcquisitionConfig.from_json_dict(data.get("acquisition", {}))
             return cls(
-                alphas=alphas,
-                acquisition=acquisition,
-                noise=noise,
-                outputs=str(data.get("outputs", "sweep_out")),
-                include_completely_mixed=bool(data.get("include_completely_mixed", False)),
-                resamples=int(data.get("resamples", 25)),
+                alphas=tuple(float(a) for a in alphas),
+                acquisition=AcquisitionConfig.from_json_dict(data.get("acquisition", {})),
+                noise=NoiseParams(**noise),
+                outputs=data.get("outputs", "sweep_out"),
+                include_completely_mixed=data.get("include_completely_mixed", False),
+                resamples=data.get("resamples", 25),
             )
         except (OutOfRange, TypeError, ValueError) as exc:
             raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigParse(f"cannot read sweep spec {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigParse(f"sweep spec {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, "sweep spec", ConfigParse))
 
 
 @dataclass
@@ -108,7 +105,6 @@ class SweepPoint:
     state: object
     records: list
     result: object
-    errors: dict | None
     theory: tuple
 
 
@@ -116,44 +112,35 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def _point_task(args) -> SweepPoint:
-    (index, alpha, source, pairs, accidental, master_seed, dephasing, depolarizing, resamples) = args
+def _point_task(task) -> SweepPoint:
+    index, alpha, source, spec = task
     try:
-        return _run_point(index, alpha, source, pairs, accidental, master_seed,
-                          dephasing, depolarizing, resamples)
+        return _run_point(index, alpha, source, spec)
     except BellmixError as exc:
         raise type(exc)(f"sweep point alpha={alpha:g} ({source}): {exc}") from exc
 
 
-def _run_point(index, alpha, source, pairs, accidental, master_seed,
-               dephasing, depolarizing, resamples) -> SweepPoint:
-    noise = NoiseParams(dephasing=dephasing, depolarizing=depolarizing)
+def _run_point(index: int, alpha: float, source: str, spec: SweepSpec) -> SweepPoint:
     if source == "two_vpr":
-        config = SourceConfig(alpha=alpha, signal_dc=0.5, noise=noise)
+        config = SourceConfig(alpha=alpha, signal_dc=0.5, noise=spec.noise)
         target = completely_mixed()
         description = "identity/4"
         theory = (0.0, 0.0, 0.25)
         directory = "completely_mixed"
     else:
-        config = SourceConfig(alpha=alpha, noise=noise)
+        config = SourceConfig(alpha=alpha, noise=spec.noise)
         target = mix_duty_cycle(alpha)
         description = f"duty-cycle mixture alpha={alpha:g}"
         theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
         directory = f"alpha_{alpha:g}"
 
-    acq = AcquisitionConfig(
-        pairs_per_setting=pairs,
-        accidental_rate=accidental,
-        seed=derive_seed(master_seed, _SWEEP_STREAM, index),
-    )
+    acq = replace(spec.acquisition, seed=derive_seed(spec.acquisition.seed, _SWEEP_STREAM, index))
     pset = standard_projector_set()
     state = generate(config)
     records = simulate_counts(state, pset, acq)
     result = mle_reconstruct(records, pset, target=target, target_description=description)
-    errors = None
-    if resamples >= 2:
-        errors = bootstrap_errors(result, pset, acq, resamples)
-        result.metric_errors = errors
+    if spec.resamples:
+        result.metric_errors = bootstrap_errors(result, pset, acq, spec.resamples)
     return SweepPoint(
         directory=directory,
         alpha=alpha,
@@ -161,41 +148,15 @@ def _run_point(index, alpha, source, pairs, accidental, master_seed,
         state=state,
         records=records,
         result=result,
-        errors=errors,
         theory=theory,
     )
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> str:
     """Execute the sweep and write all artifacts; returns the output directory."""
-    tasks = [
-        (
-            index,
-            float(alpha),
-            "pump_vpr",
-            spec.acquisition.pairs_per_setting,
-            spec.acquisition.accidental_rate,
-            spec.acquisition.seed,
-            spec.noise.dephasing,
-            spec.noise.depolarizing,
-            spec.resamples,
-        )
-        for index, alpha in enumerate(spec.alphas)
-    ]
+    tasks = [(index, float(alpha), "pump_vpr", spec) for index, alpha in enumerate(spec.alphas)]
     if spec.include_completely_mixed:
-        tasks.append(
-            (
-                len(tasks),
-                0.5,
-                "two_vpr",
-                spec.acquisition.pairs_per_setting,
-                spec.acquisition.accidental_rate,
-                spec.acquisition.seed,
-                spec.noise.dephasing,
-                spec.noise.depolarizing,
-                spec.resamples,
-            )
-        )
+        tasks.append((len(tasks), 0.5, "two_vpr", spec))
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -213,23 +174,11 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> str:
         write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
 
-        metrics = point.result.metrics
-        errors = point.errors or {}
-        row = [
-            _format(point.alpha),
-            _format(metrics.visibility),
-            _format(metrics.tangle),
-            _format(metrics.purity),
-            _format(metrics.fidelity_to_target),
-            _format(errors["visibility"]) if errors else "",
-            _format(errors["tangle"]) if errors else "",
-            _format(errors["purity"]) if errors else "",
-            _format(errors["fidelity"]) if errors else "",
-            _format(point.theory[0]),
-            _format(point.theory[1]),
-            _format(point.theory[2]),
-            point.source,
-        ]
+        m = point.result.metrics
+        errors = point.result.metric_errors
+        row = [_format(v) for v in (point.alpha, m.visibility, m.tangle, m.purity, m.fidelity_to_target)]
+        row += [_format(errors[k]) if errors else "" for k in ("visibility", "tangle", "purity", "fidelity")]
+        row += [*(_format(v) for v in point.theory), point.source]
         rows.append(",".join(row))
 
     csv_path = os.path.join(outdir, "sweep.csv")

@@ -10,39 +10,37 @@ with dilution (halving eps whenever a step would lower the likelihood) is
 monotone. The per-setting count totals are treated as fixed normalizations,
 so only the within-setting Born probabilities enter the likelihood.
 
+One routine runs the iteration on a batch of count vectors at once, each with
+its own dilution, likelihood, trace and stop; a single reconstruction is a
+batch of one. Every kernel is elementwise or a stacked matmul, so each sample
+of a batch comes out bit for bit as it would alone.
+
 Error bars are parametric bootstrap: resimulate counts from the estimate,
-re-reconstruct, and take the sample standard deviation of each metric over
-the resamples. Every resample has a derived seed, so the result is
-deterministic and independent of any parallel schedule.
+reconstruct all resamples as one batch, and take the sample standard
+deviation of each metric over the resamples. Every resample has a derived
+seed, so the result is deterministic and independent of any parallel schedule.
 """
 
 from __future__ import annotations
 
-import json
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counting import (
-    _BOOTSTRAP_STREAM,
-    AcquisitionConfig,
-    derive_seed,
-    simulate_counts,
-    validate_against,
-)
+from .counting import _BOOTSTRAP_STREAM, AcquisitionConfig, derive_seed, simulate_counts, validate_against
 from .errors import DataParse, NoCounts
-from .linalg import (
-    DensityMatrix,
-    hermitize,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
-)
+from .jsonio import read_json, write_json
+from .linalg import DensityMatrix, hermitize, matrix_from_json_dict, matrix_to_json_dict
 from .metrics import MetricsReport, report_for
 from .optics import ProjectorSet
 
 PROBABILITY_FLOOR = 1e-15
 
-_METRIC_NAMES = ("purity", "tangle", "visibility", "fidelity")
+# Error-bar name -> MetricsReport attribute, in recon.json order.
+_METRICS = {"purity": "purity", "tangle": "tangle", "visibility": "visibility",
+            "fidelity": "fidelity_to_target"}
 
 
 @dataclass
@@ -74,19 +72,158 @@ def _count_vector(records, pset: ProjectorSet) -> np.ndarray:
     )
 
 
-def _log_likelihood_flat(counts: np.ndarray, probs: np.ndarray) -> float:
+def _probabilities(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born probabilities (B, n_outcomes) of states rho (B, 4, 4), floored."""
+    probs = (flat @ rho.swapaxes(1, 2).reshape(-1, 16, 1)).real[..., 0]
+    return np.maximum(probs, PROBABILITY_FLOOR)
+
+
+def _nonzero_groups(counts: np.ndarray) -> list:
+    """Samples grouped by their number k of nonzero counts.
+
+    Each group is (rows, flat indices (G, k, 1) of the nonzero outcomes,
+    their counts (G, 1, k)), so its log-likelihoods are one stacked
+    (1, k) @ (k, 1) dot: the same sum in the same order as a lone sample's
+    masked dot. A zero-padded dot over all outcomes would differ in the last
+    digits.
+    """
     mask = counts > 0
-    if not mask.any():
-        return 0.0
-    clipped = np.clip(probs[mask], PROBABILITY_FLOOR, None)
-    return float(counts[mask] @ np.log(clipped))
+    nonzero = mask.sum(axis=1)
+    groups = []
+    for k in sorted(set(nonzero.tolist())):  # not np.unique: its first call imports numpy.ma
+        rows = np.flatnonzero(nonzero == k)
+        cols = np.nonzero(mask[rows])[1].reshape(len(rows), k, 1)
+        index = rows[:, None, None] * counts.shape[1] + cols
+        groups.append((rows, index, counts.reshape(-1)[index].swapaxes(1, 2)))
+    return groups
+
+
+def _log_likelihoods(groups: list, probs: np.ndarray) -> np.ndarray:
+    """Sum of n_j log p_j per sample of floored probabilities, omitting n_j = 0."""
+    flat_probs = probs.reshape(-1)
+    if len(groups) == 1:
+        _rows, index, counts = groups[0]
+        return (counts @ np.log(flat_probs[index]))[:, 0, 0]
+    out = np.empty(len(probs))
+    for rows, index, counts in groups:
+        out[rows] = (counts @ np.log(flat_probs[index]))[:, 0, 0]
+    return out
 
 
 def log_likelihood(rho: DensityMatrix, records, pset: ProjectorSet) -> float:
     """Sum of n_j log p_j(rho) over all outcomes, omitting n_j = 0 terms."""
-    counts = _count_vector(records, pset)
-    probs = np.real(pset.flattened() @ rho.matrix.T.reshape(16))
-    return _log_likelihood_flat(counts, probs)
+    counts = _count_vector(records, pset)[None]
+    probs = _probabilities(pset.flattened(), rho.matrix[None])
+    return float(_log_likelihoods(_nonzero_groups(counts), probs)[0])
+
+
+def _mle_batch(
+    counts: np.ndarray,
+    flat: np.ndarray,
+    *,
+    max_iterations: int,
+    tolerance: float,
+    dilution: float,
+    target: DensityMatrix | None,
+    target_description: str,
+    on_iterate=None,
+) -> Iterator[ReconstructionResult]:
+    """Diluted RρR on every row of counts (B, n_outcomes) at once.
+
+    All samples start from the completely mixed state (full rank, so every
+    probability is positive at the first step). Each iterates until its
+    relative likelihood gain per accepted step drops below `tolerance`, its
+    dilution stalls, or `max_iterations` is exhausted; the last is reported
+    as converged=False, never silently. A stopped sample leaves the working
+    arrays, which are compacted only on iterations where one stopped.
+
+    Results are yielded in batch order once every sample has stopped, so a
+    caller that keeps only their metrics holds one full result at a time.
+    """
+    n = len(counts)
+    totals = counts.sum(axis=1)[:, None]
+    if not (totals > 0).all():
+        raise NoCounts("all counts are zero; nothing to reconstruct")
+    all_counts = counts
+    eye = np.eye(4, dtype=complex)
+    rho = np.repeat((eye / 4.0)[None], n, axis=0)
+    probs = _probabilities(flat, rho)
+    groups = _nonzero_groups(counts)
+    ll = _log_likelihoods(groups, probs)
+    traces = [array("d", [value]) for value in ll.tolist()]  # 8 bytes per step
+    eps = np.full((n, 1, 1), float(dilution))
+
+    # Working arrays hold the active samples; rows maps them to the batch.
+    rows, active_traces = np.arange(n), list(traces)
+    final_rho, final_ll, final_probs = np.empty_like(rho), np.empty_like(ll), np.empty_like(probs)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    stop = np.zeros(n, dtype=bool)
+    it = 0
+    while True:
+        capped = it >= max_iterations
+        if capped or np.count_nonzero(stop):
+            converged[rows[stop]] = True
+            if capped:
+                stop[:] = True
+            done = rows[stop]
+            final_rho[done], final_ll[done], final_probs[done] = rho[stop], ll[stop], probs[stop]
+            iterations[done] = it
+            keep = ~stop
+            if not keep.any():
+                break
+            rows, rho, probs, ll, eps, counts, totals = (
+                a[keep] for a in (rows, rho, probs, ll, eps, counts, totals)
+            )
+            active_traces = [t for t, kept in zip(active_traces, keep) if kept]
+            groups = _nonzero_groups(counts)
+        it += 1
+
+        weights = counts / (totals * probs)
+        r_op = (weights[:, None, :] @ flat).reshape(-1, 4, 4)
+        step = eye + eps * r_op
+        candidate = hermitize(step @ rho @ step.conj().swapaxes(1, 2))
+        candidate /= candidate.trace(axis1=1, axis2=2).real[:, None, None]
+        candidate_probs = _probabilities(flat, candidate)
+        ll_new = _log_likelihoods(groups, candidate_probs)
+
+        # Dilute and retry from the same iterate; monotonicity is kept by
+        # never accepting a downhill step. The accepted candidate's
+        # probabilities are the next iterate's, since rho = candidate.
+        downhill = ll_new < ll
+        gain = ll_new - ll
+        if np.count_nonzero(downhill):
+            uphill = ~downhill
+            eps[downhill] *= 0.5
+            rho[uphill], probs[uphill] = candidate[uphill], candidate_probs[uphill]
+            ll = np.where(downhill, ll, ll_new)
+            stop = (downhill & (eps[:, 0, 0] < 1e-10)) | (
+                uphill & (gain / np.maximum(np.abs(ll), 1.0) < tolerance)
+            )
+            accepted = np.flatnonzero(uphill).tolist()
+        else:
+            rho, probs, ll = candidate, candidate_probs, ll_new
+            stop = gain / np.maximum(np.abs(ll), 1.0) < tolerance
+            accepted = range(len(rows))
+        values = ll.tolist()
+        for j in accepted:
+            active_traces[j].append(values[j])
+            if on_iterate is not None:
+                on_iterate(rho[j], values[j])
+
+    floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
+    for b in range(n):
+        rho_hat = DensityMatrix(hermitize(final_rho[b]))
+        yield ReconstructionResult(
+            rho_hat=rho_hat,
+            log_likelihood=float(final_ll[b]),
+            ll_trace=traces[b].tolist(),
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            metrics=report_for(rho_hat, target=target, target_description=target_description),
+            target=target,
+            floored_outcomes=int(floored[b]),
+        )
 
 
 def mle_reconstruct(
@@ -102,74 +239,28 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Reconstruct the state maximizing the likelihood of the observed counts.
 
-    Starts from the completely mixed state (full rank, so every probability is
-    positive at the first step) and iterates until the relative likelihood
-    gain per accepted step drops below `tolerance` or `max_iterations` is
-    exhausted; the latter is reported as converged=False, never silently.
+    A batch of one through the diluted RρR iteration; on_iterate(rho, log L)
+    fires on every accepted step.
     """
-    counts = _count_vector(records, pset)
-    total = counts.sum()
-    if total <= 0:
-        raise NoCounts("all counts are zero; nothing to reconstruct")
-
-    flat = pset.flattened()  # (36, 16) rows are projectors
-    eye = np.eye(4, dtype=complex)
-    rho = eye / 4.0
-
-    def probs_of(matrix: np.ndarray) -> np.ndarray:
-        return np.real(flat @ matrix.T.reshape(16))
-
-    ll = _log_likelihood_flat(counts, probs_of(rho))
-    trace = [ll]
-    eps = dilution
-    iterations = 0
-    converged = False
-
-    while iterations < max_iterations:
-        iterations += 1
-        probs = np.clip(probs_of(rho), PROBABILITY_FLOOR, None)
-        r_op = ((counts / (total * probs)) @ flat).reshape(4, 4)
-        step = eye + eps * r_op
-        candidate = step @ rho @ step.conj().T
-        candidate = hermitize(candidate)
-        candidate /= np.real(np.trace(candidate))
-        ll_new = _log_likelihood_flat(counts, probs_of(candidate))
-
-        if ll_new < ll:
-            # Dilute and retry from the same iterate; monotonicity is kept by
-            # never accepting a downhill step.
-            eps *= 0.5
-            if eps < 1e-10:
-                converged = True
-                break
-            continue
-
-        gain = ll_new - ll
-        rho = candidate
-        ll = ll_new
-        trace.append(ll)
-        if on_iterate is not None:
-            on_iterate(rho, ll)
-        if gain / max(abs(ll), 1.0) < tolerance:
-            converged = True
-            break
-
-    rho_hat = DensityMatrix(hermitize(rho))
-    final_probs = probs_of(rho)
-    floored = int(np.sum((counts > 0) & (final_probs <= PROBABILITY_FLOOR)))
     description = target_description or ("target" if target is not None else "self")
-    metrics = report_for(rho_hat, target=target, target_description=description)
-    return ReconstructionResult(
-        rho_hat=rho_hat,
-        log_likelihood=ll,
-        ll_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        metrics=metrics,
-        metric_errors=None,
+    return next(_mle_batch(
+        _count_vector(records, pset)[None],
+        pset.flattened(),
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        dilution=dilution,
         target=target,
-        floored_outcomes=floored,
-    )
+        target_description=description,
+        on_iterate=on_iterate,
+    ))
+
+
+def _resample_records(result: ReconstructionResult, pset: ProjectorSet,
+                      acq: AcquisitionConfig, resamples: int):
+    """Counts resimulated from result.rho_hat, one derived seed per resample, lazily."""
+    for index in range(resamples):
+        seed = derive_seed(acq.seed, _BOOTSTRAP_STREAM, index)
+        yield simulate_counts(result.rho_hat, pset, replace(acq, seed=seed))
 
 
 def bootstrap_errors(
@@ -184,29 +275,27 @@ def bootstrap_errors(
     """Parametric-bootstrap standard deviations of the four metrics.
 
     Counts are resimulated from result.rho_hat with per-resample derived
-    seeds, re-reconstructed, and the metrics recomputed against the original
-    target (rho_hat itself when no target was supplied).
+    seeds, reconstructed as one batch, and the metrics recomputed against the
+    original target (rho_hat itself when no target was supplied).
     """
     if resamples < 2:
         raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
-    target = result.target if result.target is not None else result.rho_hat
-    samples = {name: [] for name in _METRIC_NAMES}
-    for index in range(resamples):
-        acq_r = replace(acq, seed=derive_seed(acq.seed, _BOOTSTRAP_STREAM, index))
-        records = simulate_counts(result.rho_hat, pset, acq_r)
-        res = mle_reconstruct(
-            records,
-            pset,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            target=target,
-            target_description=result.metrics.target_description,
-        )
-        samples["purity"].append(res.metrics.purity)
-        samples["tangle"].append(res.metrics.tangle)
-        samples["visibility"].append(res.metrics.visibility)
-        samples["fidelity"].append(res.metrics.fidelity_to_target)
-    return {name: float(np.std(values, ddof=1)) for name, values in samples.items()}
+    counts = np.stack([
+        _count_vector(records, pset) for records in _resample_records(result, pset, acq, resamples)
+    ])
+    reports = [fit.metrics for fit in _mle_batch(
+        counts,
+        pset.flattened(),
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        dilution=1.0,
+        target=result.target if result.target is not None else result.rho_hat,
+        target_description=result.metrics.target_description,
+    )]
+    return {
+        name: float(np.std([getattr(report, attr) for report in reports], ddof=1))
+        for name, attr in _METRICS.items()
+    }
 
 
 def result_to_json_dict(result: ReconstructionResult) -> dict:
@@ -249,15 +338,8 @@ def result_from_json_dict(data: dict) -> ReconstructionResult:
 
 
 def write_result_json(path, result: ReconstructionResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_json_dict(result), fh, indent=2)
-        fh.write("\n")
+    write_json(path, result_to_json_dict(result))
 
 
 def read_result_json(path) -> ReconstructionResult:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read reconstruction file {path}: {exc}") from exc
-    return result_from_json_dict(data)
+    return result_from_json_dict(read_json(path, "reconstruction file"))

@@ -265,6 +265,53 @@ def test_sweep_bad_spec(tmp_path):
     assert main(["sweep", "--spec", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"alphas": "01"},
+        {"alphas": [0.5, "0.7"]},
+        {"alphas": [True]},
+        {"noise": [0.1]},
+        {"noise": {"dephasing": 0.1, "dephase": 0.2}},
+        {"noise": {"dephasing": "0.1"}},
+        {"acquisition": 1e5},
+        {"acquisition": {"pairs_per_setting": 1e5, "pairs": 2e5}},
+        {"acquisition": {"pairs_per_setting": float("inf")}},
+        {"acquisition": {"accidental_rate": float("nan")}},
+        {"acquisition": {"seed": 1.5}},
+        {"resamples": 1},
+        {"resamples": -2},
+        {"resamples": "3"},
+        {"resamples": 2.5},
+        {"resamples": True},
+        {"include_completely_mixed": "false"},
+        {"outputs": 5},
+    ],
+)
+def test_sweep_spec_escapes_exit_2(tmp_path, capsys, changes):
+    spec = {"alphas": [0.5], "acquisition": {"pairs_per_setting": 1e3}, "resamples": 0,
+            "outputs": str(tmp_path / "out")}
+    spec.update(changes)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")  # inf and nan as Infinity and NaN
+    assert main(["sweep", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_resamples_one_is_rejected(tmp_path, capsys):
+    spec = _sweep_spec(tmp_path, tmp_path / "out")
+    assert main(["sweep", "--spec", str(spec), "--resamples", "1"]) == 2
+    assert "resamples" in capsys.readouterr().err
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e3", "--seed", "4", "--out", str(counts)]) == 0
+    for value in ("1", "-1"):
+        assert main(["reconstruct", str(counts), "--resamples", value]) == 2
+        assert "resamples" in capsys.readouterr().err
+    assert main(["reconstruct", str(counts), "--resamples", "0", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_paper_fixtures_command(capsys):
     assert main(["paper-fixtures", "--pairs", "2e4", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -188,6 +188,11 @@ def test_acquisition_validation():
         AcquisitionConfig(pairs_per_setting=0.0)
     with pytest.raises(OutOfRange):
         AcquisitionConfig(accidental_rate=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(OutOfRange):
+            AcquisitionConfig(pairs_per_setting=bad)
+        with pytest.raises(OutOfRange):
+            AcquisitionConfig(accidental_rate=bad)
 
 
 def test_counts_csv_round_trip():

@@ -8,6 +8,9 @@ from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
 from bellmix.tomography import (
+    _count_vector,
+    _mle_batch,
+    _resample_records,
     bootstrap_errors,
     log_likelihood,
     mle_reconstruct,
@@ -249,6 +252,135 @@ def test_bootstrap_requires_two_resamples():
     result = mle_reconstruct(records, PSET)
     with pytest.raises(NoCounts):
         bootstrap_errors(result, PSET, acq, 1)
+
+
+# ---------------------------------------------------------------------------
+# Batched reconstruction equals one-at-a-time reconstruction, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _scalar_rrr(records, max_iterations=10000, tolerance=1e-10):
+    """The one-sample diluted RρR loop the batched routine replaced, kept as reference."""
+    counts = _count_vector(records, PSET)
+    total, flat, eye = counts.sum(), PSET.flattened(), np.eye(4, dtype=complex)
+    mask = counts > 0
+
+    def probs_of(m):
+        return np.real(flat @ m.T.reshape(16))
+
+    def ll_of(m):
+        return float(counts[mask] @ np.log(np.clip(probs_of(m)[mask], 1e-15, None)))
+
+    rho, eps, iterations, converged = eye / 4.0, 1.0, 0, False
+    trace = [ll_of(rho)]
+    while iterations < max_iterations:
+        iterations += 1
+        r_op = ((counts / (total * np.clip(probs_of(rho), 1e-15, None))) @ flat).reshape(4, 4)
+        step = eye + eps * r_op
+        candidate = step @ rho @ step.conj().T
+        candidate = 0.5 * (candidate + candidate.conj().T)
+        candidate /= np.real(np.trace(candidate))
+        ll_new = ll_of(candidate)
+        if ll_new < trace[-1]:
+            eps *= 0.5
+            if eps < 1e-10:
+                converged = True
+                break
+            continue
+        gain = ll_new - trace[-1]
+        rho = candidate
+        trace.append(ll_new)
+        if gain / max(abs(ll_new), 1.0) < tolerance:
+            converged = True
+            break
+    return rho, trace, iterations, converged
+
+
+def test_mle_matches_scalar_reference_loop():
+    cases = [
+        (bell_state("phi+").density(), 40.0, 10000),
+        (mix_duty_cycle(0.25), 1e5, 10000),
+        (mix_duty_cycle(0.6), 1e7, 10000),
+        (bell_state("phi+").density(), 1e5, 30),
+    ]
+    for seed, (truth, pairs, cap) in enumerate(cases):
+        records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=pairs, seed=seed))
+        rho, trace, iterations, converged = _scalar_rrr(records, max_iterations=cap)
+        result = mle_reconstruct(records, PSET, max_iterations=cap)
+        assert result.rho_hat.matrix.tobytes() == rho.tobytes()
+        assert result.ll_trace == trace and result.log_likelihood == trace[-1]
+        assert (result.iterations, result.converged) == (iterations, converged)
+
+
+def _batch(record_sets, target=None, description="self", max_iterations=10000):
+    counts = np.stack([_count_vector(records, PSET) for records in record_sets])
+    return list(_mle_batch(
+        counts, PSET.flattened(), max_iterations=max_iterations, tolerance=1e-10,
+        dilution=1.0, target=target, target_description=description,
+    ))
+
+
+def _assert_same_fit(batched, alone):
+    assert batched.rho_hat.matrix.tobytes() == alone.rho_hat.matrix.tobytes()
+    assert batched.iterations == alone.iterations
+    assert batched.converged == alone.converged
+    assert batched.ll_trace == alone.ll_trace
+    assert batched.log_likelihood == alone.log_likelihood
+    assert batched.floored_outcomes == alone.floored_outcomes
+    assert batched.metrics == alone.metrics
+
+
+def test_batch_matches_single_fits_with_differing_zero_masks():
+    truth = bell_state("phi+").density()
+    acq = AcquisitionConfig(pairs_per_setting=40.0, seed=77)
+    result = mle_reconstruct(simulate_counts(truth, PSET, acq), PSET, target=truth)
+    resampled = list(_resample_records(result, PSET, acq, 12))
+    masks = {tuple(_count_vector(records, PSET) > 0) for records in resampled}
+    assert len({sum(mask) for mask in masks}) > 1  # several nonzero-count groups
+    fits = _batch(resampled, target=truth, description="phi+")
+    for records, fit in zip(resampled, fits):
+        _assert_same_fit(fit, mle_reconstruct(records, PSET, target=truth, target_description="phi+"))
+        assert log_likelihood(fit.rho_hat, records, PSET) == fit.log_likelihood
+
+
+def test_batch_matches_single_fits_when_some_hit_the_cap():
+    uniform = _records_from_vector(np.full(36, 250))
+    hard = simulate_counts(bell_state("phi+").density(), PSET,
+                           AcquisitionConfig(pairs_per_setting=1e5, seed=2))
+    mixed = simulate_counts(mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=4))
+    record_sets = [hard, uniform, mixed, hard, uniform]
+    fits = _batch(record_sets, max_iterations=25)
+    assert [fit.converged for fit in fits] == [False, True, False, False, True]
+    assert {fit.iterations for fit in fits if not fit.converged} == {25}
+    for records, fit in zip(record_sets, fits):
+        _assert_same_fit(fit, mle_reconstruct(records, PSET, max_iterations=25))
+
+
+def test_public_log_likelihood_equals_reconstruction_value():
+    for alpha, seed in ((0.0, 3), (0.25, 5), (0.9, 8)):
+        records = simulate_counts(mix_duty_cycle(alpha), PSET,
+                                  AcquisitionConfig(pairs_per_setting=1e5, seed=seed))
+        result = mle_reconstruct(records, PSET)
+        assert log_likelihood(result.rho_hat, records, PSET) == result.log_likelihood
+        assert result.ll_trace[-1] == result.log_likelihood
+
+
+def test_bootstrap_errors_equal_one_at_a_time_resamples():
+    truth = mix_duty_cycle(0.25)
+    acq = AcquisitionConfig(pairs_per_setting=1e3, seed=31)
+    result = mle_reconstruct(simulate_counts(truth, PSET, acq), PSET, target=truth,
+                             target_description="alpha=0.25")
+    errors = bootstrap_errors(result, PSET, acq, 9, max_iterations=60)
+    singles = [
+        mle_reconstruct(records, PSET, max_iterations=60, target=truth,
+                        target_description="alpha=0.25").metrics
+        for records in _resample_records(result, PSET, acq, 9)
+    ]
+    attributes = {"purity": "purity", "tangle": "tangle", "visibility": "visibility",
+                  "fidelity": "fidelity_to_target"}
+    assert list(errors) == list(attributes)
+    for name, attr in attributes.items():
+        assert errors[name] == float(np.std([getattr(m, attr) for m in singles], ddof=1))
 
 
 # ---------------------------------------------------------------------------
