@@ -25,14 +25,43 @@ from .counting import (
     write_counts_csv,
     write_counts_json,
 )
-from .errors import BellmixError, ConfigError, DataError, InvalidConfig, OutOfRange
+from .errors import (
+    BellmixError,
+    ConfigParse,
+    DataParse,
+    IndexOutOfRange,
+    InvalidConfig,
+    InvalidState,
+    MismatchedData,
+    NoCounts,
+    NonHermitianInput,
+    NotNormalized,
+    OutOfRange,
+    ZeroTrace,
+)
 from .linalg import matrix_to_json_dict, read_state_json
-from .jsonio import write_json
-from .metrics import report_for
+from .metrics import report_for, write_metrics_json
 from .optics import read_projector_set_json, standard_projector_set, write_projector_set_json
 from .states import SourceConfig, generate, mix_duty_cycle
 from .sweep import SweepSpec, run_sweep
-from .tomography import bootstrap_errors, mle_reconstruct, read_result_json, result_to_json_dict
+from .tomography import (
+    bootstrap_errors,
+    check_resamples,
+    mle_reconstruct,
+    read_result_json,
+    result_to_json_dict,
+)
+
+_CONFIG_ERRORS = (ConfigParse, InvalidConfig, OutOfRange, NotNormalized)
+_DATA_ERRORS = (
+    DataParse,
+    MismatchedData,
+    NoCounts,
+    IndexOutOfRange,
+    NonHermitianInput,
+    InvalidState,
+    ZeroTrace,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,10 +88,12 @@ def _load_source_config(path) -> SourceConfig:
 
 
 def _emit_json(data: dict, out_path) -> None:
+    text = json.dumps(data, indent=2) + "\n"
     if out_path is None:
-        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+        sys.stdout.write(text)
     else:
-        write_json(out_path, data)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _cmd_generate(args) -> int:
@@ -107,8 +138,7 @@ def _resolve_target(args):
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.resamples < 0 or args.resamples == 1:
-        raise OutOfRange(f"--resamples must be 0 or >= 2, got {args.resamples}")
+    check_resamples(args.resamples)
     records = _read_counts(args.counts)
     pset = (
         read_projector_set_json(args.projectors)
@@ -125,7 +155,7 @@ def _cmd_reconstruct(args) -> int:
         target=target,
         target_description=description or "self",
     )
-    if args.resamples:
+    if args.resamples >= 2:
         totals = [sum(record.outcome_counts) for record in records]
         acq = AcquisitionConfig(
             pairs_per_setting=max(1.0, sum(totals) / len(totals)),
@@ -140,7 +170,10 @@ def _cmd_metrics(args) -> int:
     rho = read_state_json(args.state)
     target, description = _resolve_target(args)
     report = report_for(rho, target=target, target_description=description or "self")
-    _emit_json(report.to_json_dict(), args.out)
+    if args.out is None:
+        _emit_json(report.to_json_dict(), None)
+    else:
+        write_metrics_json(args.out, report)
     return EXIT_OK
 
 
@@ -240,10 +273,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BellmixError as exc:

@@ -10,13 +10,13 @@ in parallel yields identical results.
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataParse, MismatchedData, OutOfRange
-from .jsonio import number_fields, read_json, write_json
 from .linalg import DensityMatrix
 from .optics import (
     CALIBRATION_IDLER,
@@ -44,16 +44,26 @@ class AcquisitionConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.pairs_per_setting) and self.pairs_per_setting > 0.0):
-            raise OutOfRange(f"pairs_per_setting must be finite and > 0, got {self.pairs_per_setting!r}")
+            raise OutOfRange(
+                f"pairs_per_setting must be finite and > 0, got {self.pairs_per_setting!r}"
+            )
         if not (math.isfinite(self.accidental_rate) and self.accidental_rate >= 0.0):
-            raise OutOfRange(f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}")
+            raise OutOfRange(
+                f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise OutOfRange(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AcquisitionConfig":
-        defaults = {"pairs_per_setting": 1e5, "accidental_rate": 0.0, "seed": 0}
-        return cls(**number_fields(data, "acquisition", defaults))
+        try:
+            return cls(
+                pairs_per_setting=float(data.get("pairs_per_setting", 1e5)),
+                accidental_rate=float(data.get("accidental_rate", 0.0)),
+                seed=int(data.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise DataParse(f"malformed acquisition JSON: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,6 +79,7 @@ class CountRecord:
 
     setting_index: int
     outcome_counts: tuple
+    duration_tag: str = ""
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -94,6 +105,7 @@ def simulate_counts(
     rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
 ) -> list[CountRecord]:
     """Poisson counts for every setting; fully determined by acq.seed."""
+    tag = f"pairs={acq.pairs_per_setting:g}"
     records = []
     for setting_index in range(pset.n_settings):
         probs = born_probabilities(rho, pset, setting_index)
@@ -102,7 +114,9 @@ def simulate_counts(
             mean = acq.pairs_per_setting * float(p) + acq.accidental_rate
             rng = stream(acq.seed, setting_index, outcome_index)
             counts.append(int(rng.poisson(mean)))
-        records.append(CountRecord(setting_index=setting_index, outcome_counts=tuple(counts)))
+        records.append(
+            CountRecord(setting_index=setting_index, outcome_counts=tuple(counts), duration_tag=tag)
+        )
     return records
 
 
@@ -177,6 +191,7 @@ def counts_to_json_dict(records) -> dict:
             {
                 "setting_index": int(record.setting_index),
                 "outcome_counts": [int(c) for c in record.outcome_counts],
+                "duration_tag": record.duration_tag,
             }
             for record in records
         ]
@@ -189,6 +204,7 @@ def counts_from_json_dict(data: dict) -> list[CountRecord]:
             CountRecord(
                 setting_index=int(entry["setting_index"]),
                 outcome_counts=tuple(int(c) for c in entry["outcome_counts"]),
+                duration_tag=str(entry.get("duration_tag", "")),
             )
             for entry in data["records"]
         ]
@@ -211,11 +227,18 @@ def read_counts_csv(path) -> list[CountRecord]:
 
 
 def write_counts_json(path, records) -> None:
-    write_json(path, counts_to_json_dict(records))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(counts_to_json_dict(records), fh, indent=2)
+        fh.write("\n")
 
 
 def read_counts_json(path) -> list[CountRecord]:
-    return counts_from_json_dict(read_json(path, "counts file"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataParse(f"cannot read counts file {path}: {exc}") from exc
+    return counts_from_json_dict(data)
 
 
 def validate_against(records, pset: ProjectorSet) -> None:

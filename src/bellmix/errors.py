@@ -1,39 +1,27 @@
-"""Exception types shared across the package.
-
-The command line exits with 2 on a ConfigError, 3 on a DataError, and 1 on
-any other BellmixError.
-"""
+"""Exception types shared across the package."""
 
 
 class BellmixError(Exception):
     """Base class for all bellmix errors."""
 
 
-class ConfigError(BellmixError):
-    """A configuration value, file or flag is unusable."""
-
-
-class DataError(BellmixError):
-    """A data file or the data handed to an estimator is unusable."""
-
-
-class NonHermitianInput(DataError):
+class NonHermitianInput(BellmixError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class InvalidState(DataError):
+class InvalidState(BellmixError):
     """A matrix is too far from a physical density matrix to be rounding error."""
 
 
-class ZeroTrace(DataError):
+class ZeroTrace(BellmixError):
     """Every eigenvalue was clipped to zero; nothing left to normalize."""
 
 
-class NotNormalized(ConfigError):
+class NotNormalized(BellmixError):
     """Pure-state amplitudes do not have unit norm."""
 
 
-class OutOfRange(ConfigError):
+class OutOfRange(BellmixError):
     """A scalar parameter lies outside its documented range."""
 
 
@@ -41,25 +29,25 @@ class DegenerateDenominator(BellmixError):
     """Both coincidence rates vanish; the visibility quotient is undefined."""
 
 
-class IndexOutOfRange(DataError):
+class IndexOutOfRange(BellmixError):
     """Setting index does not exist in the projector set."""
 
 
-class MismatchedData(DataError):
+class MismatchedData(BellmixError):
     """Count records and projector set disagree."""
 
 
-class NoCounts(DataError):
+class NoCounts(BellmixError):
     """Reconstruction requested with zero total counts."""
 
 
-class ConfigParse(ConfigError):
+class ConfigParse(BellmixError):
     """A configuration file could not be parsed."""
 
 
-class InvalidConfig(ConfigError):
+class InvalidConfig(BellmixError):
     """A configuration file parsed but contains invalid fields."""
 
 
-class DataParse(DataError):
+class DataParse(BellmixError):
     """A data file (counts, state, projectors, results) could not be parsed."""

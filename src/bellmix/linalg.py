@@ -7,12 +7,12 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataParse, InvalidState, NonHermitianInput, NotNormalized, ZeroTrace
-from .jsonio import read_json, write_json
 
 HERMITIAN_TOL = 1e-10
 
@@ -189,8 +189,15 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:
-    write_json(path, matrix_to_json_dict(rho.matrix))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_json_dict(rho.matrix), fh, indent=2)
+        fh.write("\n")
 
 
 def read_state_json(path) -> DensityMatrix:
-    return DensityMatrix(matrix_from_json_dict(read_json(path, "state file")))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataParse(f"cannot read state file {path}: {exc}") from exc
+    return DensityMatrix(matrix_from_json_dict(data))

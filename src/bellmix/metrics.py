@@ -8,6 +8,7 @@ stays on the Hermitian eigensolver.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,3 +157,8 @@ def report_for(
         target_description=target_description,
     )
 
+
+def write_metrics_json(path, report: MetricsReport) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2)
+        fh.write("\n")

@@ -12,13 +12,13 @@ measurement. This plate order is what makes QWP 0 / HWP 22.5 analyze the
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DataParse, IndexOutOfRange, InvalidState
-from .jsonio import read_json, write_json
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 
 HWP_RETARDANCE = np.pi
@@ -216,8 +216,15 @@ def projector_set_from_json_dict(data: dict) -> ProjectorSet:
 
 
 def write_projector_set_json(path, pset: ProjectorSet) -> None:
-    write_json(path, projector_set_to_json_dict(pset))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(projector_set_to_json_dict(pset), fh, indent=2)
+        fh.write("\n")
 
 
 def read_projector_set_json(path) -> ProjectorSet:
-    return projector_set_from_json_dict(read_json(path, "projector set"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataParse(f"cannot read projector set {path}: {exc}") from exc
+    return projector_set_from_json_dict(data)

@@ -10,13 +10,13 @@ signal_dc of the time, which turns Phi-type states into Psi-type states.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigParse, InvalidConfig, NotNormalized, OutOfRange
-from .jsonio import number_fields, read_json
 from .linalg import DensityMatrix, PureState, hermitize
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -67,26 +67,49 @@ class SourceConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
-        f = number_fields(data, "source config", {
-            "alpha": 0.0, "phi": 0.0, "beta_re": _INV_SQRT2, "beta_im": 0.0,
-            "gamma_re": _INV_SQRT2, "gamma_im": 0.0, "signal_dc": 0.0,
-            "dephasing": 0.0, "depolarizing": 0.0,
-        })
+        if not isinstance(data, dict):
+            raise InvalidConfig(f"source config must be a JSON object, got {type(data).__name__}")
+        known = {
+            "alpha", "phi", "beta_re", "beta_im", "gamma_re", "gamma_im",
+            "signal_dc", "dephasing", "depolarizing",
+        }
+        unknown = set(data) - known
+        if unknown:
+            raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
+
+        def num(key, default):
+            value = data.get(key, default)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise InvalidConfig(f"field {key!r} must be a number, got {value!r}")
+            return float(value)
+
+        beta = complex(num("beta_re", _INV_SQRT2), num("beta_im", 0.0))
+        gamma = complex(num("gamma_re", _INV_SQRT2), num("gamma_im", 0.0))
         try:
             return cls(
-                alpha=f["alpha"],
-                phi=f["phi"],
-                beta=complex(f["beta_re"], f["beta_im"]),
-                gamma=complex(f["gamma_re"], f["gamma_im"]),
-                signal_dc=f["signal_dc"],
-                noise=NoiseParams(dephasing=f["dephasing"], depolarizing=f["depolarizing"]),
+                alpha=num("alpha", 0.0),
+                phi=num("phi", 0.0),
+                beta=beta,
+                gamma=gamma,
+                signal_dc=num("signal_dc", 0.0),
+                noise=NoiseParams(
+                    dephasing=num("dephasing", 0.0),
+                    depolarizing=num("depolarizing", 0.0),
+                ),
             )
         except (OutOfRange, NotNormalized) as exc:
             raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path) -> "SourceConfig":
-        return cls.from_json_dict(read_json(path, "config", ConfigParse))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigParse(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigParse(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+        return cls.from_json_dict(data)
 
 
 def _check_pump_norm(beta: complex, gamma: complex) -> None:

@@ -10,6 +10,7 @@ points ran serially or in a process pool.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,18 +23,40 @@ from .counting import (
     write_counts_csv,
 )
 from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
-from .jsonio import number_fields, read_json
 from .linalg import write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
 from .states import NoiseParams, SourceConfig, completely_mixed, generate, mix_duty_cycle
-from .tomography import bootstrap_errors, mle_reconstruct, write_result_json
+from .tomography import bootstrap_errors, check_resamples, mle_reconstruct, write_result_json
 
 SWEEP_CSV_HEADER = (
     "alpha,visibility,tangle,purity,fidelity,"
     "visibility_err,tangle_err,purity_err,fidelity_err,"
     "theory_visibility,theory_tangle,theory_purity,source"
 )
+
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
+          list: "a list", dict: "an object"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value is of kind; a number is an int or a float, never a bool."""
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _checked(data, what: str, kinds: dict) -> dict:
+    """data, if it is a JSON object whose every key is in kinds with a value of that kind."""
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise InvalidConfig(f"unknown {what} fields: {sorted(unknown)}")
+    for key, value in data.items():
+        if not _is(value, kinds[key]):
+            raise InvalidConfig(f"{what} field {key!r} must be {_KINDS[kinds[key]]}, got {value!r}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -56,33 +79,35 @@ class SweepSpec:
         for alpha in self.alphas:
             if not 0.0 <= alpha <= 1.0:
                 raise OutOfRange(f"sweep alpha {alpha!r} outside [0, 1]")
-        if self.resamples < 0 or self.resamples == 1:
-            raise OutOfRange(f"resamples must be 0 or >= 2, got {self.resamples}")
+        check_resamples(self.resamples)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise InvalidConfig(f"sweep spec must be a JSON object, got {type(data).__name__}")
-        known = {"alphas", "acquisition", "noise", "outputs", "include_completely_mixed", "resamples"}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown sweep fields: {sorted(unknown)}")
-        alphas = data.get("alphas")
-        if not isinstance(alphas, list) or any(
-            isinstance(a, bool) or not isinstance(a, (int, float)) for a in alphas
-        ):
+        _checked(data, "sweep spec", {
+            "alphas": list, "acquisition": dict, "noise": dict, "outputs": str,
+            "include_completely_mixed": bool, "resamples": int,
+        })
+        if "alphas" not in data or not all(_is(a, float) for a in data["alphas"]):
             raise InvalidConfig("sweep spec needs 'alphas' as a JSON list of numbers")
-        noise = number_fields(data.get("noise", {}), "noise", {"dephasing": 0.0, "depolarizing": 0.0})
-        for key, kind, name in (("outputs", str, "a string"), ("resamples", int, "an integer"),
-                                ("include_completely_mixed", bool, "true or false")):
-            value = data.get(key, kind())
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise InvalidConfig(f"sweep field {key!r} must be {name}, got {value!r}")
+        alphas = tuple(float(a) for a in data["alphas"])
+        noise_data = _checked(
+            data.get("noise", {}), "noise", {"dephasing": float, "depolarizing": float}
+        )
+        acquisition_data = _checked(
+            data.get("acquisition", {}),
+            "acquisition",
+            {"pairs_per_setting": float, "accidental_rate": float, "seed": int},
+        )
         try:
+            noise = NoiseParams(
+                dephasing=float(noise_data.get("dephasing", 0.0)),
+                depolarizing=float(noise_data.get("depolarizing", 0.0)),
+            )
+            acquisition = AcquisitionConfig.from_json_dict(acquisition_data)
             return cls(
-                alphas=tuple(float(a) for a in alphas),
-                acquisition=AcquisitionConfig.from_json_dict(data.get("acquisition", {})),
-                noise=NoiseParams(**noise),
+                alphas=alphas,
+                acquisition=acquisition,
+                noise=noise,
                 outputs=data.get("outputs", "sweep_out"),
                 include_completely_mixed=data.get("include_completely_mixed", False),
                 resamples=data.get("resamples", 25),
@@ -92,7 +117,14 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        return cls.from_json_dict(read_json(path, "sweep spec", ConfigParse))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigParse(f"cannot read sweep spec {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigParse(f"sweep spec {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+        return cls.from_json_dict(data)
 
 
 @dataclass
@@ -174,11 +206,23 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> str:
         write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
 
-        m = point.result.metrics
+        metrics = point.result.metrics
         errors = point.result.metric_errors
-        row = [_format(v) for v in (point.alpha, m.visibility, m.tangle, m.purity, m.fidelity_to_target)]
-        row += [_format(errors[k]) if errors else "" for k in ("visibility", "tangle", "purity", "fidelity")]
-        row += [*(_format(v) for v in point.theory), point.source]
+        row = [
+            _format(point.alpha),
+            _format(metrics.visibility),
+            _format(metrics.tangle),
+            _format(metrics.purity),
+            _format(metrics.fidelity_to_target),
+            _format(errors["visibility"]) if errors else "",
+            _format(errors["tangle"]) if errors else "",
+            _format(errors["purity"]) if errors else "",
+            _format(errors["fidelity"]) if errors else "",
+            _format(point.theory[0]),
+            _format(point.theory[1]),
+            _format(point.theory[2]),
+            point.source,
+        ]
         rows.append(",".join(row))
 
     csv_path = os.path.join(outdir, "sweep.csv")

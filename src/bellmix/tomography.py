@@ -23,16 +23,27 @@ seed, so the result is deterministic and independent of any parallel schedule.
 
 from __future__ import annotations
 
+import json
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counting import _BOOTSTRAP_STREAM, AcquisitionConfig, derive_seed, simulate_counts, validate_against
-from .errors import DataParse, NoCounts
-from .jsonio import read_json, write_json
-from .linalg import DensityMatrix, hermitize, matrix_from_json_dict, matrix_to_json_dict
+from .counting import (
+    _BOOTSTRAP_STREAM,
+    AcquisitionConfig,
+    derive_seed,
+    simulate_counts,
+    validate_against,
+)
+from .errors import DataParse, NoCounts, OutOfRange
+from .linalg import (
+    DensityMatrix,
+    hermitize,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+)
 from .metrics import MetricsReport, report_for
 from .optics import ProjectorSet
 
@@ -101,9 +112,6 @@ def _nonzero_groups(counts: np.ndarray) -> list:
 def _log_likelihoods(groups: list, probs: np.ndarray) -> np.ndarray:
     """Sum of n_j log p_j per sample of floored probabilities, omitting n_j = 0."""
     flat_probs = probs.reshape(-1)
-    if len(groups) == 1:
-        _rows, index, counts = groups[0]
-        return (counts @ np.log(flat_probs[index]))[:, 0, 0]
     out = np.empty(len(probs))
     for rows, index, counts in groups:
         out[rows] = (counts @ np.log(flat_probs[index]))[:, 0, 0]
@@ -187,29 +195,24 @@ def _mle_batch(
         candidate_probs = _probabilities(flat, candidate)
         ll_new = _log_likelihoods(groups, candidate_probs)
 
-        # Dilute and retry from the same iterate; monotonicity is kept by
-        # never accepting a downhill step. The accepted candidate's
-        # probabilities are the next iterate's, since rho = candidate.
         downhill = ll_new < ll
-        gain = ll_new - ll
+        stop = (ll_new - ll) / np.maximum(np.abs(ll_new), 1.0) < tolerance
         if np.count_nonzero(downhill):
-            uphill = ~downhill
+            # Dilute and retry from the same iterate; monotonicity is kept by
+            # never accepting a downhill step. The masked writes are skipped
+            # when every step went uphill: they cost a fifth of a lone
+            # sample's iteration.
             eps[downhill] *= 0.5
-            rho[uphill], probs[uphill] = candidate[uphill], candidate_probs[uphill]
-            ll = np.where(downhill, ll, ll_new)
-            stop = (downhill & (eps[:, 0, 0] < 1e-10)) | (
-                uphill & (gain / np.maximum(np.abs(ll), 1.0) < tolerance)
-            )
-            accepted = np.flatnonzero(uphill).tolist()
-        else:
-            rho, probs, ll = candidate, candidate_probs, ll_new
-            stop = gain / np.maximum(np.abs(ll), 1.0) < tolerance
-            accepted = range(len(rows))
-        values = ll.tolist()
-        for j in accepted:
-            active_traces[j].append(values[j])
-            if on_iterate is not None:
-                on_iterate(rho[j], values[j])
+            stop[downhill] = eps[downhill, 0, 0] < 1e-10
+            candidate[downhill], candidate_probs[downhill] = rho[downhill], probs[downhill]
+            ll_new[downhill] = ll[downhill]
+        # The accepted candidate's probabilities are the next iterate's.
+        rho, probs, ll = candidate, candidate_probs, ll_new
+        for j, (value, rejected) in enumerate(zip(ll.tolist(), downhill.tolist())):
+            if not rejected:
+                active_traces[j].append(value)
+                if on_iterate is not None:
+                    on_iterate(rho[j], value)
 
     floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
     for b in range(n):
@@ -261,6 +264,12 @@ def _resample_records(result: ReconstructionResult, pset: ProjectorSet,
     for index in range(resamples):
         seed = derive_seed(acq.seed, _BOOTSTRAP_STREAM, index)
         yield simulate_counts(result.rho_hat, pset, replace(acq, seed=seed))
+
+
+def check_resamples(resamples: int) -> None:
+    """A configured bootstrap size is 0 (no error bars) or at least 2."""
+    if resamples < 0 or resamples == 1:
+        raise OutOfRange(f"resamples must be 0 (no error bars) or >= 2, got {resamples}")
 
 
 def bootstrap_errors(
@@ -338,8 +347,15 @@ def result_from_json_dict(data: dict) -> ReconstructionResult:
 
 
 def write_result_json(path, result: ReconstructionResult) -> None:
-    write_json(path, result_to_json_dict(result))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result_to_json_dict(result), fh, indent=2)
+        fh.write("\n")
 
 
 def read_result_json(path) -> ReconstructionResult:
-    return result_from_json_dict(read_json(path, "reconstruction file"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataParse(f"cannot read reconstruction file {path}: {exc}") from exc
+    return result_from_json_dict(data)
