@@ -9,8 +9,6 @@ configured or flagged seed.
 from __future__ import annotations
 
 import argparse
-import glob
-import json
 import os
 import sys
 from dataclasses import replace
@@ -18,50 +16,20 @@ from dataclasses import replace
 from . import fixtures
 from .counting import (
     AcquisitionConfig,
-    counts_to_csv,
     read_counts_csv,
     read_counts_json,
     simulate_counts,
     write_counts_csv,
     write_counts_json,
 )
-from .errors import (
-    BellmixError,
-    ConfigParse,
-    DataParse,
-    IndexOutOfRange,
-    InvalidConfig,
-    InvalidState,
-    MismatchedData,
-    NoCounts,
-    NonHermitianInput,
-    NotNormalized,
-    OutOfRange,
-    ZeroTrace,
-)
-from .linalg import matrix_to_json_dict, read_state_json
-from .metrics import report_for, write_metrics_json
+from .errors import ConfigError, DataError, InvalidConfig
+from .fileio import write_json
+from .linalg import read_state_json, write_state_json
+from .metrics import report_for
 from .optics import read_projector_set_json, standard_projector_set, write_projector_set_json
 from .states import SourceConfig, generate, mix_duty_cycle
 from .sweep import SweepSpec, run_sweep
-from .tomography import (
-    bootstrap_errors,
-    check_resamples,
-    mle_reconstruct,
-    read_result_json,
-    result_to_json_dict,
-)
-
-_CONFIG_ERRORS = (ConfigParse, InvalidConfig, OutOfRange, NotNormalized)
-_DATA_ERRORS = (
-    DataParse,
-    MismatchedData,
-    NoCounts,
-    IndexOutOfRange,
-    NonHermitianInput,
-    InvalidState,
-    ZeroTrace,
-)
+from .tomography import bootstrap_errors, check_resamples, mle_reconstruct, write_result_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,19 +55,10 @@ def _load_source_config(path) -> SourceConfig:
     return SourceConfig.from_file(path)
 
 
-def _emit_json(data: dict, out_path) -> None:
-    text = json.dumps(data, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _cmd_generate(args) -> int:
     config = _load_source_config(args.config)
     rho = generate(config)
-    _emit_json(matrix_to_json_dict(rho.matrix), args.out)
+    write_state_json(args.out, rho)
     return EXIT_OK
 
 
@@ -112,12 +71,10 @@ def _cmd_simulate(args) -> int:
     )
     pset = standard_projector_set()
     records = simulate_counts(generate(config), pset, acq)
-    if args.out is None:
-        sys.stdout.write(counts_to_csv(records))
-    elif args.out.endswith(".json"):
+    if args.out is not None and args.out.endswith(".json"):
         write_counts_json(args.out, records)
     else:
-        write_counts_csv(args.out, records)
+        write_counts_csv(args.out, records)  # stdout if no --out
     if args.projectors_out is not None:
         write_projector_set_json(args.projectors_out, pset)
     return EXIT_OK
@@ -162,7 +119,7 @@ def _cmd_reconstruct(args) -> int:
             seed=_effective_seed(args.seed, 0),
         )
         result.metric_errors = bootstrap_errors(result, pset, acq, args.resamples)
-    _emit_json(result_to_json_dict(result), args.out)
+    write_result_json(args.out, result)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -170,10 +127,7 @@ def _cmd_metrics(args) -> int:
     rho = read_state_json(args.state)
     target, description = _resolve_target(args)
     report = report_for(rho, target=target, target_description=description or "self")
-    if args.out is None:
-        _emit_json(report.to_json_dict(), None)
-    else:
-        write_metrics_json(args.out, report)
+    write_json(args.out, report.to_json_dict())
     return EXIT_OK
 
 
@@ -189,12 +143,9 @@ def _cmd_sweep(args) -> int:
         outputs=args.out if args.out is not None else spec.outputs,
         resamples=args.resamples if args.resamples is not None else spec.resamples,
     )
-    outdir = run_sweep(spec, parallel=args.parallel)
-    converged = True
-    for recon_path in sorted(glob.glob(os.path.join(outdir, "*", "recon.json"))):
-        converged &= read_result_json(recon_path).converged
-    print(f"sweep written to {outdir}")
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    points = run_sweep(spec, parallel=args.parallel)
+    print(f"sweep written to {spec.outputs}")
+    return EXIT_OK if all(point.result.converged for point in points) else EXIT_NO_CONVERGENCE
 
 
 def _cmd_paper_fixtures(args) -> int:
@@ -273,15 +224,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BellmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -10,13 +10,13 @@ in parallel yields identical results.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParse, MismatchedData, OutOfRange
+from .errors import DataParse, InvalidConfig, MismatchedData, OutOfRange
+from .fileio import is_kind, parsing, read_json, read_text, write_json, write_text
 from .linalg import DensityMatrix
 from .optics import (
     CALIBRATION_IDLER,
@@ -56,14 +56,12 @@ class AcquisitionConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AcquisitionConfig":
-        try:
+        with parsing("acquisition", InvalidConfig):
             return cls(
                 pairs_per_setting=float(data.get("pairs_per_setting", 1e5)),
                 accidental_rate=float(data.get("accidental_rate", 0.0)),
                 seed=int(data.get("seed", 0)),
             )
-        except (TypeError, ValueError) as exc:
-            raise DataParse(f"malformed acquisition JSON: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,6 +145,13 @@ def counts_to_csv(records) -> str:
     return out.getvalue()
 
 
+def _count(value, where: str) -> int:
+    """value, if it is a count or a setting index: an integer in [0, 2**63), never a bool."""
+    if not (is_kind(value, int) and 0 <= value < 2**63):
+        raise DataParse(f"{where}: expected an integer in [0, 2**63), got {value!r}")
+    return value
+
+
 def counts_from_csv(text: str) -> list[CountRecord]:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != COUNTS_CSV_HEADER:
@@ -157,15 +162,13 @@ def counts_from_csv(text: str) -> list[CountRecord]:
         if len(parts) != 3:
             raise DataParse(f"counts CSV line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            setting_index = int(parts[0])
-            count = int(parts[2])
+            setting_index = _count(int(parts[0]), f"counts CSV line {lineno}")
+            count = _count(int(parts[2]), f"counts CSV line {lineno}")
         except ValueError as exc:
             raise DataParse(f"counts CSV line {lineno}: {exc}") from exc
         label = parts[1]
         if label not in OUTCOME_LABELS:
             raise DataParse(f"counts CSV line {lineno}: unknown outcome label {label!r}")
-        if count < 0:
-            raise DataParse(f"counts CSV line {lineno}: negative count {count}")
         slot = per_setting.setdefault(setting_index, {})
         if label in slot:
             raise DataParse(f"counts CSV line {lineno}: duplicate ({setting_index}, {label})")
@@ -199,46 +202,33 @@ def counts_to_json_dict(records) -> dict:
 
 
 def counts_from_json_dict(data: dict) -> list[CountRecord]:
-    try:
+    with parsing("counts JSON"):
         return [
             CountRecord(
-                setting_index=int(entry["setting_index"]),
-                outcome_counts=tuple(int(c) for c in entry["outcome_counts"]),
+                setting_index=_count(entry["setting_index"], "counts JSON setting_index"),
+                outcome_counts=tuple(
+                    _count(c, "counts JSON count") for c in entry["outcome_counts"]
+                ),
                 duration_tag=str(entry.get("duration_tag", "")),
             )
             for entry in data["records"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataParse(f"malformed counts JSON: {exc}") from exc
 
 
 def write_counts_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(counts_to_csv(records))
+    write_text(path, counts_to_csv(records))
 
 
 def read_counts_csv(path) -> list[CountRecord]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataParse(f"cannot read counts file {path}: {exc}") from exc
-    return counts_from_csv(text)
+    return counts_from_csv(read_text(path, "counts file"))
 
 
 def write_counts_json(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(counts_to_json_dict(records), fh, indent=2)
-        fh.write("\n")
+    write_json(path, counts_to_json_dict(records))
 
 
 def read_counts_json(path) -> list[CountRecord]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read counts file {path}: {exc}") from exc
-    return counts_from_json_dict(data)
+    return counts_from_json_dict(read_json(path, "counts file"))
 
 
 def validate_against(records, pset: ProjectorSet) -> None:

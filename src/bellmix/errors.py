@@ -1,53 +1,65 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every concrete error is either a ConfigError (the command line exits with 2)
+or a DataError (it exits with 3).
+"""
 
 
 class BellmixError(Exception):
     """Base class for all bellmix errors."""
 
 
-class NonHermitianInput(BellmixError):
+class ConfigError(BellmixError):
+    """A configuration, sweep spec or parameter is invalid."""
+
+
+class DataError(BellmixError):
+    """A data file, or a matrix or state computed from one, is invalid."""
+
+
+class NonHermitianInput(DataError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class InvalidState(BellmixError):
+class InvalidState(DataError):
     """A matrix is too far from a physical density matrix to be rounding error."""
 
 
-class ZeroTrace(BellmixError):
+class ZeroTrace(DataError):
     """Every eigenvalue was clipped to zero; nothing left to normalize."""
 
 
-class NotNormalized(BellmixError):
+class NotNormalized(ConfigError):
     """Pure-state amplitudes do not have unit norm."""
 
 
-class OutOfRange(BellmixError):
+class OutOfRange(ConfigError):
     """A scalar parameter lies outside its documented range."""
 
 
-class DegenerateDenominator(BellmixError):
+class DegenerateDenominator(DataError):
     """Both coincidence rates vanish; the visibility quotient is undefined."""
 
 
-class IndexOutOfRange(BellmixError):
+class IndexOutOfRange(DataError):
     """Setting index does not exist in the projector set."""
 
 
-class MismatchedData(BellmixError):
+class MismatchedData(DataError):
     """Count records and projector set disagree."""
 
 
-class NoCounts(BellmixError):
+class NoCounts(DataError):
     """Reconstruction requested with zero total counts."""
 
 
-class ConfigParse(BellmixError):
+class ConfigParse(ConfigError):
     """A configuration file could not be parsed."""
 
 
-class InvalidConfig(BellmixError):
+class InvalidConfig(ConfigError):
     """A configuration file parsed but contains invalid fields."""
 
 
-class DataParse(BellmixError):
+class DataParse(DataError):
     """A data file (counts, state, projectors, results) could not be parsed."""

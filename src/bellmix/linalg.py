@@ -7,12 +7,12 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataParse, InvalidState, NonHermitianInput, NotNormalized, ZeroTrace
+from .fileio import parsing, read_json, write_json
 
 HERMITIAN_TOL = 1e-10
 
@@ -172,32 +172,22 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_json_dict(data: dict) -> np.ndarray:
-    try:
+    with parsing("matrix JSON"):
         dim = int(data["dim"])
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataParse(f"malformed matrix JSON: {exc}") from exc
     if dim not in (2, 4) or re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DataParse(
             f"matrix JSON shape mismatch: dim={dim}, re{re.shape}, im{im.shape}"
         )
-    m = re + 1j * im
-    if not np.all(np.isfinite(m)):
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise DataParse("matrix JSON contains non-finite entries")
-    return m
+    return re + 1j * im
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_dict(rho.matrix), fh, indent=2)
-        fh.write("\n")
+    write_json(path, matrix_to_json_dict(rho.matrix))
 
 
 def read_state_json(path) -> DensityMatrix:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read state file {path}: {exc}") from exc
-    return DensityMatrix(matrix_from_json_dict(data))
+    return DensityMatrix(matrix_from_json_dict(read_json(path, "state file")))

@@ -8,13 +8,13 @@ stays on the Hermitian eigensolver.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataParse, DegenerateDenominator, InvalidState
+from .errors import DegenerateDenominator, InvalidState
+from .fileio import parsing
 from .linalg import DensityMatrix, hermitian_eigen, hermitize, matrix_sqrt, zero_clip
 from .optics import CALIBRATION_IDLER, WaveplateSetting, analyzer_projectors
 
@@ -125,7 +125,7 @@ class MetricsReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":
-        try:
+        with parsing("metrics JSON"):
             return cls(
                 purity=float(data["purity"]),
                 tangle=float(data["tangle"]),
@@ -133,8 +133,6 @@ class MetricsReport:
                 fidelity_to_target=float(data["fidelity_to_target"]),
                 target_description=str(data["target_description"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataParse(f"malformed metrics JSON: {exc}") from exc
 
     def csv_row(self, alpha: float) -> str:
         """Sweep-table row 'alpha,purity,tangle,visibility,fidelity'."""
@@ -156,9 +154,3 @@ def report_for(
         fidelity_to_target=fid,
         target_description=target_description,
     )
-
-
-def write_metrics_json(path, report: MetricsReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")

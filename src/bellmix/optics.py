@@ -12,13 +12,13 @@ measurement. This plate order is what makes QWP 0 / HWP 22.5 analyze the
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataParse, IndexOutOfRange, InvalidState
+from .errors import IndexOutOfRange, InvalidState
+from .fileio import parsing, read_json, write_json
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 
 HWP_RETARDANCE = np.pi
@@ -191,7 +191,7 @@ def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
 
 
 def projector_set_from_json_dict(data: dict) -> ProjectorSet:
-    try:
+    with parsing("projector-set JSON"):
         entries = data["settings"]
         settings = []
         groups = []
@@ -210,21 +210,13 @@ def projector_set_from_json_dict(data: dict) -> ProjectorSet:
             groups.append(
                 [matrix_from_json_dict(entry["projectors"][label]) for label in OUTCOME_LABELS]
             )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataParse(f"malformed projector-set JSON: {exc}") from exc
-    return ProjectorSet(settings=tuple(settings), projectors=np.array(groups))
+        # np.array raises ValueError when 2x2 and 4x4 matrices are mixed.
+        return ProjectorSet(settings=tuple(settings), projectors=np.array(groups))
 
 
 def write_projector_set_json(path, pset: ProjectorSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(projector_set_to_json_dict(pset), fh, indent=2)
-        fh.write("\n")
+    write_json(path, projector_set_to_json_dict(pset))
 
 
 def read_projector_set_json(path) -> ProjectorSet:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read projector set {path}: {exc}") from exc
-    return projector_set_from_json_dict(data)
+    return projector_set_from_json_dict(read_json(path, "projector set"))

@@ -10,13 +10,13 @@ signal_dc of the time, which turns Phi-type states into Psi-type states.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigParse, InvalidConfig, NotNormalized, OutOfRange
+from .fileio import checked, read_json
 from .linalg import DensityMatrix, PureState, hermitize
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -24,6 +24,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # X on the signal photon, identity on the idler: swaps HH<->VH and HV<->VV.
 _SIGNAL_FLIP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
 _SIGNAL_Z = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+
+# Source config JSON fields and their defaults; every field is a number.
+_CONFIG_DEFAULTS = {
+    "alpha": 0.0, "phi": 0.0, "beta_re": _INV_SQRT2, "beta_im": 0.0,
+    "gamma_re": _INV_SQRT2, "gamma_im": 0.0, "signal_dc": 0.0,
+    "dephasing": 0.0, "depolarizing": 0.0,
+}
 
 _BELL_AMPLITUDES = {
     "phi+": (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
@@ -63,58 +70,34 @@ class SourceConfig:
             raise OutOfRange(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not 0.0 <= self.signal_dc <= 1.0:
             raise OutOfRange(f"signal_dc must lie in [0, 1], got {self.signal_dc!r}")
+        if not math.isfinite(self.phi):
+            raise OutOfRange(f"phi must be finite, got {self.phi!r}")
         _check_pump_norm(self.beta, self.gamma)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
-        if not isinstance(data, dict):
-            raise InvalidConfig(f"source config must be a JSON object, got {type(data).__name__}")
-        known = {
-            "alpha", "phi", "beta_re", "beta_im", "gamma_re", "gamma_im",
-            "signal_dc", "dephasing", "depolarizing",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-
-        def num(key, default):
-            value = data.get(key, default)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InvalidConfig(f"field {key!r} must be a number, got {value!r}")
-            return float(value)
-
-        beta = complex(num("beta_re", _INV_SQRT2), num("beta_im", 0.0))
-        gamma = complex(num("gamma_re", _INV_SQRT2), num("gamma_im", 0.0))
+        checked(data, "config", dict.fromkeys(_CONFIG_DEFAULTS, float))
         try:
+            num = {key: float(value) for key, value in {**_CONFIG_DEFAULTS, **data}.items()}
             return cls(
-                alpha=num("alpha", 0.0),
-                phi=num("phi", 0.0),
-                beta=beta,
-                gamma=gamma,
-                signal_dc=num("signal_dc", 0.0),
-                noise=NoiseParams(
-                    dephasing=num("dephasing", 0.0),
-                    depolarizing=num("depolarizing", 0.0),
-                ),
+                alpha=num["alpha"],
+                phi=num["phi"],
+                beta=complex(num["beta_re"], num["beta_im"]),
+                gamma=complex(num["gamma_re"], num["gamma_im"]),
+                signal_dc=num["signal_dc"],
+                noise=NoiseParams(dephasing=num["dephasing"], depolarizing=num["depolarizing"]),
             )
-        except (OutOfRange, NotNormalized) as exc:
+        except (OverflowError, OutOfRange, NotNormalized) as exc:
             raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path) -> "SourceConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigParse(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, "config", ConfigParse))
 
 
 def _check_pump_norm(beta: complex, gamma: complex) -> None:
     total = abs(beta) ** 2 + abs(gamma) ** 2
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
         raise NotNormalized(f"|beta|^2 + |gamma|^2 = {total!r}, not 1 within 1e-12")
 
 

@@ -10,7 +10,6 @@ points ran serially or in a process pool.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -23,6 +22,7 @@ from .counting import (
     write_counts_csv,
 )
 from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
+from .fileio import checked, is_kind, parsing, read_json, read_text, write_text
 from .linalg import write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
@@ -35,28 +35,13 @@ SWEEP_CSV_HEADER = (
     "theory_visibility,theory_tangle,theory_purity,source"
 )
 
-_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
-          list: "a list", dict: "an object"}
 
+def _directory(alpha: float, source: str) -> str:
+    """A point's directory name; SweepSpec rejects a grid where two points share one.
 
-def _is(value, kind) -> bool:
-    """Whether a JSON value is of kind; a number is an int or a float, never a bool."""
-    if kind is float:
-        kind = (int, float)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
-def _checked(data, what: str, kinds: dict) -> dict:
-    """data, if it is a JSON object whose every key is in kinds with a value of that kind."""
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"{what} must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(kinds)
-    if unknown:
-        raise InvalidConfig(f"unknown {what} fields: {sorted(unknown)}")
-    for key, value in data.items():
-        if not _is(value, kinds[key]):
-            raise InvalidConfig(f"{what} field {key!r} must be {_KINDS[kinds[key]]}, got {value!r}")
-    return data
+    alpha keeps 6 significant digits, so 0.1 and 0.1000001 both give alpha_0.1.
+    """
+    return "completely_mixed" if source == "two_vpr" else f"alpha_{alpha:g}"
 
 
 @dataclass(frozen=True)
@@ -80,25 +65,36 @@ class SweepSpec:
             if not 0.0 <= alpha <= 1.0:
                 raise OutOfRange(f"sweep alpha {alpha!r} outside [0, 1]")
         check_resamples(self.resamples)
+        names = [_directory(alpha, source) for alpha, source in self.grid()]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            raise InvalidConfig(f"sweep points would share the directories {shared}")
+
+    def grid(self) -> list:
+        """(alpha, source) of every point, in point order."""
+        grid = [(float(alpha), "pump_vpr") for alpha in self.alphas]
+        if self.include_completely_mixed:
+            grid.append((0.5, "two_vpr"))
+        return grid
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
-        _checked(data, "sweep spec", {
+        checked(data, "sweep spec", {
             "alphas": list, "acquisition": dict, "noise": dict, "outputs": str,
             "include_completely_mixed": bool, "resamples": int,
         })
-        if "alphas" not in data or not all(_is(a, float) for a in data["alphas"]):
+        if "alphas" not in data or not all(is_kind(a, float) for a in data["alphas"]):
             raise InvalidConfig("sweep spec needs 'alphas' as a JSON list of numbers")
-        alphas = tuple(float(a) for a in data["alphas"])
-        noise_data = _checked(
+        noise_data = checked(
             data.get("noise", {}), "noise", {"dephasing": float, "depolarizing": float}
         )
-        acquisition_data = _checked(
+        acquisition_data = checked(
             data.get("acquisition", {}),
             "acquisition",
             {"pairs_per_setting": float, "accidental_rate": float, "seed": int},
         )
-        try:
+        with parsing("sweep spec", InvalidConfig):
+            alphas = tuple(float(a) for a in data["alphas"])
             noise = NoiseParams(
                 dephasing=float(noise_data.get("dephasing", 0.0)),
                 depolarizing=float(noise_data.get("depolarizing", 0.0)),
@@ -112,26 +108,16 @@ class SweepSpec:
                 include_completely_mixed=data.get("include_completely_mixed", False),
                 resamples=data.get("resamples", 25),
             )
-        except (OutOfRange, TypeError, ValueError) as exc:
-            raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigParse(f"cannot read sweep spec {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigParse(f"sweep spec {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, "sweep spec", ConfigParse))
 
 
 @dataclass
 class SweepPoint:
     """One completed sweep point, ready to serialize."""
 
-    directory: str
     alpha: float
     source: str
     state: object
@@ -158,13 +144,11 @@ def _run_point(index: int, alpha: float, source: str, spec: SweepSpec) -> SweepP
         target = completely_mixed()
         description = "identity/4"
         theory = (0.0, 0.0, 0.25)
-        directory = "completely_mixed"
     else:
         config = SourceConfig(alpha=alpha, noise=spec.noise)
         target = mix_duty_cycle(alpha)
         description = f"duty-cycle mixture alpha={alpha:g}"
         theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
-        directory = f"alpha_{alpha:g}"
 
     acq = replace(spec.acquisition, seed=derive_seed(spec.acquisition.seed, _SWEEP_STREAM, index))
     pset = standard_projector_set()
@@ -174,7 +158,6 @@ def _run_point(index: int, alpha: float, source: str, spec: SweepSpec) -> SweepP
     if spec.resamples:
         result.metric_errors = bootstrap_errors(result, pset, acq, spec.resamples)
     return SweepPoint(
-        directory=directory,
         alpha=alpha,
         source=source,
         state=state,
@@ -184,11 +167,9 @@ def _run_point(index: int, alpha: float, source: str, spec: SweepSpec) -> SweepP
     )
 
 
-def run_sweep(spec: SweepSpec, parallel: int = 0) -> str:
-    """Execute the sweep and write all artifacts; returns the output directory."""
-    tasks = [(index, float(alpha), "pump_vpr", spec) for index, alpha in enumerate(spec.alphas)]
-    if spec.include_completely_mixed:
-        tasks.append((len(tasks), 0.5, "two_vpr", spec))
+def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
+    """Execute the sweep and write all artifacts to spec.outputs; returns the points in order."""
+    tasks = [(index, alpha, source, spec) for index, (alpha, source) in enumerate(spec.grid())]
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -200,7 +181,7 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> str:
     os.makedirs(outdir, exist_ok=True)
     rows = [SWEEP_CSV_HEADER]
     for point in points:
-        point_dir = os.path.join(outdir, point.directory)
+        point_dir = os.path.join(outdir, _directory(point.alpha, point.source))
         os.makedirs(point_dir, exist_ok=True)
         write_state_json(os.path.join(point_dir, "state.json"), point.state)
         write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
@@ -225,16 +206,13 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> str:
         ]
         rows.append(",".join(row))
 
-    csv_path = os.path.join(outdir, "sweep.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return outdir
+    write_text(os.path.join(outdir, "sweep.csv"), "\n".join(rows) + "\n")
+    return points
 
 
 def load_sweep_csv(path) -> list[dict]:
     """Parse sweep.csv back into dictionaries keyed by the header columns."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line for line in read_text(path, "sweep table").splitlines() if line.strip()]
     header = lines[0].split(",")
     out = []
     for line in lines[1:]:

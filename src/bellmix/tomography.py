@@ -23,7 +23,7 @@ seed, so the result is deterministic and independent of any parallel schedule.
 
 from __future__ import annotations
 
-import json
+import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -37,7 +37,8 @@ from .counting import (
     simulate_counts,
     validate_against,
 )
-from .errors import DataParse, NoCounts, OutOfRange
+from .errors import NoCounts, OutOfRange
+from .fileio import parsing, read_json, write_json
 from .linalg import (
     DensityMatrix,
     hermitize,
@@ -245,6 +246,8 @@ def mle_reconstruct(
     A batch of one through the diluted RρR iteration; on_iterate(rho, log L)
     fires on every accepted step.
     """
+    if not (math.isfinite(dilution) and dilution > 0.0):
+        raise OutOfRange(f"dilution must be finite and > 0, got {dilution!r}")
     description = target_description or ("target" if target is not None else "self")
     return next(_mle_batch(
         _count_vector(records, pset)[None],
@@ -328,7 +331,7 @@ def result_to_json_dict(result: ReconstructionResult) -> dict:
 
 
 def result_from_json_dict(data: dict) -> ReconstructionResult:
-    try:
+    with parsing("reconstruction JSON"):
         target = data.get("target")
         errors = data.get("metric_errors")
         return ReconstructionResult(
@@ -342,20 +345,11 @@ def result_from_json_dict(data: dict) -> ReconstructionResult:
             target=(DensityMatrix(matrix_from_json_dict(target)) if target else None),
             floored_outcomes=int(data.get("floored_outcomes", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataParse(f"malformed reconstruction JSON: {exc}") from exc
 
 
 def write_result_json(path, result: ReconstructionResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_json_dict(result), fh, indent=2)
-        fh.write("\n")
+    write_json(path, result_to_json_dict(result))
 
 
 def read_result_json(path) -> ReconstructionResult:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataParse(f"cannot read reconstruction file {path}: {exc}") from exc
-    return result_from_json_dict(data)
+    return result_from_json_dict(read_json(path, "reconstruction file"))

@@ -147,8 +147,8 @@ def test_criterion_6_figure_regeneration(tmp_path):
         include_completely_mixed=False,
         resamples=4,
     )
-    outdir = run_sweep(spec)
-    csv_path = os.path.join(outdir, "sweep.csv")
+    run_sweep(spec)
+    csv_path = os.path.join(spec.outputs, "sweep.csv")
     assert os.path.exists(csv_path)
     rows = load_sweep_csv(csv_path)
     assert len(rows) == 11

@@ -1,13 +1,26 @@
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bellmix.cli import main
-from bellmix.counting import AcquisitionConfig, simulate_counts, write_counts_csv
-from bellmix.linalg import matrix_from_json_dict
-from bellmix.optics import standard_projector_set
+from bellmix.counting import (
+    AcquisitionConfig,
+    counts_to_json_dict,
+    simulate_counts,
+    write_counts_csv,
+)
+from bellmix.linalg import matrix_from_json_dict, matrix_to_json_dict
+from bellmix.optics import (
+    CALIBRATION_IDLER,
+    analyzer_ports,
+    projector_set_to_json_dict,
+    standard_projector_set,
+)
 from bellmix.states import bell_state, mix_duty_cycle
 from bellmix.counting import CountRecord
 
@@ -286,6 +299,8 @@ def test_sweep_bad_spec(tmp_path):
         {"resamples": True},
         {"include_completely_mixed": "false"},
         {"outputs": 5},
+        {"alphas": [0.1, 0.1000001]},
+        {"alphas": [0.3, 0.3]},
     ],
 )
 def test_sweep_spec_escapes_exit_2(tmp_path, capsys, changes):
@@ -318,3 +333,146 @@ def test_paper_fixtures_command(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("dilution", ["0", "-1", "nan", "inf"])
+def test_reconstruct_rejects_nonpositive_dilution(tmp_path, capsys, dilution):
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e4", "--seed", "1", "--out", str(counts)]) == 0
+    assert main(["reconstruct", str(counts), "--dilution", dilution]) == 2
+    assert "dilution" in capsys.readouterr().err
+
+
+def test_sweep_exit_code_ignores_stale_points(tmp_path):
+    out = tmp_path / "out"
+    spec = _sweep_spec(tmp_path, out)
+    for name, recon in (("alpha_0.3", "{not json"), ("alpha_0.7", '{"converged": false}')):
+        (out / name).mkdir(parents=True)
+        (out / name / "recon.json").write_text(recon, encoding="utf-8")
+    assert main(["sweep", "--spec", str(spec)]) == 0
+
+
+# Every CLI input that names a file: the file's name, the exit code for a bad
+# one, and the command line, where {dir} is a scratch directory.
+_FILE_INPUTS = {
+    "counts_csv": ("counts.csv", 3, ["reconstruct", "{file}"]),
+    "counts_json": ("counts.json", 3, ["reconstruct", "{file}"]),
+    "projectors": ("projectors.json", 3,
+                   ["reconstruct", "{dir}/uniform.csv", "--projectors", "{file}"]),
+    "state": ("state.json", 3, ["metrics", "--state", "{file}"]),
+    "spec": ("spec.json", 2, ["sweep", "--spec", "{file}", "--out", "{dir}/sweep",
+                              "--pairs", "1e3", "--resamples", "0"]),
+    "config": ("config.json", 2, ["generate", "--config", "{file}",
+                                  "--out", "{dir}/generated.json"]),
+}
+
+_UNIFORM = [CountRecord(setting_index=i, outcome_counts=(250, 250, 250, 250)) for i in range(9)]
+_VALID = {
+    "counts_json": counts_to_json_dict(_UNIFORM),
+    "projectors": projector_set_to_json_dict(standard_projector_set()),
+    "state": matrix_to_json_dict(np.eye(4) / 4.0),
+    "spec": {"alphas": [0.5], "acquisition": {"pairs_per_setting": 1e3, "accidental_rate": 0.0,
+                                              "seed": 1},
+             "noise": {"dephasing": 0.0, "depolarizing": 0.0}, "resamples": 0},
+    "config": {"alpha": 0.25, "phi": 0.0, "beta_re": 0.6, "beta_im": 0.0, "gamma_re": 0.8,
+               "gamma_im": 0.0, "signal_dc": 0.0, "dephasing": 0.0, "depolarizing": 0.0},
+}
+
+
+def _numeric_paths(value, path=()):
+    """Paths to the numeric fields of a JSON document, through the first list item only."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from _numeric_paths(value[0], path + (0,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def _with_literal(document, path, literal):
+    """document as JSON bytes with the field at path written as the literal JSON text."""
+    document = copy.deepcopy(document)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@literal@"
+    return json.dumps(document).replace('"@literal@"', literal).encode()
+
+
+def _dark_state():
+    """Orthogonal to both +-22.5 degree TT projectors: the visibility is 0/0."""
+    ket = np.kron([1.0, 0.0], analyzer_ports(CALIBRATION_IDLER)[1])
+    return json.dumps(matrix_to_json_dict(np.outer(ket, ket.conj()))).encode()
+
+
+def _json_keys(value):
+    if isinstance(value, dict):
+        return set(value) | {k for item in value.values() for k in _json_keys(item)}
+    if isinstance(value, list):
+        return {k for item in value for k in _json_keys(item)}
+    return set()
+
+
+# (kind, content, exit code) for the explicit examples.
+_EXAMPLES = [
+    *((kind, b"\xff\xfe{\x80", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
+    *((kind, b"[1, 2]", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
+    *((kind, _with_literal(doc, path, "1e400"),
+       # A projector set's index and waveplate angles are labels; only its
+       # matrices enter the reconstruction.
+       0 if kind == "projectors" and "projectors" not in path else _FILE_INPUTS[kind][1])
+      for kind, doc in _VALID.items() for path in _numeric_paths(doc)),
+    *(("counts_json", _with_literal(_VALID["counts_json"], ("records", 0, "outcome_counts", 0),
+                                    literal), 3)
+      for literal in ("-50", "100.7", "true", str(10**400))),
+    ("counts_csv", b"setting_index,outcome_label,count\n0,TT,1e400\n", 3),
+    ("counts_csv", b"setting_index,outcome_label,count\n0,TT,-50\n", 3),
+    ("counts_csv", ("setting_index,outcome_label,count\n0,TT,%d\n" % 10**400).encode(), 3),
+    ("state", _dark_state(), 3),
+    ("state", b"[" * 100000, 3),  # nested past the recursion limit
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(sorted(_json_keys(_VALID))), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("file_inputs")
+    write_counts_csv(path / "uniform.csv", _UNIFORM)
+    return path
+
+
+def _with_examples(test):
+    for kind, content, code in _EXAMPLES:
+        test = example(kind=kind, content=content, code=code)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(sorted(_FILE_INPUTS)),
+    content=st.binary(max_size=200) | _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    code=st.none(),
+)
+@_with_examples
+def test_any_file_content_exits_with_a_documented_code(file_dir, capsys, kind, content, code):
+    """Whatever a file holds, the CLI exits 0, 2, 3 or 4 with at most a one-line error.
+
+    The explicit examples also name the exit code they must reach.
+    """
+    name, _, argv = _FILE_INPUTS[kind]
+    path = file_dir / name
+    path.write_bytes(content)
+    capsys.readouterr()
+    returned = main([arg.format(file=path, dir=file_dir) for arg in argv])
+    assert returned in ((0, 2, 3, 4) if code is None else (code,))
+    if returned in (2, 3):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

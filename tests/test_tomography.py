@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from bellmix.counting import AcquisitionConfig, CountRecord, simulate_counts
-from bellmix.errors import MismatchedData, NoCounts
+from bellmix.errors import DataParse, MismatchedData, NoCounts
 from bellmix.linalg import DensityMatrix, PureState, nearest_physical
 from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
@@ -14,6 +16,7 @@ from bellmix.tomography import (
     bootstrap_errors,
     log_likelihood,
     mle_reconstruct,
+    read_result_json,
     result_from_json_dict,
     result_to_json_dict,
 )
@@ -404,3 +407,21 @@ def test_result_json_round_trip():
     assert back.metric_errors == result.metric_errors
     assert back.floored_outcomes == result.floored_outcomes
     assert np.array_equal(back.target.matrix, result.target.matrix)
+
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"{", b"[1, 2]", {"metric_errors": [1.0]}, {"iterations": float("inf")}],
+)
+def test_read_result_json_rejects_bad_files(tmp_path, content):
+    if isinstance(content, dict):  # one field of a valid result replaced
+        records = [CountRecord(setting_index=i, outcome_counts=(250,) * 4) for i in range(9)]
+        data = result_to_json_dict(mle_reconstruct(records, PSET))
+        content = json.dumps({**data, **content}).encode()
+    path = tmp_path / "recon.json"
+    path.write_bytes(content)
+    with pytest.raises(DataParse):
+        read_result_json(path)
+    with pytest.raises(DataParse):
+        read_result_json(tmp_path / "missing.json")
