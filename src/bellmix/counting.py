@@ -5,11 +5,16 @@ window; nothing constrains the per-setting total), with an optional flat
 accidental background. Every outcome gets its own counter-based random stream
 derived from (seed, setting, outcome), so simulating settings in any order or
 in parallel yields identical results.
+
+stream() defines that contract. Simulation derives the same Philox keys for
+all outcomes and seeds of a batch in one vectorised pass, so each count is the
+one stream() would draw.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +37,12 @@ _BOOTSTRAP_STREAM = 202
 _SWEEP_STREAM = 303
 
 COUNTS_CSV_HEADER = "setting_index,outcome_label,count"
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words mixed with running multiplicative hash constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,61 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _hashmix(value, step: int, init: int, mult: int):
+    """numpy's hashmix of uint32 words, at step `step` of the hash constant init * mult**step."""
+    const = init * pow(mult, step, 2**32) % 2**32
+    value = (value ^ np.uint32(const)) * np.uint32(const * mult % 2**32)
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _philox_keys(seeds, keys) -> np.ndarray:
+    """The Philox key of stream(seed, *key) for every seed and key pair: (B, K, 2) uint64.
+
+    Slot [b, k] is SeedSequence(entropy=seeds[b], spawn_key=keys[k]).generate_state(2,
+    np.uint64): numpy's hash of the words [lo, hi, 0, 0, *key] (padded to the pool
+    size because a spawn key follows), step for step, on uint32 arrays.
+    """
+    if any(not 0 <= word < 2**32 for key in keys for word in key):
+        raise OutOfRange(f"stream key words must be integers in [0, 2**32), got {keys!r}")
+    step = itertools.count()
+    entropy = [[seed & 0xFFFFFFFF, seed >> 32, 0, 0] for seed in map(int, seeds)]
+    words = np.array(entropy, dtype=np.uint32).reshape(-1, 4).T
+    pool = [_hashmix(word[:, None], next(step), _INIT_A, _MULT_A) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(step), _INIT_A, _MULT_A))
+    for word in np.array(keys, dtype=np.uint32).reshape(-1, 2).T:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, next(step), _INIT_A, _MULT_A))
+    state = [_hashmix(word, i, _INIT_B, _MULT_B) for i, word in enumerate(pool)]
+    return np.stack(state, axis=-1).astype("<u4").view("<u8")  # word pairs as uint64, lo first
+
+
+def _poisson(means, seeds, keys) -> np.ndarray:
+    """Counts (len(seeds), len(keys)); slot [b, k] is stream(seeds[b], *keys[k]).poisson(means[k]).
+
+    One Philox is rekeyed for every draw, with the state of a fresh
+    Philox(SeedSequence(...)): counter 0 and an empty buffer.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counts = np.empty((len(seeds), len(keys)), dtype=np.int64)
+    for b, row in enumerate(_philox_keys(seeds, keys)):
+        for k, (key, mean) in enumerate(zip(row.tolist(), means)):
+            state["state"]["key"] = key
+            bitgen.state = state
+            counts[b, k] = gen.poisson(mean)
+    return counts
+
+
 def born_probabilities(rho: DensityMatrix, pset: ProjectorSet, setting_index: int) -> np.ndarray:
     """The four outcome probabilities tr(rho Pi_k) of one setting, clipped at zero."""
     group = pset.setting_projectors(setting_index)  # raises IndexOutOfRange
@@ -99,23 +165,23 @@ def born_probabilities(rho: DensityMatrix, pset: ProjectorSet, setting_index: in
     return np.clip(probs, 0.0, None)
 
 
+def _simulate(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> np.ndarray:
+    """Counts (len(seeds), 4 * n_settings) in projector order: row b simulates at seeds[b]."""
+    probs = np.concatenate([born_probabilities(rho, pset, s) for s in range(pset.n_settings)])
+    keys = [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
+    return _poisson((acq.pairs_per_setting * probs + acq.accidental_rate).tolist(), seeds, keys)
+
+
 def simulate_counts(
     rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
 ) -> list[CountRecord]:
     """Poisson counts for every setting; fully determined by acq.seed."""
     tag = f"pairs={acq.pairs_per_setting:g}"
-    records = []
-    for setting_index in range(pset.n_settings):
-        probs = born_probabilities(rho, pset, setting_index)
-        counts = []
-        for outcome_index, p in enumerate(probs):
-            mean = acq.pairs_per_setting * float(p) + acq.accidental_rate
-            rng = stream(acq.seed, setting_index, outcome_index)
-            counts.append(int(rng.poisson(mean)))
-        records.append(
-            CountRecord(setting_index=setting_index, outcome_counts=tuple(counts), duration_tag=tag)
-        )
-    return records
+    counts = _simulate(rho, pset, acq, [acq.seed]).reshape(pset.n_settings, 4)
+    return [
+        CountRecord(setting_index=setting_index, outcome_counts=tuple(row), duration_tag=tag)
+        for setting_index, row in enumerate(counts.tolist())
+    ]
 
 
 def visibility_scan(
@@ -126,14 +192,14 @@ def visibility_scan(
     QWPs stay at zero and the idler HWP is parked at -22.5 degrees; the
     noiseless means follow A + B cos(4 theta + theta0).
     """
-    results = []
-    for angle_index, angle in enumerate(hwp_angles):
-        proj = analyzer_projectors(WaveplateSetting(0.0, float(angle)), CALIBRATION_IDLER)[0]
+    angles = [float(angle) for angle in hwp_angles]
+    means = []
+    for angle in angles:
+        proj = analyzer_projectors(WaveplateSetting(0.0, angle), CALIBRATION_IDLER)[0]
         p = max(0.0, float(np.real(np.trace(rho.matrix @ proj))))
-        mean = acq.pairs_per_setting * p + acq.accidental_rate
-        rng = stream(acq.seed, _SCAN_STREAM, angle_index)
-        results.append((float(angle), int(rng.poisson(mean))))
-    return results
+        means.append(acq.pairs_per_setting * p + acq.accidental_rate)
+    keys = [(_SCAN_STREAM, angle_index) for angle_index in range(len(angles))]
+    return list(zip(angles, _poisson(means, [acq.seed], keys)[0].tolist()))
 
 
 def counts_to_csv(records) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataParse, InvalidState, NonHermitianInput, NotNormalized, ZeroTrace
-from .fileio import parsing, read_json, write_json
+from .fileio import is_kind, parsing, read_json, write_json
 
 HERMITIAN_TOL = 1e-10
 
@@ -171,15 +171,24 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     }
 
 
+def _is_square(value, dim: int) -> bool:
+    """Whether a JSON value is a dim x dim nested list of numbers."""
+    return is_kind(value, list) and len(value) == dim and all(
+        is_kind(row, list) and len(row) == dim and all(is_kind(x, float) for x in row)
+        for row in value
+    )
+
+
 def matrix_from_json_dict(data: dict) -> np.ndarray:
     with parsing("matrix JSON"):
-        dim = int(data["dim"])
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data["im"], dtype=float)
-    if dim not in (2, 4) or re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise DataParse(
-            f"matrix JSON shape mismatch: dim={dim}, re{re.shape}, im{im.shape}"
-        )
+        dim, re, im = data["dim"], data["re"], data["im"]
+        if not (is_kind(dim, int) and dim in (2, 4) and _is_square(re, dim)
+                and _is_square(im, dim)):
+            raise DataParse(
+                f"matrix JSON needs dim 2 or 4 and dim x dim lists of numbers re and im, "
+                f"got dim={dim!r}"
+            )
+        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise DataParse("matrix JSON contains non-finite entries")
     return re + 1j * im

@@ -12,13 +12,14 @@ measurement. This plate order is what makes QWP 0 / HWP 22.5 analyze the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidState
-from .fileio import parsing, read_json, write_json
+from .errors import DataParse, IndexOutOfRange, InvalidState
+from .fileio import is_kind, parsing, read_json, write_json
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 
 HWP_RETARDANCE = np.pi
@@ -190,20 +191,23 @@ def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
     return {"settings": entries}
 
 
+def _waveplates(angles: dict) -> WaveplateSetting:
+    """One arm's waveplate angles, if both are finite JSON numbers."""
+    qwp, hwp = angles["qwp_angle"], angles["hwp_angle"]
+    if not all(is_kind(a, float) and math.isfinite(a) for a in (qwp, hwp)):
+        raise DataParse(f"waveplate angles must be finite numbers, got {qwp!r}, {hwp!r}")
+    return WaveplateSetting(float(qwp), float(hwp))
+
+
 def projector_set_from_json_dict(data: dict) -> ProjectorSet:
+    """The projector set in data, if every setting is a complete projective measurement."""
     with parsing("projector-set JSON"):
         entries = data["settings"]
         settings = []
         groups = []
         for entry in entries:
-            signal = WaveplateSetting(
-                float(entry["signal_angles"]["qwp_angle"]),
-                float(entry["signal_angles"]["hwp_angle"]),
-            )
-            idler = WaveplateSetting(
-                float(entry["idler_angles"]["qwp_angle"]),
-                float(entry["idler_angles"]["hwp_angle"]),
-            )
+            signal = _waveplates(entry["signal_angles"])
+            idler = _waveplates(entry["idler_angles"])
             settings.append(
                 AnalyzerPair(str(entry["signal_basis"]), str(entry["idler_basis"]), signal, idler)
             )
@@ -211,7 +215,9 @@ def projector_set_from_json_dict(data: dict) -> ProjectorSet:
                 [matrix_from_json_dict(entry["projectors"][label]) for label in OUTCOME_LABELS]
             )
         # np.array raises ValueError when 2x2 and 4x4 matrices are mixed.
-        return ProjectorSet(settings=tuple(settings), projectors=np.array(groups))
+        pset = ProjectorSet(settings=tuple(settings), projectors=np.array(groups))
+    pset.validate()
+    return pset
 
 
 def write_projector_set_json(path, pset: ProjectorSet) -> None:

@@ -26,15 +26,15 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import (
     _BOOTSTRAP_STREAM,
     AcquisitionConfig,
+    _simulate,
     derive_seed,
-    simulate_counts,
     validate_against,
 )
 from .errors import NoCounts, OutOfRange
@@ -261,14 +261,6 @@ def mle_reconstruct(
     ))
 
 
-def _resample_records(result: ReconstructionResult, pset: ProjectorSet,
-                      acq: AcquisitionConfig, resamples: int):
-    """Counts resimulated from result.rho_hat, one derived seed per resample, lazily."""
-    for index in range(resamples):
-        seed = derive_seed(acq.seed, _BOOTSTRAP_STREAM, index)
-        yield simulate_counts(result.rho_hat, pset, replace(acq, seed=seed))
-
-
 def check_resamples(resamples: int) -> None:
     """A configured bootstrap size is 0 (no error bars) or at least 2."""
     if resamples < 0 or resamples == 1:
@@ -292,9 +284,8 @@ def bootstrap_errors(
     """
     if resamples < 2:
         raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
-    counts = np.stack([
-        _count_vector(records, pset) for records in _resample_records(result, pset, acq, resamples)
-    ])
+    seeds = [derive_seed(acq.seed, _BOOTSTRAP_STREAM, index) for index in range(resamples)]
+    counts = _simulate(result.rho_hat, pset, acq, seeds).astype(float)
     reports = [fit.metrics for fit in _mle_batch(
         counts,
         pset.flattened(),

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def _tree_bytes(root):
     for dirpath, _, filenames in os.walk(root):
         for name in filenames:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
@@ -406,6 +407,14 @@ def _dark_state():
     return json.dumps(matrix_to_json_dict(np.outer(ket, ket.conj()))).encode()
 
 
+def _flat_projectors():
+    """The standard set with every projector replaced by I/4: no setting is a measurement."""
+    document = copy.deepcopy(_VALID["projectors"])
+    for entry in document["settings"]:
+        entry["projectors"] = {label: _VALID["state"] for label in entry["projectors"]}
+    return json.dumps(document).encode()
+
+
 def _json_keys(value):
     if isinstance(value, dict):
         return set(value) | {k for item in value.values() for k in _json_keys(item)}
@@ -419,10 +428,17 @@ _EXAMPLES = [
     *((kind, b"\xff\xfe{\x80", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
     *((kind, b"[1, 2]", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
     *((kind, _with_literal(doc, path, "1e400"),
-       # A projector set's index and waveplate angles are labels; only its
-       # matrices enter the reconstruction.
-       0 if kind == "projectors" and "projectors" not in path else _FILE_INPUTS[kind][1])
+       # A projector set's index is a label the reader skips.
+       0 if path[-1] == "index" else _FILE_INPUTS[kind][1])
       for kind, doc in _VALID.items() for path in _numeric_paths(doc)),
+    *(("projectors", _with_literal(_VALID["projectors"], ("settings", 3, "signal_angles", field),
+                                   literal), 3)
+      for field in ("qwp_angle", "hwp_angle") for literal in ("Infinity", "NaN", '"22.5"')),
+    ("projectors", _flat_projectors(), 3),
+    *(("state", _with_literal(_VALID["state"], path, literal), 3)
+      for path, literal in ((("dim",), "4.7"), (("dim",), "true"), (("dim",), '"4"'),
+                            (("re", 0, 0), '"0.25"'), (("im", 1, 2), "true"),
+                            (("re", 3), "[0.25, 0, 0]"), (("im",), "0"))),
     *(("counts_json", _with_literal(_VALID["counts_json"], ("records", 0, "outcome_counts", 0),
                                     literal), 3)
       for literal in ("-50", "100.7", "true", str(10**400))),

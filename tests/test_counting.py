@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from bellmix.counting import (
+    _SCAN_STREAM,
     AcquisitionConfig,
     CountRecord,
     born_probabilities,
@@ -9,6 +12,8 @@ from bellmix.counting import (
     counts_from_json_dict,
     counts_to_csv,
     counts_to_json_dict,
+    _philox_keys,
+    _poisson,
     derive_seed,
     simulate_counts,
     stream,
@@ -237,3 +242,91 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
     assert 0 <= derive_seed(2**63, 5) < 2**64
+
+
+# ---------------------------------------------------------------------------
+# The determinism contract: counts pinned to values recorded with the
+# one-stream-per-outcome implementation, and the batched key derivation
+# checked against numpy's SeedSequence.
+# ---------------------------------------------------------------------------
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 123456789, 9876543210123]
+
+
+@pytest.mark.parametrize("rho, pairs, accidentals, seed, digest", [
+    (mix_duty_cycle(0.25), 1e4, 0.0, 0,
+     "b297b52145b45ba062178023fd0299ce0441813599aa269c61c0203c3364f315"),
+    (bell_state("phi-").density(), 1e6, 50.0, 123456789,
+     "0db3135834fe942d94bc42b6713cf271c6ff810661e0bb3aa78b44b03f1c9fe9"),
+    (completely_mixed(), 1e7, 0.0, 2**63 + 12345,
+     "4746218a7c228ebd3a8d7a4b93770f3d0800e7be52606949b238a442b0d9b14c"),
+    (mix_duty_cycle(0.1), 1e2, 2.5, 2**64 - 1,
+     "5d0f27c8387f146e017c641d586b5b108160910a72c52473afd7ec89dbd81f9c"),
+    (mix_duty_cycle(0.4), 1e5, 0.0, 2**32,
+     "06186e37de4ebc3b54dded20005c6dc5111d455d9c5666d9b5d1d57603d4af38"),
+])
+def test_simulated_counts_are_pinned(rho, pairs, accidentals, seed, digest):
+    acq = AcquisitionConfig(pairs_per_setting=pairs, accidental_rate=accidentals, seed=seed)
+    text = counts_to_csv(simulate_counts(rho, PSET, acq))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_visibility_scan_is_pinned():
+    acq = AcquisitionConfig(pairs_per_setting=1e5, accidental_rate=3.0, seed=77)
+    scan = visibility_scan(mix_duty_cycle(0.25), [0.0, 10.0, 22.5, 45.0, -22.5], acq)
+    assert scan == [(0.0, 25001), (10.0, 32913), (22.5, 37806), (45.0, 24919), (-22.5, 12449)]
+    assert visibility_scan(mix_duty_cycle(0.25), [], acq) == []
+
+
+def _scan_means(rho, angles, acq):
+    return [acq.pairs_per_setting * max(0.0, p) + acq.accidental_rate
+            for p in _noiseless_tt_means(rho, angles)]
+
+
+def test_simulated_counts_equal_one_stream_per_outcome():
+    acq = AcquisitionConfig(pairs_per_setting=1e3, accidental_rate=0.5, seed=2**40 + 7)
+    rho = mix_duty_cycle(0.3)
+    expected = [
+        tuple(int(stream(acq.seed, setting, outcome).poisson(acq.pairs_per_setting * float(p)
+                                                             + acq.accidental_rate))
+              for outcome, p in enumerate(born_probabilities(rho, PSET, setting)))
+        for setting in range(PSET.n_settings)
+    ]
+    assert [r.outcome_counts for r in simulate_counts(rho, PSET, acq)] == expected
+    scan = visibility_scan(rho, [5.0, 50.0], acq)
+    assert [count for _, count in scan] == [
+        int(stream(acq.seed, _SCAN_STREAM, index).poisson(mean))
+        for index, mean in enumerate(_scan_means(rho, [5.0, 50.0], acq))
+    ]
+
+
+def test_philox_keys_equal_seed_sequence():
+    keys = [(0, 0), (8, 3), (101, 17), (202, 49), (2**32 - 1, 0), (0, 2**32 - 1),
+            (2**32 - 1, 2**32 - 1), (2**31, 12345)]
+    got = _philox_keys(_EDGE_SEEDS, keys)
+    assert got.shape == (len(_EDGE_SEEDS), len(keys), 2) and got.dtype == np.uint64
+    for b, seed in enumerate(_EDGE_SEEDS):
+        for k, key in enumerate(keys):
+            sequence = np.random.SeedSequence(entropy=seed, spawn_key=key)
+            assert got[b, k].tolist() == sequence.generate_state(2, np.uint64).tolist()
+            philox = stream(seed, *key).bit_generator
+            assert got[b, k].tolist() == philox.state["state"]["key"].tolist()
+
+
+def test_poisson_rows_equal_streams():
+    keys = [(setting, outcome) for setting in range(9) for outcome in range(4)]
+    means = np.linspace(0.0, 3e5, len(keys))
+    means[1:4] = [0.5, 9.99, 10.0]  # both sides of numpy's Poisson method switch
+    seeds = [0, 2**32, 2**64 - 1, 31337]
+    counts = _poisson(means, seeds, keys)
+    assert counts.shape == (len(seeds), len(keys))
+    for b, seed in enumerate(seeds):
+        assert counts[b].tolist() == [
+            int(stream(seed, *key).poisson(mean)) for key, mean in zip(keys, means)
+        ]
+
+
+@pytest.mark.parametrize("key", [(2**32, 0), (0, 2**32), (-1, 0), (3, -1), (2**64, 1)])
+def test_stream_key_words_outside_32_bits_are_rejected(key):
+    with pytest.raises(OutOfRange):
+        _philox_keys([1], [(0, 0), key])

@@ -1,9 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bellmix.counting import AcquisitionConfig, CountRecord, simulate_counts
+from bellmix.counting import (
+    _BOOTSTRAP_STREAM,
+    AcquisitionConfig,
+    CountRecord,
+    derive_seed,
+    simulate_counts,
+)
 from bellmix.errors import DataParse, MismatchedData, NoCounts
 from bellmix.linalg import DensityMatrix, PureState, nearest_physical
 from bellmix.metrics import fidelity
@@ -12,7 +19,6 @@ from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_
 from bellmix.tomography import (
     _count_vector,
     _mle_batch,
-    _resample_records,
     bootstrap_errors,
     log_likelihood,
     mle_reconstruct,
@@ -323,6 +329,15 @@ def _batch(record_sets, target=None, description="self", max_iterations=10000):
     ))
 
 
+def _resample_records(result, acq, resamples):
+    """Reference bootstrap resamples: simulate_counts at each derived resample seed."""
+    return [
+        simulate_counts(result.rho_hat, PSET,
+                        replace(acq, seed=derive_seed(acq.seed, _BOOTSTRAP_STREAM, index)))
+        for index in range(resamples)
+    ]
+
+
 def _assert_same_fit(batched, alone):
     assert batched.rho_hat.matrix.tobytes() == alone.rho_hat.matrix.tobytes()
     assert batched.iterations == alone.iterations
@@ -337,7 +352,7 @@ def test_batch_matches_single_fits_with_differing_zero_masks():
     truth = bell_state("phi+").density()
     acq = AcquisitionConfig(pairs_per_setting=40.0, seed=77)
     result = mle_reconstruct(simulate_counts(truth, PSET, acq), PSET, target=truth)
-    resampled = list(_resample_records(result, PSET, acq, 12))
+    resampled = list(_resample_records(result, acq, 12))
     masks = {tuple(_count_vector(records, PSET) > 0) for records in resampled}
     assert len({sum(mask) for mask in masks}) > 1  # several nonzero-count groups
     fits = _batch(resampled, target=truth, description="phi+")
@@ -377,13 +392,25 @@ def test_bootstrap_errors_equal_one_at_a_time_resamples():
     singles = [
         mle_reconstruct(records, PSET, max_iterations=60, target=truth,
                         target_description="alpha=0.25").metrics
-        for records in _resample_records(result, PSET, acq, 9)
+        for records in _resample_records(result, acq, 9)
     ]
     attributes = {"purity": "purity", "tangle": "tangle", "visibility": "visibility",
                   "fidelity": "fidelity_to_target"}
     assert list(errors) == list(attributes)
     for name, attr in attributes.items():
         assert errors[name] == float(np.std([getattr(m, attr) for m in singles], ddof=1))
+
+
+def test_bootstrap_errors_are_pinned():
+    # Recorded with one stream per (resample, setting, outcome).
+    acq = AcquisitionConfig(pairs_per_setting=1e4, seed=2026)
+    result = mle_reconstruct(simulate_counts(mix_duty_cycle(0.2), PSET, acq), PSET)
+    assert bootstrap_errors(result, PSET, acq, 5) == {
+        "purity": 0.0030936242408401986,
+        "tangle": 0.006240023718924662,
+        "visibility": 0.0076704938803779064,
+        "fidelity": 5.83751672555241e-05,
+    }
 
 
 # ---------------------------------------------------------------------------
