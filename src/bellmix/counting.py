@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataParse, InvalidConfig, MismatchedData, OutOfRange
-from .fileio import is_kind, parsing, read_json, read_text, write_json, write_text
+from .fileio import checked, is_kind, parsing, read_json, read_text, write_json, write_text
 from .linalg import DensityMatrix
 from .optics import (
     CALIBRATION_IDLER,
@@ -67,12 +67,11 @@ class AcquisitionConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AcquisitionConfig":
+        """The fields present in data; an absent field keeps its default."""
+        kinds = {"pairs_per_setting": float, "accidental_rate": float, "seed": int}
+        checked(data, "acquisition", kinds)
         with parsing("acquisition", InvalidConfig):
-            return cls(
-                pairs_per_setting=float(data.get("pairs_per_setting", 1e5)),
-                accidental_rate=float(data.get("accidental_rate", 0.0)),
-                seed=int(data.get("seed", 0)),
-            )
+            return cls(**{key: kinds[key](value) for key, value in data.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +87,6 @@ class CountRecord:
 
     setting_index: int
     outcome_counts: tuple
-    duration_tag: str = ""
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -176,10 +174,9 @@ def simulate_counts(
     rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
 ) -> list[CountRecord]:
     """Poisson counts for every setting; fully determined by acq.seed."""
-    tag = f"pairs={acq.pairs_per_setting:g}"
     counts = _simulate(rho, pset, acq, [acq.seed]).reshape(pset.n_settings, 4)
     return [
-        CountRecord(setting_index=setting_index, outcome_counts=tuple(row), duration_tag=tag)
+        CountRecord(setting_index=setting_index, outcome_counts=tuple(row))
         for setting_index, row in enumerate(counts.tolist())
     ]
 
@@ -193,6 +190,9 @@ def visibility_scan(
     noiseless means follow A + B cos(4 theta + theta0).
     """
     angles = [float(angle) for angle in hwp_angles]
+    non_finite = [angle for angle in angles if not math.isfinite(angle)]
+    if non_finite:
+        raise OutOfRange(f"HWP angles must be finite, got {non_finite}")
     means = []
     for angle in angles:
         proj = analyzer_projectors(WaveplateSetting(0.0, angle), CALIBRATION_IDLER)[0]
@@ -260,7 +260,6 @@ def counts_to_json_dict(records) -> dict:
             {
                 "setting_index": int(record.setting_index),
                 "outcome_counts": [int(c) for c in record.outcome_counts],
-                "duration_tag": record.duration_tag,
             }
             for record in records
         ]
@@ -275,7 +274,6 @@ def counts_from_json_dict(data: dict) -> list[CountRecord]:
                 outcome_counts=tuple(
                     _count(c, "counts JSON count") for c in entry["outcome_counts"]
                 ),
-                duration_tag=str(entry.get("duration_tag", "")),
             )
             for entry in data["records"]
         ]

@@ -28,12 +28,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
         raise NonHermitianInput(
             f"matrix deviates from Hermitian symmetry by {defect:.3e} (tolerance {tol:.1e})"

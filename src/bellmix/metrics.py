@@ -134,11 +134,6 @@ class MetricsReport:
                 target_description=str(data["target_description"]),
             )
 
-    def csv_row(self, alpha: float) -> str:
-        """Sweep-table row 'alpha,purity,tangle,visibility,fidelity'."""
-        fields = (alpha, self.purity, self.tangle, self.visibility, self.fidelity_to_target)
-        return ",".join(repr(float(x)) for x in fields)
-
 
 def report_for(
     rho: DensityMatrix,

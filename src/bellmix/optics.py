@@ -116,14 +116,6 @@ class ProjectorSet:
     def n_settings(self) -> int:
         return len(self.settings)
 
-    @property
-    def labels(self) -> tuple[tuple[int, str], ...]:
-        return tuple(
-            (index, label)
-            for index in range(self.n_settings)
-            for label in OUTCOME_LABELS
-        )
-
     def setting_projectors(self, setting_index: int) -> np.ndarray:
         if not 0 <= setting_index < self.n_settings:
             raise IndexOutOfRange(

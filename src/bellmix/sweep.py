@@ -11,7 +11,6 @@ points ran serially or in a process pool.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .counting import (
@@ -88,25 +87,15 @@ class SweepSpec:
         noise_data = checked(
             data.get("noise", {}), "noise", {"dephasing": float, "depolarizing": float}
         )
-        acquisition_data = checked(
-            data.get("acquisition", {}),
-            "acquisition",
-            {"pairs_per_setting": float, "accidental_rate": float, "seed": int},
-        )
+        # Absent fields, here and in noise and acquisition, keep their dataclass defaults.
+        options = {key: data[key] for key in ("outputs", "include_completely_mixed", "resamples")
+                   if key in data}
         with parsing("sweep spec", InvalidConfig):
-            alphas = tuple(float(a) for a in data["alphas"])
-            noise = NoiseParams(
-                dephasing=float(noise_data.get("dephasing", 0.0)),
-                depolarizing=float(noise_data.get("depolarizing", 0.0)),
-            )
-            acquisition = AcquisitionConfig.from_json_dict(acquisition_data)
             return cls(
-                alphas=alphas,
-                acquisition=acquisition,
-                noise=noise,
-                outputs=data.get("outputs", "sweep_out"),
-                include_completely_mixed=data.get("include_completely_mixed", False),
-                resamples=data.get("resamples", 25),
+                alphas=tuple(float(a) for a in data["alphas"]),
+                acquisition=AcquisitionConfig.from_json_dict(data.get("acquisition", {})),
+                noise=NoiseParams(**{key: float(value) for key, value in noise_data.items()}),
+                **options,
             )
 
     @classmethod
@@ -172,6 +161,8 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     tasks = [(index, alpha, source, spec) for index, (alpha, source) in enumerate(spec.grid())]
 
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             points = list(pool.map(_point_task, tasks))
     else:

@@ -135,7 +135,6 @@ def _mle_batch(
     dilution: float,
     target: DensityMatrix | None,
     target_description: str,
-    on_iterate=None,
 ) -> Iterator[ReconstructionResult]:
     """Diluted RρR on every row of counts (B, n_outcomes) at once.
 
@@ -209,11 +208,9 @@ def _mle_batch(
             ll_new[downhill] = ll[downhill]
         # The accepted candidate's probabilities are the next iterate's.
         rho, probs, ll = candidate, candidate_probs, ll_new
-        for j, (value, rejected) in enumerate(zip(ll.tolist(), downhill.tolist())):
+        for trace, value, rejected in zip(active_traces, ll.tolist(), downhill.tolist()):
             if not rejected:
-                active_traces[j].append(value)
-                if on_iterate is not None:
-                    on_iterate(rho[j], value)
+                trace.append(value)
 
     floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
     for b in range(n):
@@ -239,12 +236,10 @@ def mle_reconstruct(
     dilution: float = 1.0,
     target: DensityMatrix | None = None,
     target_description: str | None = None,
-    on_iterate=None,
 ) -> ReconstructionResult:
     """Reconstruct the state maximizing the likelihood of the observed counts.
 
-    A batch of one through the diluted RρR iteration; on_iterate(rho, log L)
-    fires on every accepted step.
+    A batch of one through the diluted RρR iteration.
     """
     if not (math.isfinite(dilution) and dilution > 0.0):
         raise OutOfRange(f"dilution must be finite and > 0, got {dilution!r}")
@@ -257,7 +252,6 @@ def mle_reconstruct(
         dilution=dilution,
         target=target,
         target_description=description,
-        on_iterate=on_iterate,
     ))
 
 

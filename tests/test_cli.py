@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,9 @@ from bellmix.optics import (
     projector_set_to_json_dict,
     standard_projector_set,
 )
-from bellmix.states import bell_state, mix_duty_cycle
+from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
 from bellmix.counting import CountRecord
+from bellmix.sweep import SweepSpec
 
 
 def write_json(path, data):
@@ -277,6 +280,22 @@ def test_sweep_bad_spec(tmp_path):
     assert main(["sweep", "--spec", str(path)]) == 2
     write_json(path, {"alphas": [2.0]})
     assert main(["sweep", "--spec", str(path)]) == 2
+
+
+def test_sweep_spec_absent_fields_take_dataclass_defaults():
+    assert SweepSpec.from_json_dict({"alphas": [0.5]}) == SweepSpec(alphas=(0.5,))
+    assert AcquisitionConfig.from_json_dict({}) == AcquisitionConfig()
+    spec = SweepSpec.from_json_dict(
+        {"alphas": [0.5], "noise": {"depolarizing": 0.1}, "acquisition": {"seed": 9}}
+    )
+    assert spec == SweepSpec(alphas=(0.5,), noise=NoiseParams(depolarizing=0.1),
+                             acquisition=AcquisitionConfig(seed=9))
+
+
+def test_import_cli_leaves_process_pool_unloaded():
+    code = "import sys, bellmix.cli; assert 'concurrent.futures' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize(

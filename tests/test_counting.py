@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bellmix.counting import (
     _philox_keys,
     _poisson,
     derive_seed,
+    read_counts_json,
     simulate_counts,
     stream,
     validate_against,
@@ -214,8 +216,21 @@ def test_counts_json_round_trip():
     records = simulate_counts(
         mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
     )
-    back = counts_from_json_dict(counts_to_json_dict(records))
-    assert back == records
+    data = counts_to_json_dict(records)
+    assert all(set(entry) == {"setting_index", "outcome_counts"} for entry in data["records"])
+    assert counts_from_json_dict(data) == records
+
+
+def test_counts_json_ignores_old_duration_tag(tmp_path):
+    records = simulate_counts(
+        mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
+    )
+    data = counts_to_json_dict(records)
+    for entry in data["records"]:
+        entry["duration_tag"] = "pairs=1000"
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert read_counts_json(path) == records
 
 
 def test_counts_csv_rejects_malformed():
@@ -276,6 +291,13 @@ def test_visibility_scan_is_pinned():
     scan = visibility_scan(mix_duty_cycle(0.25), [0.0, 10.0, 22.5, 45.0, -22.5], acq)
     assert scan == [(0.0, 25001), (10.0, 32913), (22.5, 37806), (45.0, 24919), (-22.5, 12449)]
     assert visibility_scan(mix_duty_cycle(0.25), [], acq) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_visibility_scan_rejects_non_finite_angles(bad):
+    acq = AcquisitionConfig(pairs_per_setting=1e5, accidental_rate=2.0, seed=1)
+    with pytest.raises(OutOfRange):
+        visibility_scan(mix_duty_cycle(0.25), [0.0, bad], acq)
 
 
 def _scan_means(rho, angles, acq):

@@ -112,9 +112,6 @@ def test_report_for_and_serialization():
     assert report.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
     back = MetricsReport.from_json_dict(report.to_json_dict())
     assert back == report
-    row = report.csv_row(0.25)
-    assert row.startswith("0.25,")
-    assert len(row.split(",")) == 5
 
 
 def test_report_rejects_out_of_range_values():

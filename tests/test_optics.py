@@ -81,7 +81,6 @@ def test_qwp_45_projects_circular_basis():
 def test_standard_set_layout():
     pset = standard_projector_set()
     assert pset.n_settings == 9
-    assert len(pset.labels) == 36
     assert pset.settings[0].signal_basis == "HV" and pset.settings[0].idler_basis == "HV"
     hh = np.zeros((4, 4), dtype=complex)
     hh[0, 0] = 1.0

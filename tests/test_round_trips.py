@@ -39,11 +39,10 @@ _RNG = st.integers(0, 2**32 - 1).map(np.random.default_rng)
 
 
 @st.composite
-def _records(draw, tags=st.just("")):
+def _records(draw):
     indices = sorted(draw(st.sets(_COUNT, min_size=1, max_size=9)))
     return [
-        CountRecord(setting_index=index, outcome_counts=draw(st.tuples(*[_COUNT] * 4)),
-                    duration_tag=draw(tags))
+        CountRecord(setting_index=index, outcome_counts=draw(st.tuples(*[_COUNT] * 4)))
         for index in indices
     ]
 
@@ -61,7 +60,7 @@ def test_counts_csv_round_trip(scratch, records):
 
 
 @round_trip
-@given(records=_records(tags=st.text(max_size=8)))
+@given(records=_records())
 def test_counts_json_round_trip(scratch, records):
     write_counts_json(scratch / "counts.json", records)
     assert read_counts_json(scratch / "counts.json") == records

@@ -151,19 +151,20 @@ def test_mle_simulated_bell_state():
 def test_mle_likelihood_monotone_and_iterates_physical():
     truth = mix_duty_cycle(0.75)
     records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e4, seed=6))
-    seen = []
-
-    def check(rho, ll):
+    likelihoods = []
+    for cap in (1, 2, 5, 10, 20, 40, 80, None):
+        kwargs = {} if cap is None else {"max_iterations": cap}
+        result = mle_reconstruct(records, PSET, **kwargs)
+        rho = result.rho_hat.matrix
         assert np.abs(rho - rho.conj().T).max() <= 1e-10
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
-        seen.append(ll)
-
-    result = mle_reconstruct(records, PSET, on_iterate=check)
+        likelihoods.append(result.log_likelihood)
+    assert np.all(np.diff(likelihoods) >= 0.0)
+    assert likelihoods[-1] > likelihoods[0]
     trace = np.array(result.ll_trace)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) >= 0.0)
-    assert seen  # callback actually ran
     assert result.iterations <= 10000
 
 
