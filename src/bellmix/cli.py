@@ -29,7 +29,8 @@ from .metrics import report_for
 from .optics import read_projector_set_json, standard_projector_set, write_projector_set_json
 from .states import SourceConfig, generate, mix_duty_cycle
 from .sweep import SweepSpec, run_sweep
-from .tomography import bootstrap_errors, check_resamples, mle_reconstruct, write_result_json
+from .tomography import MAX_ITERATIONS, TOLERANCE, bootstrap_errors, check_resamples
+from .tomography import mle_reconstruct, write_result_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projectors", help="projector set JSON (bundled standard set if omitted)")
     p.add_argument("--target", help="target state JSON for the fidelity metric")
     p.add_argument("--alpha", type=float, help="use the duty-cycle mixture at this alpha as target")
-    p.add_argument("--max-iterations", type=int, default=10000)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
+    p.add_argument("--tolerance", type=float, default=TOLERANCE)
     p.add_argument("--dilution", type=float, default=1.0)
     p.add_argument("--resamples", type=int, default=0,
                    help="bootstrap resamples (0 disables, else >= 2)")

@@ -2,7 +2,8 @@
 
 Eigendecomposition is delegated to LAPACK through numpy.linalg.eigh; at these
 sizes accuracy is the only concern and LAPACK's symmetric solvers deliver it.
-All functions are pure and never mutate their inputs.
+Kernels take one matrix or a (..., n, n) stack, each matrix of which comes out
+bit for bit as it would alone. All functions are pure and never mutate inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    defect = float(np.abs(m - m.conj().T).max())
+    """Raise NonHermitianInput if any matrix of a (..., n, n) stack is not Hermitian to tol."""
+    defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
     if defect > tol:
         raise NonHermitianInput(
             f"matrix deviates from Hermitian symmetry by {defect:.3e} (tolerance {tol:.1e})"
@@ -39,41 +41,58 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
 def zero_clip(eigenvalues: np.ndarray) -> np.ndarray:
     """Clip negatives to zero and flush eigenvalues at rounding scale to exact zero.
 
+    Each spectrum of a (..., n) stack is flushed relative to its own maximum.
     Flushing matters for downstream square roots: sqrt turns O(eps) noise on an
     exactly-zero eigenvalue into O(sqrt(eps)) error, which would dominate the
     error budget of concurrence and fidelity.
     """
     w = np.clip(eigenvalues, 0.0, None)
-    cut = 16.0 * _EPS * max(float(w.max(initial=0.0)), 0.0)
-    w[w < cut] = 0.0
+    w[w < 16.0 * _EPS * w.max(axis=-1, keepdims=True, initial=0.0)] = 0.0
     return w
 
 
 def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a Hermitian matrix.
+    """Eigenvalues (descending) and orthonormal eigenvector columns of Hermitian matrices.
 
-    Raises NonHermitianInput if the symmetry defect exceeds the tolerance.
+    Raises NonHermitianInput if a symmetry defect exceeds the tolerance.
     """
     m = np.asarray(m, dtype=complex)
     require_hermitian(m)
     w, v = np.linalg.eigh(hermitize(m))
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 def matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
+    """Hermitian PSD square root of a Hermitian PSD matrix or (..., n, n) stack.
 
     Negative eigenvalues above -EIG_REJECT are clipped to zero; anything below
     raises InvalidState.
     """
     w, v = hermitian_eigen(m)
-    if w[-1] < -EIG_REJECT:
+    smallest = float(w[..., -1].min())
+    if smallest < -EIG_REJECT:
         raise InvalidState(
-            f"matrix has eigenvalue {w[-1]:.3e}; too negative to be a rounded PSD matrix"
+            f"matrix has eigenvalue {smallest:.3e}; too negative to be a rounded PSD matrix"
         )
-    root = (v * np.sqrt(zero_clip(w))) @ v.conj().T
+    root = (v * np.sqrt(zero_clip(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return hermitize(root)
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise a DataError unless each matrix of a stack is finite, Hermitian, of trace 1 and PSD."""
+    if not np.all(np.isfinite(m)):
+        raise InvalidState("density matrix contains non-finite entries")
+    require_hermitian(m, tol=1e-12)
+    trace = m.trace(axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > 1e-12
+    if off.any():
+        raise InvalidState(f"density matrix trace {trace[off].flat[0]} is not 1 within 1e-12")
+    smallest = float(np.linalg.eigvalsh(hermitize(m)).min())
+    if smallest < -1e-10:
+        why = ("is far below zero; upstream bug, not rounding" if smallest < -EIG_REJECT
+               else "below -1e-10; pass through nearest_physical first")
+        raise InvalidState(f"eigenvalue {smallest:.3e} {why}")
 
 
 @dataclass(frozen=True)
@@ -90,21 +109,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidState(f"density matrix must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidState("density matrix contains non-finite entries")
-        require_hermitian(m, tol=1e-12)
-        trace = complex(m.trace())
-        if abs(trace - 1.0) > 1e-12:
-            raise InvalidState(f"density matrix trace {trace} is not 1 within 1e-12")
-        smallest = float(np.linalg.eigvalsh(hermitize(m)).min())
-        if smallest < -1e-10:
-            if smallest < -EIG_REJECT:
-                raise InvalidState(
-                    f"eigenvalue {smallest:.3e} is far below zero; upstream bug, not rounding"
-                )
-            raise InvalidState(
-                f"eigenvalue {smallest:.3e} below -1e-10; pass through nearest_physical first"
-            )
+        check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

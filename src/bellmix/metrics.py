@@ -3,7 +3,8 @@
 The tangle is the squared Wootters concurrence. Its spin-flipped eigenvalue
 problem is solved through the Hermitian similarity sqrt(rho) * rho_tilde *
 sqrt(rho), whose spectrum equals that of rho * rho_tilde, so the whole module
-stays on the Hermitian eigensolver.
+stays on the Hermitian eigensolver. Every figure is computed over a
+(..., 4, 4) stack of states; a single state is a batch of one.
 """
 
 from __future__ import annotations
@@ -36,21 +37,47 @@ def _tt_projector(signal_hwp_deg: float) -> np.ndarray:
     return proj
 
 
+def _purity(m: np.ndarray) -> np.ndarray:
+    return np.trace(m @ m, axis1=-2, axis2=-1).real
+
+
+def _root_spectrum(root: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of root @ x @ root, descending."""
+    w, _ = hermitian_eigen(hermitize(root @ x @ root))
+    return np.sqrt(zero_clip(w))
+
+
+def _tangle(m: np.ndarray, root: np.ndarray) -> np.ndarray:
+    lam = _root_spectrum(root, _SPIN_FLIP @ m.conj() @ _SPIN_FLIP)
+    concurrence = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    # Square by C pow, as a Python float's ** does; x * x differs in ~0.1 % of last bits.
+    return np.array([c**2 for c in concurrence.ravel().tolist()]).reshape(concurrence.shape)
+
+
+def _visibility(m: np.ndarray) -> np.ndarray:
+    n_plus = np.maximum(0.0, np.trace(m @ _tt_projector(22.5), axis1=-2, axis2=-1).real)
+    n_minus = np.maximum(0.0, np.trace(m @ _tt_projector(-22.5), axis1=-2, axis2=-1).real)
+    denominator = n_plus + n_minus
+    if (denominator < 1e-15).any():
+        raise DegenerateDenominator("both +-45 degree coincidence rates vanish")
+    return np.abs(n_plus - n_minus) / denominator
+
+
+def _figures(m: np.ndarray, target: np.ndarray | None = None) -> tuple:
+    """Purity, tangle, visibility and fidelity to target (else to itself) of each state of m."""
+    root = matrix_sqrt(m)
+    sigma = m if target is None else target
+    return _purity(m), _tangle(m, root), _visibility(m), _root_spectrum(root, sigma).sum(axis=-1)
+
+
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2); 1 for pure states, 1/4 for the completely mixed state."""
-    m = rho.matrix
-    return float(np.real(np.trace(m @ m)))
+    return float(_purity(rho.matrix))
 
 
 def tangle(rho: DensityMatrix) -> float:
     """Squared Wootters concurrence, C = max(0, l1 - l2 - l3 - l4)."""
-    m = rho.matrix
-    root = matrix_sqrt(m)
-    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    w, _ = hermitian_eigen(hermitize(root @ flipped @ root))
-    lam = np.sqrt(zero_clip(w))  # already descending
-    concurrence = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-    return concurrence**2
+    return float(_tangle(rho.matrix, matrix_sqrt(rho.matrix)))
 
 
 def visibility(rho: DensityMatrix) -> float:
@@ -60,21 +87,12 @@ def visibility(rho: DensityMatrix) -> float:
     the signal HWP at +22.5 and -22.5 degrees. Unlike the other metrics this
     is basis-dependent by construction.
     """
-    m = rho.matrix
-    n_plus = max(0.0, float(np.real(np.trace(m @ _tt_projector(22.5)))))
-    n_minus = max(0.0, float(np.real(np.trace(m @ _tt_projector(-22.5)))))
-    denominator = n_plus + n_minus
-    if denominator < 1e-15:
-        raise DegenerateDenominator("both +-45 degree coincidence rates vanish")
-    return abs(n_plus - n_minus) / denominator
+    return float(_visibility(rho.matrix))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) = tr|sqrt(rho) sqrt(sigma)|."""
-    root = matrix_sqrt(rho.matrix)
-    inner = hermitize(root @ sigma.matrix @ root)
-    w, _ = hermitian_eigen(inner)
-    return float(np.sqrt(zero_clip(w)).sum())
+    return float(_root_spectrum(matrix_sqrt(rho.matrix), sigma.matrix).sum())
 
 
 def family_purity(alpha: float) -> float:
@@ -92,6 +110,19 @@ def family_visibility(alpha: float) -> float:
     return abs(1.0 - 2.0 * alpha)
 
 
+# MetricsReport's figures in _figures order, each with its range [low, 1].
+_LOWS = {"purity": 0.25, "tangle": 0.0, "visibility": 0.0, "fidelity_to_target": 0.0}
+
+
+def check_ranges(*figures) -> None:
+    """Raise InvalidState unless each figure, a number or array, lies in its range within 1e-9."""
+    for (name, low), value in zip(_LOWS.items(), figures):
+        value = np.asarray(value)
+        outside = ~((low - 1e-9 <= value) & (value <= 1.0 + 1e-9))  # NaN is outside
+        if outside.any():
+            raise InvalidState(f"{name} = {float(value[outside][0])!r} outside [{low}, 1.0]")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """All four figures of merit for one state, with the fidelity target named."""
@@ -103,36 +134,17 @@ class MetricsReport:
     target_description: str
 
     def __post_init__(self) -> None:
-        slack = 1e-9
-        checks = (
-            ("purity", self.purity, 0.25, 1.0),
-            ("tangle", self.tangle, 0.0, 1.0),
-            ("visibility", self.visibility, 0.0, 1.0),
-            ("fidelity_to_target", self.fidelity_to_target, 0.0, 1.0),
-        )
-        for name, value, low, high in checks:
-            if not (low - slack <= value <= high + slack):
-                raise InvalidState(f"{name} = {value!r} outside [{low}, {high}]")
+        check_ranges(self.purity, self.tangle, self.visibility, self.fidelity_to_target)
 
     def to_json_dict(self) -> dict:
-        return {
-            "purity": float(self.purity),
-            "tangle": float(self.tangle),
-            "visibility": float(self.visibility),
-            "fidelity_to_target": float(self.fidelity_to_target),
-            "target_description": self.target_description,
-        }
+        figures = {name: float(getattr(self, name)) for name in _LOWS}
+        return {**figures, "target_description": self.target_description}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":
         with parsing("metrics JSON"):
-            return cls(
-                purity=float(data["purity"]),
-                tangle=float(data["tangle"]),
-                visibility=float(data["visibility"]),
-                fidelity_to_target=float(data["fidelity_to_target"]),
-                target_description=str(data["target_description"]),
-            )
+            figures = (float(data[name]) for name in _LOWS)
+            return cls(*figures, target_description=str(data["target_description"]))
 
 
 def report_for(
@@ -141,11 +153,5 @@ def report_for(
     target_description: str = "self",
 ) -> MetricsReport:
     """Evaluate all four metrics; fidelity is against target, or rho itself if none."""
-    fid = fidelity(rho, target) if target is not None else fidelity(rho, rho)
-    return MetricsReport(
-        purity=purity(rho),
-        tangle=tangle(rho),
-        visibility=visibility(rho),
-        fidelity_to_target=fid,
-        target_description=target_description,
-    )
+    figures = _figures(rho.matrix, None if target is None else target.matrix)
+    return MetricsReport(*(float(value) for value in figures), target_description)

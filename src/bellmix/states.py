@@ -25,13 +25,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _SIGNAL_FLIP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
 _SIGNAL_Z = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
 
-# Source config JSON fields and their defaults; every field is a number.
-_CONFIG_DEFAULTS = {
-    "alpha": 0.0, "phi": 0.0, "beta_re": _INV_SQRT2, "beta_im": 0.0,
-    "gamma_re": _INV_SQRT2, "gamma_im": 0.0, "signal_dc": 0.0,
-    "dephasing": 0.0, "depolarizing": 0.0,
-}
-
 _BELL_AMPLITUDES = {
     "phi+": (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
     "phi-": (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
@@ -76,9 +69,14 @@ class SourceConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
-        checked(data, "config", dict.fromkeys(_CONFIG_DEFAULTS, float))
+        """A config from its JSON fields, all numbers; an absent field keeps cls()'s value."""
+        d = cls()  # the JSON splits the pump amplitudes into *_re/*_im and flattens the noise
+        defaults = {"alpha": d.alpha, "phi": d.phi, "beta_re": d.beta.real, "beta_im": d.beta.imag,
+                    "gamma_re": d.gamma.real, "gamma_im": d.gamma.imag, "signal_dc": d.signal_dc,
+                    "dephasing": d.noise.dephasing, "depolarizing": d.noise.depolarizing}
+        checked(data, "config", dict.fromkeys(defaults, float))
         try:
-            num = {key: float(value) for key, value in {**_CONFIG_DEFAULTS, **data}.items()}
+            num = {key: float(value) for key, value in {**defaults, **data}.items()}
             return cls(
                 alpha=num["alpha"],
                 phi=num["phi"],

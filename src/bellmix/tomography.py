@@ -16,16 +16,15 @@ batch of one. Every kernel is elementwise or a stacked matmul, so each sample
 of a batch comes out bit for bit as it would alone.
 
 Error bars are parametric bootstrap: resimulate counts from the estimate,
-reconstruct all resamples as one batch, and take the sample standard
-deviation of each metric over the resamples. Every resample has a derived
-seed, so the result is deterministic and independent of any parallel schedule.
+reconstruct all resamples as one batch, check and evaluate the stack of
+estimates in one pass, and take the sample standard deviation of each metric
+over the resamples. Every resample has a derived seed, so the result is
+deterministic and independent of any parallel schedule.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +40,19 @@ from .errors import NoCounts, OutOfRange
 from .fileio import parsing, read_json, write_json
 from .linalg import (
     DensityMatrix,
+    check_density,
     hermitize,
     matrix_from_json_dict,
     matrix_to_json_dict,
 )
-from .metrics import MetricsReport, report_for
+from .metrics import MetricsReport, _figures, check_ranges, report_for
 from .optics import ProjectorSet
 
 PROBABILITY_FLOOR = 1e-15
 
-# Error-bar name -> MetricsReport attribute, in recon.json order.
-_METRICS = {"purity": "purity", "tangle": "tangle", "visibility": "visibility",
-            "fidelity": "fidelity_to_target"}
+# Default iteration cap and relative likelihood gain per step of every reconstruction.
+MAX_ITERATIONS = 10000
+TOLERANCE = 1e-10
 
 
 @dataclass
@@ -133,9 +133,7 @@ def _mle_batch(
     max_iterations: int,
     tolerance: float,
     dilution: float,
-    target: DensityMatrix | None,
-    target_description: str,
-) -> Iterator[ReconstructionResult]:
+) -> tuple:
     """Diluted RρR on every row of counts (B, n_outcomes) at once.
 
     All samples start from the completely mixed state (full rank, so every
@@ -145,8 +143,11 @@ def _mle_batch(
     as converged=False, never silently. A stopped sample leaves the working
     arrays, which are compacted only on iterations where one stopped.
 
-    Results are yielded in batch order once every sample has stopped, so a
-    caller that keeps only their metrics holds one full result at a time.
+    Returns, in batch order, the final states (B, 4, 4), log-likelihoods,
+    iteration counts, convergence flags and floored-outcome counts, and the
+    history: for the start and for each iteration, the active rows, their
+    log-likelihoods and which of them rejected the step. A sample's trace is
+    its start value and its value at every step it accepted.
     """
     n = len(counts)
     totals = counts.sum(axis=1)[:, None]
@@ -158,11 +159,11 @@ def _mle_batch(
     probs = _probabilities(flat, rho)
     groups = _nonzero_groups(counts)
     ll = _log_likelihoods(groups, probs)
-    traces = [array("d", [value]) for value in ll.tolist()]  # 8 bytes per step
     eps = np.full((n, 1, 1), float(dilution))
 
     # Working arrays hold the active samples; rows maps them to the batch.
-    rows, active_traces = np.arange(n), list(traces)
+    rows = np.arange(n)
+    history = [(rows, ll, np.zeros(n, dtype=bool))]
     final_rho, final_ll, final_probs = np.empty_like(rho), np.empty_like(ll), np.empty_like(probs)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
@@ -183,7 +184,6 @@ def _mle_batch(
             rows, rho, probs, ll, eps, counts, totals = (
                 a[keep] for a in (rows, rho, probs, ll, eps, counts, totals)
             )
-            active_traces = [t for t, kept in zip(active_traces, keep) if kept]
             groups = _nonzero_groups(counts)
         it += 1
 
@@ -208,31 +208,18 @@ def _mle_batch(
             ll_new[downhill] = ll[downhill]
         # The accepted candidate's probabilities are the next iterate's.
         rho, probs, ll = candidate, candidate_probs, ll_new
-        for trace, value, rejected in zip(active_traces, ll.tolist(), downhill.tolist()):
-            if not rejected:
-                trace.append(value)
+        history.append((rows, ll, downhill))
 
     floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
-    for b in range(n):
-        rho_hat = DensityMatrix(hermitize(final_rho[b]))
-        yield ReconstructionResult(
-            rho_hat=rho_hat,
-            log_likelihood=float(final_ll[b]),
-            ll_trace=traces[b].tolist(),
-            iterations=int(iterations[b]),
-            converged=bool(converged[b]),
-            metrics=report_for(rho_hat, target=target, target_description=target_description),
-            target=target,
-            floored_outcomes=int(floored[b]),
-        )
+    return final_rho, final_ll, iterations, converged, floored, history
 
 
 def mle_reconstruct(
     records,
     pset: ProjectorSet,
     *,
-    max_iterations: int = 10000,
-    tolerance: float = 1e-10,
+    max_iterations: int = MAX_ITERATIONS,
+    tolerance: float = TOLERANCE,
     dilution: float = 1.0,
     target: DensityMatrix | None = None,
     target_description: str | None = None,
@@ -244,15 +231,21 @@ def mle_reconstruct(
     if not (math.isfinite(dilution) and dilution > 0.0):
         raise OutOfRange(f"dilution must be finite and > 0, got {dilution!r}")
     description = target_description or ("target" if target is not None else "self")
-    return next(_mle_batch(
-        _count_vector(records, pset)[None],
-        pset.flattened(),
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        dilution=dilution,
+    rho, ll, iterations, converged, floored, history = _mle_batch(
+        _count_vector(records, pset)[None], pset.flattened(),
+        max_iterations=max_iterations, tolerance=tolerance, dilution=dilution,
+    )
+    rho_hat = DensityMatrix(hermitize(rho[0]))
+    return ReconstructionResult(
+        rho_hat=rho_hat,
+        log_likelihood=float(ll[0]),
+        ll_trace=[float(values[0]) for _, values, rejected in history if not rejected[0]],
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
+        metrics=report_for(rho_hat, target=target, target_description=description),
         target=target,
-        target_description=description,
-    ))
+        floored_outcomes=int(floored[0]),
+    )
 
 
 def check_resamples(resamples: int) -> None:
@@ -267,32 +260,29 @@ def bootstrap_errors(
     acq: AcquisitionConfig,
     resamples: int,
     *,
-    max_iterations: int = 10000,
-    tolerance: float = 1e-10,
+    max_iterations: int = MAX_ITERATIONS,
+    tolerance: float = TOLERANCE,
 ) -> dict:
     """Parametric-bootstrap standard deviations of the four metrics.
 
     Counts are resimulated from result.rho_hat with per-resample derived
-    seeds, reconstructed as one batch, and the metrics recomputed against the
-    original target (rho_hat itself when no target was supplied).
+    seeds, reconstructed as one batch, checked as a single result would be,
+    and the metrics recomputed against the original target (rho_hat itself
+    when no target was supplied).
     """
     if resamples < 2:
         raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
     seeds = [derive_seed(acq.seed, _BOOTSTRAP_STREAM, index) for index in range(resamples)]
     counts = _simulate(result.rho_hat, pset, acq, seeds).astype(float)
-    reports = [fit.metrics for fit in _mle_batch(
-        counts,
-        pset.flattened(),
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        dilution=1.0,
-        target=result.target if result.target is not None else result.rho_hat,
-        target_description=result.metrics.target_description,
-    )]
-    return {
-        name: float(np.std([getattr(report, attr) for report in reports], ddof=1))
-        for name, attr in _METRICS.items()
-    }
+    rho = hermitize(_mle_batch(
+        counts, pset.flattened(), max_iterations=max_iterations, tolerance=tolerance, dilution=1.0,
+    )[0])
+    check_density(rho)
+    target = result.target if result.target is not None else result.rho_hat
+    figures = _figures(rho, target.matrix)
+    check_ranges(*figures)
+    names = ("purity", "tangle", "visibility", "fidelity")  # recon.json order, as in figures
+    return {name: float(np.std(values, ddof=1)) for name, values in zip(names, figures)}
 
 
 def result_to_json_dict(result: ReconstructionResult) -> dict:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -226,6 +227,21 @@ def test_sweep_outputs_and_determinism(tmp_path):
     )
     third = _tree_bytes(tmp_path / "out3")
     assert first == third
+
+
+def test_readme_sweep_csv_is_pinned(tmp_path):
+    # The sweep spec printed in README.md, serial; the digest is that of the
+    # benchmark's golden sweep.csv for master seed 2026.
+    spec = tmp_path / "spec.json"
+    write_json(spec, {
+        "alphas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+        "acquisition": {"pairs_per_setting": 1e6, "accidental_rate": 0.0, "seed": 2026},
+        "noise": {"dephasing": 0.0, "depolarizing": 0.0},
+        "outputs": str(tmp_path / "out"), "include_completely_mixed": True, "resamples": 50,
+    })
+    assert main(["sweep", "--spec", str(spec)]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "f0ca74f49fc056f1946c0f98f61e3734813cd0a192a359922c1baca604babbb0"
 
 
 def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):

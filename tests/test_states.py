@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,20 @@ def test_source_config_json_defaults_and_fields():
     )
     assert config.alpha == 0.25 and config.noise.dephasing == 0.027
     assert config.beta == 0.6 + 0.0j and config.gamma == 0.8 + 0.0j
+
+
+def test_source_config_json_defaults_come_from_the_dataclass():
+    assert SourceConfig.from_json_dict({}) == SourceConfig()
+    partial = SourceConfig.from_json_dict({"alpha": 0.25, "gamma_im": 0.0, "depolarizing": 0.1})
+    assert partial == SourceConfig(alpha=0.25, noise=NoiseParams(depolarizing=0.1))
+
+    @dataclass(frozen=True)
+    class Shifted(SourceConfig):
+        alpha: float = 0.3
+        beta: complex = 0.6
+        gamma: complex = 0.8j
+
+    assert Shifted.from_json_dict({"phi": 0.5}) == Shifted(phi=0.5)
 
 
 def test_source_config_json_rejects_bad_fields():

@@ -12,11 +12,12 @@ from bellmix.counting import (
     simulate_counts,
 )
 from bellmix.errors import DataParse, MismatchedData, NoCounts
-from bellmix.linalg import DensityMatrix, PureState, nearest_physical
-from bellmix.metrics import fidelity
+from bellmix.linalg import DensityMatrix, PureState, hermitize, nearest_physical
+from bellmix.metrics import fidelity, report_for
 from bellmix.optics import standard_projector_set
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
 from bellmix.tomography import (
+    ReconstructionResult,
     _count_vector,
     _mle_batch,
     bootstrap_errors,
@@ -322,12 +323,35 @@ def test_mle_matches_scalar_reference_loop():
         assert (result.iterations, result.converged) == (iterations, converged)
 
 
+def _ll_trace(history, b):
+    """Sample b's trace from a batch history: its start value, then each accepted step's."""
+    trace, rows = [], None
+    for step_rows, ll, rejected in history:
+        if step_rows is not rows:  # the working arrays were compacted
+            rows, pos = step_rows, int(step_rows.searchsorted(b))
+            if pos == len(rows) or rows[pos] != b:
+                break  # sample b had stopped
+        if not rejected[pos]:
+            trace.append(float(ll[pos]))
+    return trace
+
+
 def _batch(record_sets, target=None, description="self", max_iterations=10000):
+    """One result per record set, assembled from a single batched run."""
     counts = np.stack([_count_vector(records, PSET) for records in record_sets])
-    return list(_mle_batch(
-        counts, PSET.flattened(), max_iterations=max_iterations, tolerance=1e-10,
-        dilution=1.0, target=target, target_description=description,
-    ))
+    rho, ll, iterations, converged, floored, history = _mle_batch(
+        counts, PSET.flattened(), max_iterations=max_iterations, tolerance=1e-10, dilution=1.0,
+    )
+    fits = []
+    for b in range(len(counts)):
+        rho_hat = DensityMatrix(hermitize(rho[b]))
+        fits.append(ReconstructionResult(
+            rho_hat=rho_hat, log_likelihood=float(ll[b]), ll_trace=_ll_trace(history, b),
+            iterations=int(iterations[b]), converged=bool(converged[b]),
+            metrics=report_for(rho_hat, target=target, target_description=description),
+            target=target, floored_outcomes=int(floored[b]),
+        ))
+    return fits
 
 
 def _resample_records(result, acq, resamples):
