@@ -96,7 +96,11 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def derive_seed(seed: int, *key: int) -> int:
-    """A fresh 64-bit seed deterministically derived from (seed, key...)."""
+    """A fresh 64-bit seed deterministically derived from (seed, key...).
+
+    The reference definition: for a two-word key it is _philox_keys([seed], [key])[0, 0, 0],
+    which derives the seeds of many (seed, key) pairs in one pass.
+    """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -138,9 +142,10 @@ def _philox_keys(seeds, keys) -> np.ndarray:
 
 
 def _poisson(means, seeds, keys) -> np.ndarray:
-    """Counts (len(seeds), len(keys)); slot [b, k] is stream(seeds[b], *keys[k]).poisson(means[k]).
+    """Counts (len(seeds), len(keys)); slot [b, k] is stream(seeds[b], *keys[k]).poisson(mean).
 
-    One Philox is rekeyed for every draw, with the state of a fresh
+    means is one row (len(keys),) for every seed, or one row per seed. One
+    Philox is rekeyed for every draw, with the state of a fresh
     Philox(SeedSequence(...)): counter 0 and an empty buffer.
     """
     bitgen = np.random.Philox(0)
@@ -148,8 +153,9 @@ def _poisson(means, seeds, keys) -> np.ndarray:
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty((len(seeds), len(keys)), dtype=np.int64)
-    for b, row in enumerate(_philox_keys(seeds, keys)):
-        for k, (key, mean) in enumerate(zip(row.tolist(), means)):
+    rows = np.broadcast_to(np.asarray(means, dtype=float), counts.shape).tolist()
+    for b, (row, row_means) in enumerate(zip(_philox_keys(seeds, keys), rows)):
+        for k, (key, mean) in enumerate(zip(row.tolist(), row_means)):
             state["state"]["key"] = key
             bitgen.state = state
             counts[b, k] = gen.poisson(mean)
@@ -163,18 +169,23 @@ def born_probabilities(rho: DensityMatrix, pset: ProjectorSet, setting_index: in
     return np.clip(probs, 0.0, None)
 
 
-def _simulate(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> np.ndarray:
-    """Counts (len(seeds), 4 * n_settings) in projector order: row b simulates at seeds[b]."""
+def _means(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig) -> np.ndarray:
+    """Poisson mean of every outcome (4 * n_settings,), in projector order."""
     probs = np.concatenate([born_probabilities(rho, pset, s) for s in range(pset.n_settings)])
-    keys = [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
-    return _poisson((acq.pairs_per_setting * probs + acq.accidental_rate).tolist(), seeds, keys)
+    return acq.pairs_per_setting * probs + acq.accidental_rate
+
+
+def _outcome_keys(pset: ProjectorSet) -> list:
+    """The stream key (setting, outcome) of every outcome, in projector order."""
+    return [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
 
 
 def simulate_counts(
     rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
 ) -> list[CountRecord]:
     """Poisson counts for every setting; fully determined by acq.seed."""
-    counts = _simulate(rho, pset, acq, [acq.seed]).reshape(pset.n_settings, 4)
+    counts = _poisson(_means(rho, pset, acq), [acq.seed], _outcome_keys(pset))
+    counts = counts.reshape(pset.n_settings, 4)
     return [
         CountRecord(setting_index=setting_index, outcome_counts=tuple(row))
         for setting_index, row in enumerate(counts.tolist())

@@ -66,6 +66,13 @@ def is_kind(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+def typed(value, kind, what: str, error=DataParse):
+    """value, if it is a JSON value of kind; else error("<what> must be <kind>, got <value>")."""
+    if not is_kind(value, kind):
+        raise error(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def checked(data, what: str, kinds: dict) -> dict:
     """data, if it is a JSON object whose every key is in kinds with a value of that kind."""
     if not isinstance(data, dict):
@@ -74,6 +81,5 @@ def checked(data, what: str, kinds: dict) -> dict:
     if unknown:
         raise InvalidConfig(f"unknown {what} fields: {sorted(unknown)}")
     for key, value in data.items():
-        if not is_kind(value, kinds[key]):
-            raise InvalidConfig(f"{what} field {key!r} must be {_KINDS[kinds[key]]}, got {value!r}")
+        typed(value, kinds[key], f"{what} field {key!r}", InvalidConfig)
     return data

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidState
-from .fileio import parsing
+from .fileio import parsing, typed
 from .linalg import DensityMatrix, hermitian_eigen, hermitize, matrix_sqrt, zero_clip
 from .optics import CALIBRATION_IDLER, WaveplateSetting, analyzer_projectors
 
@@ -143,8 +143,10 @@ class MetricsReport:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":
         with parsing("metrics JSON"):
-            figures = (float(data[name]) for name in _LOWS)
-            return cls(*figures, target_description=str(data["target_description"]))
+            figures = [float(typed(data[name], float, f"metrics JSON field {name!r}"))
+                       for name in _LOWS]
+            description = data["target_description"]
+            return cls(*figures, typed(description, str, "metrics JSON field 'target_description'"))
 
 
 def report_for(

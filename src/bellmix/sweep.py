@@ -2,16 +2,27 @@
 
 A sweep writes one directory per point (state.json, counts.csv, recon.json)
 plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
-bootstrap error bars, and the closed-form theory columns. Every point derives
-its seed from (master seed, point index), and all files are written by the
-coordinating process in point order, so output bytes do not depend on whether
-points ran serially or in a process pool.
+bootstrap error bars, and the closed-form theory columns.
+
+The points run in stages, each over all of them at once: set-up (generate
+and simulate), reconstruction as one batch, and the bootstrap, whose
+resamples are reconstructed in stacks of whole points. A process pool splits
+the grid into interleaved shares (point i goes to share i % workers), and
+each worker runs every stage over its share. Every point derives its seed
+from (master seed, point index) and every sample of a batch comes out as it
+would alone, and all files are written by the coordinating process in point
+order, so output bytes do not depend on batching or on the pool.
+
+A failing sweep raises the error of the first point, in grid order, that
+fails at any stage, named after that point, as a sweep run one point at a
+time would; serial and pooled runs name the same point.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .counting import (
     _SWEEP_STREAM,
@@ -22,11 +33,17 @@ from .counting import (
 )
 from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
 from .fileio import checked, is_kind, parsing, read_json, read_text, write_text
-from .linalg import write_state_json
+from .linalg import DensityMatrix, write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
 from .states import NoiseParams, SourceConfig, completely_mixed, generate, mix_duty_cycle
-from .tomography import bootstrap_errors, check_resamples, mle_reconstruct, write_result_json
+from .tomography import (
+    ReconstructionResult,
+    _bootstrap_batch,
+    _reconstruct_batch,
+    check_resamples,
+    write_result_json,
+)
 
 SWEEP_CSV_HEADER = (
     "alpha,visibility,tangle,purity,fidelity,"
@@ -105,68 +122,109 @@ class SweepSpec:
 
 @dataclass
 class SweepPoint:
-    """One completed sweep point, ready to serialize."""
+    """One sweep point: its place on the grid, its simulated data and, once run, its result."""
 
+    index: int
     alpha: float
     source: str
-    state: object
-    records: list
-    result: object
-    theory: tuple
+    acq: AcquisitionConfig | None = None
+    state: DensityMatrix | None = None
+    records: list | None = None
+    target: DensityMatrix | None = None
+    description: str = ""
+    theory: tuple = ()
+    result: ReconstructionResult | None = None
 
 
 def _format(value) -> str:
     return repr(float(value))
 
 
-def _point_task(task) -> SweepPoint:
-    index, alpha, source, spec = task
-    try:
-        return _run_point(index, alpha, source, spec)
-    except BellmixError as exc:
-        raise type(exc)(f"sweep point alpha={alpha:g} ({source}): {exc}") from exc
+def _set_up(points: list, spec: SweepSpec, pset) -> None:
+    """Each point's source, target, seed, state and simulated counts."""
+    for point in points:
+        alpha = point.alpha
+        if point.source == "two_vpr":
+            config = SourceConfig(alpha=alpha, signal_dc=0.5, noise=spec.noise)
+            point.target = completely_mixed()
+            point.description = "identity/4"
+            point.theory = (0.0, 0.0, 0.25)
+        else:
+            config = SourceConfig(alpha=alpha, noise=spec.noise)
+            point.target = mix_duty_cycle(alpha)
+            point.description = f"duty-cycle mixture alpha={alpha:g}"
+            point.theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
+        point.acq = replace(spec.acquisition,
+                            seed=derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index))
+        point.state = generate(config)
+        point.records = simulate_counts(point.state, pset, point.acq)
 
 
-def _run_point(index: int, alpha: float, source: str, spec: SweepSpec) -> SweepPoint:
-    if source == "two_vpr":
-        config = SourceConfig(alpha=alpha, signal_dc=0.5, noise=spec.noise)
-        target = completely_mixed()
-        description = "identity/4"
-        theory = (0.0, 0.0, 0.25)
-    else:
-        config = SourceConfig(alpha=alpha, noise=spec.noise)
-        target = mix_duty_cycle(alpha)
-        description = f"duty-cycle mixture alpha={alpha:g}"
-        theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
+def _reconstruct(points: list, pset) -> None:
+    results = _reconstruct_batch([point.records for point in points], pset,
+                                 [point.target for point in points],
+                                 [point.description for point in points])
+    for point, result in zip(points, results):
+        point.result = result
 
-    acq = replace(spec.acquisition, seed=derive_seed(spec.acquisition.seed, _SWEEP_STREAM, index))
+
+def _bootstrap(points: list, pset, resamples: int) -> None:
+    errors = _bootstrap_batch([point.result for point in points], pset,
+                              [point.acq for point in points], resamples)
+    for point, metric_errors in zip(points, errors):
+        point.result.metric_errors = metric_errors
+
+
+def _run_share(spec: SweepSpec, points: list) -> tuple:
+    """Run every stage over points; returns them and None, or the failure of the first that fails.
+
+    A failure is (point index, error), and only the points before it go on to
+    later stages, so the first point that fails at any stage is found. A
+    stage that fails is repeated point by point only to name the point: each
+    sample of a batch comes out as it would alone, so the batch fails exactly
+    when one of its points does.
+    """
     pset = standard_projector_set()
-    state = generate(config)
-    records = simulate_counts(state, pset, acq)
-    result = mle_reconstruct(records, pset, target=target, target_description=description)
+    stages = [partial(_set_up, spec=spec, pset=pset), partial(_reconstruct, pset=pset)]
     if spec.resamples:
-        result.metric_errors = bootstrap_errors(result, pset, acq, spec.resamples)
-    return SweepPoint(
-        alpha=alpha,
-        source=source,
-        state=state,
-        records=records,
-        result=result,
-        theory=theory,
-    )
+        stages.append(partial(_bootstrap, pset=pset, resamples=spec.resamples))
+    failure = None
+    for stage in stages:
+        try:
+            stage(points)
+        except BellmixError:
+            for position, point in enumerate(points):
+                try:
+                    stage([point])
+                except BellmixError as exc:
+                    named = type(exc)(f"sweep point alpha={point.alpha:g} ({point.source}): {exc}")
+                    named.__cause__ = exc
+                    failure, points = (point.index, named), points[:position]
+                    break
+            else:
+                raise
+            if not points:
+                break
+    return points, failure
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     """Execute the sweep and write all artifacts to spec.outputs; returns the points in order."""
-    tasks = [(index, alpha, source, spec) for index, (alpha, source) in enumerate(spec.grid())]
-
-    if parallel > 1:
+    points = [SweepPoint(index, alpha, source) for index, (alpha, source) in enumerate(spec.grid())]
+    shares = max(1, min(parallel, len(points)))
+    if shares > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            points = list(pool.map(_point_task, tasks))
+        with ProcessPoolExecutor(max_workers=shares) as pool:
+            outcomes = list(pool.map(partial(_run_share, spec),
+                                     [points[share::shares] for share in range(shares)]))
     else:
-        points = [_point_task(task) for task in tasks]
+        outcomes = [_run_share(spec, points)]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    for share, (share_points, _) in enumerate(outcomes):
+        points[share::shares] = share_points
 
     outdir = spec.outputs
     os.makedirs(outdir, exist_ok=True)

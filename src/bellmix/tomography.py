@@ -11,15 +11,18 @@ monotone. The per-setting count totals are treated as fixed normalizations,
 so only the within-setting Born probabilities enter the likelihood.
 
 One routine runs the iteration on a batch of count vectors at once, each with
-its own dilution, likelihood, trace and stop; a single reconstruction is a
-batch of one. Every kernel is elementwise or a stacked matmul, so each sample
-of a batch comes out bit for bit as it would alone.
+its own dilution, likelihood, trace and stop. A sweep reconstructs all its
+points as one batch, and a single reconstruction is a batch of one. Every
+kernel is elementwise or a stacked matmul, so each sample of a batch comes out
+bit for bit as it would alone.
 
 Error bars are parametric bootstrap: resimulate counts from the estimate,
-reconstruct all resamples as one batch, check and evaluate the stack of
+reconstruct the resamples as one batch, check and evaluate the stack of
 estimates in one pass, and take the sample standard deviation of each metric
-over the resamples. Every resample has a derived seed, so the result is
-deterministic and independent of any parallel schedule.
+over the resamples. The resamples of several points share a stack of at most
+_STACK_SAMPLES, so the per-iteration cost is spread without the memory
+growing with the grid. Every resample has a derived seed, so the result is
+deterministic and independent of any parallel schedule or stacking.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ import numpy as np
 from .counting import (
     _BOOTSTRAP_STREAM,
     AcquisitionConfig,
-    _simulate,
-    derive_seed,
+    _count,
+    _means,
+    _outcome_keys,
+    _philox_keys,
+    _poisson,
     validate_against,
 )
 from .errors import NoCounts, OutOfRange
-from .fileio import parsing, read_json, write_json
+from .fileio import parsing, read_json, typed, write_json
 from .linalg import (
     DensityMatrix,
     check_density,
@@ -45,7 +51,7 @@ from .linalg import (
     matrix_from_json_dict,
     matrix_to_json_dict,
 )
-from .metrics import MetricsReport, _figures, check_ranges, report_for
+from .metrics import MetricsReport, _figures, check_ranges
 from .optics import ProjectorSet
 
 PROBABILITY_FLOOR = 1e-15
@@ -53,6 +59,9 @@ PROBABILITY_FLOOR = 1e-15
 # Default iteration cap and relative likelihood gain per step of every reconstruction.
 MAX_ITERATIONS = 10000
 TOLERANCE = 1e-10
+
+# Most bootstrap resamples reconstructed in one stack; a point's resamples are never split.
+_STACK_SAMPLES = 200
 
 
 @dataclass
@@ -133,6 +142,7 @@ def _mle_batch(
     max_iterations: int,
     tolerance: float,
     dilution: float,
+    traces: bool = False,
 ) -> tuple:
     """Diluted RρR on every row of counts (B, n_outcomes) at once.
 
@@ -144,10 +154,9 @@ def _mle_batch(
     arrays, which are compacted only on iterations where one stopped.
 
     Returns, in batch order, the final states (B, 4, 4), log-likelihoods,
-    iteration counts, convergence flags and floored-outcome counts, and the
-    history: for the start and for each iteration, the active rows, their
-    log-likelihoods and which of them rejected the step. A sample's trace is
-    its start value and its value at every step it accepted.
+    iteration counts, convergence flags and floored-outcome counts, and, if
+    `traces`, each sample's likelihood trace (else None): its start value and
+    its value at every step it accepted.
     """
     n = len(counts)
     totals = counts.sum(axis=1)[:, None]
@@ -163,7 +172,7 @@ def _mle_batch(
 
     # Working arrays hold the active samples; rows maps them to the batch.
     rows = np.arange(n)
-    history = [(rows, ll, np.zeros(n, dtype=bool))]
+    trace = [[value] for value in ll.tolist()] if traces else None
     final_rho, final_ll, final_probs = np.empty_like(rho), np.empty_like(ll), np.empty_like(probs)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
@@ -208,10 +217,52 @@ def _mle_batch(
             ll_new[downhill] = ll[downhill]
         # The accepted candidate's probabilities are the next iterate's.
         rho, probs, ll = candidate, candidate_probs, ll_new
-        history.append((rows, ll, downhill))
+        if traces:
+            for row, value, rejected in zip(rows.tolist(), ll.tolist(), downhill.tolist()):
+                if not rejected:
+                    trace[row].append(value)
 
     floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
-    return final_rho, final_ll, iterations, converged, floored, history
+    return final_rho, final_ll, iterations, converged, floored, trace
+
+
+def _reconstruct_batch(
+    record_sets: list,
+    pset: ProjectorSet,
+    targets: list,
+    descriptions: list,
+    *,
+    max_iterations: int = MAX_ITERATIONS,
+    tolerance: float = TOLERANCE,
+    dilution: float = 1.0,
+) -> list:
+    """mle_reconstruct of every record set, with its target and description, as one batch."""
+    if not (math.isfinite(dilution) and dilution > 0.0):
+        raise OutOfRange(f"dilution must be finite and > 0, got {dilution!r}")
+    counts = np.stack([_count_vector(records, pset) for records in record_sets])
+    rho, ll, iterations, converged, floored, traces = _mle_batch(
+        counts, pset.flattened(),
+        max_iterations=max_iterations, tolerance=tolerance, dilution=dilution, traces=True,
+    )
+    rho = hermitize(rho)
+    rho_hats = [DensityMatrix(m) for m in rho]
+    # Fidelity is to the target, else to the estimate itself.
+    sigma = np.stack([m if target is None else target.matrix for m, target in zip(rho, targets)])
+    figures = [values.tolist() for values in _figures(rho, sigma)]
+    results = []
+    for b, (target, description) in enumerate(zip(targets, descriptions)):
+        description = description or ("target" if target is not None else "self")
+        results.append(ReconstructionResult(
+            rho_hat=rho_hats[b],
+            log_likelihood=float(ll[b]),
+            ll_trace=traces[b],
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            metrics=MetricsReport(*(values[b] for values in figures), description),
+            target=target,
+            floored_outcomes=int(floored[b]),
+        ))
+    return results
 
 
 def mle_reconstruct(
@@ -228,30 +279,51 @@ def mle_reconstruct(
 
     A batch of one through the diluted RρR iteration.
     """
-    if not (math.isfinite(dilution) and dilution > 0.0):
-        raise OutOfRange(f"dilution must be finite and > 0, got {dilution!r}")
-    description = target_description or ("target" if target is not None else "self")
-    rho, ll, iterations, converged, floored, history = _mle_batch(
-        _count_vector(records, pset)[None], pset.flattened(),
+    return _reconstruct_batch(
+        [records], pset, [target], [target_description],
         max_iterations=max_iterations, tolerance=tolerance, dilution=dilution,
-    )
-    rho_hat = DensityMatrix(hermitize(rho[0]))
-    return ReconstructionResult(
-        rho_hat=rho_hat,
-        log_likelihood=float(ll[0]),
-        ll_trace=[float(values[0]) for _, values, rejected in history if not rejected[0]],
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-        metrics=report_for(rho_hat, target=target, target_description=description),
-        target=target,
-        floored_outcomes=int(floored[0]),
-    )
+    )[0]
 
 
 def check_resamples(resamples: int) -> None:
     """A configured bootstrap size is 0 (no error bars) or at least 2."""
     if resamples < 0 or resamples == 1:
         raise OutOfRange(f"resamples must be 0 (no error bars) or >= 2, got {resamples}")
+
+
+def _bootstrap_batch(
+    results: list,
+    pset: ProjectorSet,
+    acqs: list,
+    resamples: int,
+    *,
+    max_iterations: int = MAX_ITERATIONS,
+    tolerance: float = TOLERANCE,
+) -> list:
+    """bootstrap_errors of every result with its acquisition, in stacks of whole points."""
+    if resamples < 2:
+        raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
+    per_stack = max(1, _STACK_SAMPLES // resamples)
+    keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]
+    names = ("purity", "tangle", "visibility", "fidelity")  # recon.json order, as in figures
+    errors = []
+    for start in range(0, len(results), per_stack):
+        stack = list(zip(results[start:start + per_stack], acqs[start:start + per_stack]))
+        # Resample i of a point is seeded with derive_seed(acq.seed, _BOOTSTRAP_STREAM, i).
+        seeds = _philox_keys([acq.seed for _, acq in stack], keys)[..., 0].ravel().tolist()
+        means = np.stack([_means(result.rho_hat, pset, acq) for result, acq in stack])
+        counts = _poisson(np.repeat(means, resamples, axis=0), seeds, _outcome_keys(pset))
+        rho = hermitize(_mle_batch(counts.astype(float), pset.flattened(), dilution=1.0,
+                                   max_iterations=max_iterations, tolerance=tolerance)[0])
+        check_density(rho)
+        targets = [(result.rho_hat if result.target is None else result.target).matrix
+                   for result, _ in stack]
+        figures = _figures(rho, np.repeat(np.stack(targets), resamples, axis=0))
+        check_ranges(*figures)
+        errors += [{name: float(np.std(values[first:first + resamples], ddof=1))
+                    for name, values in zip(names, figures)}
+                   for first in range(0, len(rho), resamples)]
+    return errors
 
 
 def bootstrap_errors(
@@ -268,21 +340,11 @@ def bootstrap_errors(
     Counts are resimulated from result.rho_hat with per-resample derived
     seeds, reconstructed as one batch, checked as a single result would be,
     and the metrics recomputed against the original target (rho_hat itself
-    when no target was supplied).
+    when no target was supplied). A batch of one point.
     """
-    if resamples < 2:
-        raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
-    seeds = [derive_seed(acq.seed, _BOOTSTRAP_STREAM, index) for index in range(resamples)]
-    counts = _simulate(result.rho_hat, pset, acq, seeds).astype(float)
-    rho = hermitize(_mle_batch(
-        counts, pset.flattened(), max_iterations=max_iterations, tolerance=tolerance, dilution=1.0,
-    )[0])
-    check_density(rho)
-    target = result.target if result.target is not None else result.rho_hat
-    figures = _figures(rho, target.matrix)
-    check_ranges(*figures)
-    names = ("purity", "tangle", "visibility", "fidelity")  # recon.json order, as in figures
-    return {name: float(np.std(values, ddof=1)) for name, values in zip(names, figures)}
+    return _bootstrap_batch(
+        [result], pset, [acq], resamples, max_iterations=max_iterations, tolerance=tolerance,
+    )[0]
 
 
 def result_to_json_dict(result: ReconstructionResult) -> dict:
@@ -306,19 +368,24 @@ def result_to_json_dict(result: ReconstructionResult) -> dict:
 
 
 def result_from_json_dict(data: dict) -> ReconstructionResult:
+    """The result in data, every field of its JSON kind; floored_outcomes may be absent."""
+    what = "reconstruction JSON field"
     with parsing("reconstruction JSON"):
-        target = data.get("target")
-        errors = data.get("metric_errors")
+        trace = typed(data["ll_trace"], list, f"{what} 'll_trace'")
+        target, errors = data.get("target"), data.get("metric_errors")
+        if errors is not None:
+            typed(errors, dict, f"{what} 'metric_errors'")
         return ReconstructionResult(
             rho_hat=DensityMatrix(matrix_from_json_dict(data["rho_hat"])),
-            log_likelihood=float(data["log_likelihood"]),
-            ll_trace=[float(x) for x in data["ll_trace"]],
-            iterations=int(data["iterations"]),
-            converged=bool(data["converged"]),
+            log_likelihood=float(typed(data["log_likelihood"], float, f"{what} 'log_likelihood'")),
+            ll_trace=[float(typed(x, float, f"{what} 'll_trace' entry")) for x in trace],
+            iterations=_count(data["iterations"], f"{what} 'iterations'"),
+            converged=typed(data["converged"], bool, f"{what} 'converged'"),
             metrics=MetricsReport.from_json_dict(data["metrics"]),
-            metric_errors=({k: float(v) for k, v in errors.items()} if errors else None),
-            target=(DensityMatrix(matrix_from_json_dict(target)) if target else None),
-            floored_outcomes=int(data.get("floored_outcomes", 0)),
+            metric_errors=({key: float(typed(value, float, f"{what} 'metric_errors' entry"))
+                            for key, value in errors.items()} if errors else None),
+            target=(None if target is None else DensityMatrix(matrix_from_json_dict(target))),
+            floored_outcomes=_count(data.get("floored_outcomes", 0), f"{what} 'floored_outcomes'"),
         )
 
 

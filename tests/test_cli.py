@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,8 @@ from bellmix.optics import (
 )
 from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
 from bellmix.counting import CountRecord
-from bellmix.sweep import SweepSpec
+from bellmix.errors import NoCounts
+from bellmix.sweep import SweepSpec, run_sweep
 
 
 def write_json(path, data):
@@ -227,6 +229,42 @@ def test_sweep_outputs_and_determinism(tmp_path):
     )
     third = _tree_bytes(tmp_path / "out3")
     assert first == third
+
+
+@pytest.mark.parametrize("alphas, parallel", [
+    ([0.0, 0.2, 0.5, 0.8], 2),
+    ([0.0, 0.2, 0.5, 0.8], 3),
+    ([0.3], 4),  # two points, so two of four workers would get an empty share
+])
+def test_pooled_shares_write_the_serial_tree(tmp_path, alphas, parallel):
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": alphas, "acquisition": {"pairs_per_setting": 1e3, "seed": 9},
+                      "include_completely_mixed": True, "resamples": 3})
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "serial")]) == 0
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "pooled"),
+                 "--parallel", str(parallel)]) == 0
+    serial = _tree_bytes(tmp_path / "serial")
+    assert len(serial) == 1 + 3 * (len(alphas) + 1)
+    assert _tree_bytes(tmp_path / "pooled") == serial
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+@pytest.mark.parametrize("pairs, seed, first", [
+    (1e-9, 1, "alpha=0 (pump_vpr)"),  # no point has counts
+    # Point 0 has counts but a resample without any; point 1 has none. The
+    # first point to fail is named, although its bootstrap stage runs last.
+    (0.1, 7, "alpha=0 (pump_vpr)"),
+    (0.1, 11, "alpha=0.5 (pump_vpr)"),  # point 0 and its resamples all have counts
+])
+def test_sweep_error_names_the_first_failing_point(tmp_path, capsys, parallel, pairs, seed, first):
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.0, 0.5, 1.0, 0.25], "resamples": 3,
+                      "acquisition": {"pairs_per_setting": pairs, "seed": seed},
+                      "outputs": str(tmp_path / "out")})
+    assert main(["sweep", "--spec", str(spec), "--parallel", str(parallel)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: sweep point {first}: all counts are zero")
+    with pytest.raises(NoCounts, match=rf"^sweep point {re.escape(first)}: "):
+        run_sweep(SweepSpec.from_file(spec), parallel=parallel)
 
 
 def test_readme_sweep_csv_is_pinned(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellmix.counting import (
+    _BOOTSTRAP_STREAM,
     _SCAN_STREAM,
     AcquisitionConfig,
     CountRecord,
@@ -333,6 +334,15 @@ def test_philox_keys_equal_seed_sequence():
             assert got[b, k].tolist() == sequence.generate_state(2, np.uint64).tolist()
             philox = stream(seed, *key).bit_generator
             assert got[b, k].tolist() == philox.state["state"]["key"].tolist()
+
+
+def test_derive_seed_is_first_philox_key_word():
+    # Bootstrap resample seeds of a whole stack come from one _philox_keys call.
+    keys = [(_BOOTSTRAP_STREAM, index) for index in range(50)]
+    seeds = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 123456789]
+    words = _philox_keys(seeds, keys)[..., 0]
+    for b, seed in enumerate(seeds):
+        assert words[b].tolist() == [derive_seed(seed, *key) for key in keys]
 
 
 def test_poisson_rows_equal_streams():

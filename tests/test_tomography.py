@@ -12,14 +12,15 @@ from bellmix.counting import (
     simulate_counts,
 )
 from bellmix.errors import DataParse, MismatchedData, NoCounts
-from bellmix.linalg import DensityMatrix, PureState, hermitize, nearest_physical
-from bellmix.metrics import fidelity, report_for
+from bellmix.linalg import PureState, nearest_physical
+from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
 from bellmix.tomography import (
-    ReconstructionResult,
+    _bootstrap_batch,
     _count_vector,
-    _mle_batch,
+    _STACK_SAMPLES,
+    _reconstruct_batch,
     bootstrap_errors,
     log_likelihood,
     mle_reconstruct,
@@ -323,35 +324,11 @@ def test_mle_matches_scalar_reference_loop():
         assert (result.iterations, result.converged) == (iterations, converged)
 
 
-def _ll_trace(history, b):
-    """Sample b's trace from a batch history: its start value, then each accepted step's."""
-    trace, rows = [], None
-    for step_rows, ll, rejected in history:
-        if step_rows is not rows:  # the working arrays were compacted
-            rows, pos = step_rows, int(step_rows.searchsorted(b))
-            if pos == len(rows) or rows[pos] != b:
-                break  # sample b had stopped
-        if not rejected[pos]:
-            trace.append(float(ll[pos]))
-    return trace
-
-
 def _batch(record_sets, target=None, description="self", max_iterations=10000):
-    """One result per record set, assembled from a single batched run."""
-    counts = np.stack([_count_vector(records, PSET) for records in record_sets])
-    rho, ll, iterations, converged, floored, history = _mle_batch(
-        counts, PSET.flattened(), max_iterations=max_iterations, tolerance=1e-10, dilution=1.0,
-    )
-    fits = []
-    for b in range(len(counts)):
-        rho_hat = DensityMatrix(hermitize(rho[b]))
-        fits.append(ReconstructionResult(
-            rho_hat=rho_hat, log_likelihood=float(ll[b]), ll_trace=_ll_trace(history, b),
-            iterations=int(iterations[b]), converged=bool(converged[b]),
-            metrics=report_for(rho_hat, target=target, target_description=description),
-            target=target, floored_outcomes=int(floored[b]),
-        ))
-    return fits
+    """One result per record set, from a single batched reconstruction."""
+    n = len(record_sets)
+    return _reconstruct_batch(record_sets, PSET, [target] * n, [description] * n,
+                              max_iterations=max_iterations)
 
 
 def _resample_records(result, acq, resamples):
@@ -438,6 +415,41 @@ def test_bootstrap_errors_are_pinned():
     }
 
 
+def test_reconstruct_batch_equals_single_reconstructions():
+    phi = bell_state("phi+").density()
+    zeros = simulate_counts(phi, PSET, AcquisitionConfig(pairs_per_setting=40.0, seed=3))
+    points = [
+        (simulate_counts(mix_duty_cycle(0.1), PSET, AcquisitionConfig(1e6, seed=1)),
+         mix_duty_cycle(0.1), "alpha=0.1"),
+        (zeros, phi, "phi+"),
+        (simulate_counts(mix_duty_cycle(0.5), PSET, AcquisitionConfig(1e3, seed=2)), None, None),
+        (_records_from_vector(np.full(36, 250)), None, "uniform"),
+        (simulate_counts(phi, PSET, AcquisitionConfig(1e5, seed=4)), phi, None),
+    ]
+    records, targets, descriptions = (list(column) for column in zip(*points))
+    assert min(_count_vector(zeros, PSET)) == 0
+    batch = _reconstruct_batch(records, PSET, targets, descriptions)
+    singles = [mle_reconstruct(records, PSET, target=target, target_description=description)
+               for records, target, description in points]
+    assert len({result.iterations for result in singles}) == len(points)
+    for batched, alone in zip(batch, singles):
+        assert result_to_json_dict(batched) == result_to_json_dict(alone)
+
+
+def test_bootstrap_batch_equals_single_bootstraps():
+    resamples = 50
+    points = []
+    for index, alpha in enumerate((0.0, 0.3, 0.5, 0.8, 1.0)):
+        acq = AcquisitionConfig(pairs_per_setting=1e3, seed=500 + index)
+        target = mix_duty_cycle(alpha) if index != 2 else None
+        points.append((mle_reconstruct(simulate_counts(mix_duty_cycle(alpha), PSET, acq), PSET,
+                                       target=target), acq))
+    assert len(points) * resamples > _STACK_SAMPLES  # more than one stack
+    batch = _bootstrap_batch([result for result, _ in points], PSET,
+                             [acq for _, acq in points], resamples)
+    assert batch == [bootstrap_errors(result, PSET, acq, resamples) for result, acq in points]
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -462,18 +474,33 @@ def test_result_json_round_trip():
 
 
 
+def _uniform_result_dict():
+    records = [CountRecord(setting_index=i, outcome_counts=(250,) * 4) for i in range(9)]
+    return result_to_json_dict(mle_reconstruct(records, PSET))
+
+
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{", b"{", b"[1, 2]", {"metric_errors": [1.0]}, {"iterations": float("inf")}],
+    [b"\xff\xfe{", b"{", b"[1, 2]", {"metric_errors": [1.0]}, {"iterations": float("inf")},
+     {"converged": "false"}, {"iterations": 3.7}, {"metrics": {"purity": "0.9"}}],
 )
 def test_read_result_json_rejects_bad_files(tmp_path, content):
     if isinstance(content, dict):  # one field of a valid result replaced
-        records = [CountRecord(setting_index=i, outcome_counts=(250,) * 4) for i in range(9)]
-        data = result_to_json_dict(mle_reconstruct(records, PSET))
-        content = json.dumps({**data, **content}).encode()
+        data = _uniform_result_dict()
+        for key, value in content.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        content = json.dumps(data).encode()
     path = tmp_path / "recon.json"
     path.write_bytes(content)
     with pytest.raises(DataParse):
         read_result_json(path)
     with pytest.raises(DataParse):
         read_result_json(tmp_path / "missing.json")
+
+
+def test_read_result_json_without_floored_outcomes(tmp_path):
+    data = _uniform_result_dict()
+    del data["floored_outcomes"]
+    path = tmp_path / "recon.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert read_result_json(path).floored_outcomes == 0
