@@ -176,10 +176,11 @@ def _bootstrap(points: list, pset, resamples: int) -> None:
 
 
 def _run_share(spec: SweepSpec, points: list) -> tuple:
-    """Run every stage over points; returns them and None, or the failure of the first that fails.
+    """Run every stage over points; returns (points, None), or (points, failure) if one fails.
 
-    A failure is (point index, error), and only the points before it go on to
-    later stages, so the first point that fails at any stage is found. A
+    A failure is (point index, error). Only the points before a failing one
+    go on to later stages, and they are the points returned, so the failure
+    is that of the first point that fails at any stage. A
     stage that fails is repeated point by point only to name the point: each
     sample of a batch comes out as it would alone, so the batch fails exactly
     when one of its points does.
