@@ -119,7 +119,10 @@ def _cmd_reconstruct(args) -> int:
             pairs_per_setting=max(1.0, sum(totals) / len(totals)),
             seed=_effective_seed(args.seed, 0),
         )
-        result.metric_errors = bootstrap_errors(result, pset, acq, args.resamples)
+        result.metric_errors = bootstrap_errors(
+            result, pset, acq, args.resamples,
+            max_iterations=args.max_iterations, tolerance=args.tolerance,
+        )
     write_result_json(args.out, result)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 

@@ -44,6 +44,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
+# The largest Poisson mean numpy draws (POISSON_LAM_MAX in numpy/random/_generator.pyx).
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
@@ -153,7 +156,12 @@ def _poisson(means, seeds, keys) -> np.ndarray:
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty((len(seeds), len(keys)), dtype=np.int64)
-    rows = np.broadcast_to(np.asarray(means, dtype=float), counts.shape).tolist()
+    means = np.broadcast_to(np.asarray(means, dtype=float), counts.shape)
+    too_large = means[means > _POISSON_MAX]
+    if too_large.size:
+        raise OutOfRange(f"Poisson mean {float(too_large.max())!r} is above "
+                         f"{_POISSON_MAX!r}, the largest numpy can draw")
+    rows = means.tolist()
     for b, (row, row_means) in enumerate(zip(_philox_keys(seeds, keys), rows)):
         for k, (key, mean) in enumerate(zip(row.tolist(), row_means)):
             state["state"]["key"] = key

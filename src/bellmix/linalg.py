@@ -58,9 +58,8 @@ def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(m, dtype=complex)
     require_hermitian(m)
-    w, v = np.linalg.eigh(hermitize(m))
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+    w, v = np.linalg.eigh(hermitize(m))  # ascending
+    return w[..., ::-1], v[..., ::-1]
 
 
 def matrix_sqrt(m: np.ndarray) -> np.ndarray:

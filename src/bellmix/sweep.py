@@ -4,18 +4,17 @@ A sweep writes one directory per point (state.json, counts.csv, recon.json)
 plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
 bootstrap error bars, and the closed-form theory columns.
 
-The points run in stages, each over all of them at once: set-up (generate
-and simulate), reconstruction as one batch, and the bootstrap, whose
-resamples are reconstructed in stacks of whole points. A process pool splits
+Each point is generated and simulated, then all of them are reconstructed as
+one batch and bootstrapped in stacks of whole points. A process pool splits
 the grid into interleaved shares (point i goes to share i % workers), and
-each worker runs every stage over its share. Every point derives its seed
-from (master seed, point index) and every sample of a batch comes out as it
-would alone, and all files are written by the coordinating process in point
-order, so output bytes do not depend on batching or on the pool.
+each worker runs its share this way. Every point derives its seed from
+(master seed, point index) and every sample of a batch comes out as it would
+alone, and all files are written by the coordinating process in point order,
+so output bytes do not depend on batching or on the pool.
 
-A failing sweep raises the error of the first point, in grid order, that
-fails at any stage, named after that point, as a sweep run one point at a
-time would; serial and pooled runs name the same point.
+A sweep that fails is rerun one point at a time to name the first point, in
+grid order, that fails: a batch fails exactly when one of its points fails
+alone. Serial and pooled runs name the same point.
 """
 
 from __future__ import annotations
@@ -127,11 +126,8 @@ class SweepPoint:
     index: int
     alpha: float
     source: str
-    acq: AcquisitionConfig | None = None
     state: DensityMatrix | None = None
     records: list | None = None
-    target: DensityMatrix | None = None
-    description: str = ""
     theory: tuple = ()
     result: ReconstructionResult | None = None
 
@@ -140,92 +136,57 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def _set_up(points: list, spec: SweepSpec, pset) -> None:
-    """Each point's source, target, seed, state and simulated counts."""
+def _run(spec: SweepSpec, points: list) -> list:
+    """Generate and simulate each point, then reconstruct and bootstrap them all as batches."""
+    pset = standard_projector_set()
+    targets, descriptions, acqs = [], [], []
     for point in points:
         alpha = point.alpha
         if point.source == "two_vpr":
             config = SourceConfig(alpha=alpha, signal_dc=0.5, noise=spec.noise)
-            point.target = completely_mixed()
-            point.description = "identity/4"
+            targets.append(completely_mixed())
+            descriptions.append("identity/4")
             point.theory = (0.0, 0.0, 0.25)
         else:
             config = SourceConfig(alpha=alpha, noise=spec.noise)
-            point.target = mix_duty_cycle(alpha)
-            point.description = f"duty-cycle mixture alpha={alpha:g}"
+            targets.append(mix_duty_cycle(alpha))
+            descriptions.append(f"duty-cycle mixture alpha={alpha:g}")
             point.theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
-        point.acq = replace(spec.acquisition,
-                            seed=derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index))
+        seed = derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index)
+        acqs.append(replace(spec.acquisition, seed=seed))
         point.state = generate(config)
-        point.records = simulate_counts(point.state, pset, point.acq)
-
-
-def _reconstruct(points: list, pset) -> None:
-    results = _reconstruct_batch([point.records for point in points], pset,
-                                 [point.target for point in points],
-                                 [point.description for point in points])
+        point.records = simulate_counts(point.state, pset, acqs[-1])
+    results = _reconstruct_batch([point.records for point in points], pset, targets, descriptions)
+    if spec.resamples:
+        for result, errors in zip(results, _bootstrap_batch(results, pset, acqs, spec.resamples)):
+            result.metric_errors = errors
     for point, result in zip(points, results):
         point.result = result
-
-
-def _bootstrap(points: list, pset, resamples: int) -> None:
-    errors = _bootstrap_batch([point.result for point in points], pset,
-                              [point.acq for point in points], resamples)
-    for point, metric_errors in zip(points, errors):
-        point.result.metric_errors = metric_errors
-
-
-def _run_share(spec: SweepSpec, points: list) -> tuple:
-    """Run every stage over points; returns (points, None), or (points, failure) if one fails.
-
-    A failure is (point index, error). Only the points before a failing one
-    go on to later stages, and they are the points returned, so the failure
-    is that of the first point that fails at any stage. A
-    stage that fails is repeated point by point only to name the point: each
-    sample of a batch comes out as it would alone, so the batch fails exactly
-    when one of its points does.
-    """
-    pset = standard_projector_set()
-    stages = [partial(_set_up, spec=spec, pset=pset), partial(_reconstruct, pset=pset)]
-    if spec.resamples:
-        stages.append(partial(_bootstrap, pset=pset, resamples=spec.resamples))
-    failure = None
-    for stage in stages:
-        try:
-            stage(points)
-        except BellmixError:
-            for position, point in enumerate(points):
-                try:
-                    stage([point])
-                except BellmixError as exc:
-                    named = type(exc)(f"sweep point alpha={point.alpha:g} ({point.source}): {exc}")
-                    named.__cause__ = exc
-                    failure, points = (point.index, named), points[:position]
-                    break
-            else:
-                raise
-            if not points:
-                break
-    return points, failure
+    return points
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     """Execute the sweep and write all artifacts to spec.outputs; returns the points in order."""
     points = [SweepPoint(index, alpha, source) for index, (alpha, source) in enumerate(spec.grid())]
     shares = max(1, min(parallel, len(points)))
-    if shares > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
+    try:
+        if shares > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
 
-        with ProcessPoolExecutor(max_workers=shares) as pool:
-            outcomes = list(pool.map(partial(_run_share, spec),
-                                     [points[share::shares] for share in range(shares)]))
-    else:
-        outcomes = [_run_share(spec, points)]
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    for share, (share_points, _) in enumerate(outcomes):
-        points[share::shares] = share_points
+            with ProcessPoolExecutor(max_workers=shares) as pool:
+                outcomes = pool.map(partial(_run, spec),
+                                    [points[share::shares] for share in range(shares)])
+                for share, share_points in enumerate(outcomes):
+                    points[share::shares] = share_points
+        else:
+            _run(spec, points)
+    except BellmixError:
+        for point in points:
+            try:
+                _run(spec, [point])
+            except BellmixError as exc:
+                raise type(exc)(f"sweep point alpha={point.alpha:g} ({point.source}): {exc}") from exc
+        raise
 
     outdir = spec.outputs
     os.makedirs(outdir, exist_ok=True)

@@ -42,7 +42,7 @@ from .counting import (
     _poisson,
     validate_against,
 )
-from .errors import NoCounts, OutOfRange
+from .errors import DataParse, NoCounts, OutOfRange
 from .fileio import parsing, read_json, typed, write_json
 from .linalg import (
     DensityMatrix,
@@ -62,6 +62,9 @@ TOLERANCE = 1e-10
 
 # Most bootstrap resamples reconstructed in one stack; a point's resamples are never split.
 _STACK_SAMPLES = 200
+
+# The keys of metric_errors, in recon.json order, which is _figures order.
+_ERROR_NAMES = ("purity", "tangle", "visibility", "fidelity")
 
 
 @dataclass
@@ -305,7 +308,6 @@ def _bootstrap_batch(
         raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
     per_stack = max(1, _STACK_SAMPLES // resamples)
     keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]
-    names = ("purity", "tangle", "visibility", "fidelity")  # recon.json order, as in figures
     errors = []
     for start in range(0, len(results), per_stack):
         stack = list(zip(results[start:start + per_stack], acqs[start:start + per_stack]))
@@ -321,7 +323,7 @@ def _bootstrap_batch(
         figures = _figures(rho, np.repeat(np.stack(targets), resamples, axis=0))
         check_ranges(*figures)
         errors += [{name: float(np.std(values[first:first + resamples], ddof=1))
-                    for name, values in zip(names, figures)}
+                    for name, values in zip(_ERROR_NAMES, figures)}
                    for first in range(0, len(rho), resamples)]
     return errors
 
@@ -367,23 +369,38 @@ def result_to_json_dict(result: ReconstructionResult) -> dict:
     }
 
 
+def _finite(value, what: str) -> float:
+    """value as a float, if it is a finite JSON number; else DataParse."""
+    value = float(typed(value, float, what))
+    if not math.isfinite(value):
+        raise DataParse(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def result_from_json_dict(data: dict) -> ReconstructionResult:
-    """The result in data, every field of its JSON kind; floored_outcomes may be absent."""
+    """The result in data, every field of its JSON kind; floored_outcomes may be absent.
+
+    Numbers must be finite, and metric_errors, if present, holds an error
+    bar >= 0 for each metric and nothing else.
+    """
     what = "reconstruction JSON field"
     with parsing("reconstruction JSON"):
         trace = typed(data["ll_trace"], list, f"{what} 'll_trace'")
         target, errors = data.get("target"), data.get("metric_errors")
         if errors is not None:
-            typed(errors, dict, f"{what} 'metric_errors'")
+            errors = {key: _finite(value, f"{what} 'metric_errors' entry")
+                      for key, value in typed(errors, dict, f"{what} 'metric_errors'").items()}
+            if set(errors) != set(_ERROR_NAMES) or min(errors.values()) < 0.0:
+                raise DataParse(f"{what} 'metric_errors' must hold an error >= 0 for each of "
+                                f"{list(_ERROR_NAMES)} and nothing else, got {errors}")
         return ReconstructionResult(
             rho_hat=DensityMatrix(matrix_from_json_dict(data["rho_hat"])),
-            log_likelihood=float(typed(data["log_likelihood"], float, f"{what} 'log_likelihood'")),
-            ll_trace=[float(typed(x, float, f"{what} 'll_trace' entry")) for x in trace],
+            log_likelihood=_finite(data["log_likelihood"], f"{what} 'log_likelihood'"),
+            ll_trace=[_finite(x, f"{what} 'll_trace' entry") for x in trace],
             iterations=_count(data["iterations"], f"{what} 'iterations'"),
             converged=typed(data["converged"], bool, f"{what} 'converged'"),
             metrics=MetricsReport.from_json_dict(data["metrics"]),
-            metric_errors=({key: float(typed(value, float, f"{what} 'metric_errors' entry"))
-                            for key, value in errors.items()} if errors else None),
+            metric_errors=errors,
             target=(None if target is None else DensityMatrix(matrix_from_json_dict(target))),
             floored_outcomes=_count(data.get("floored_outcomes", 0), f"{what} 'floored_outcomes'"),
         )

@@ -16,6 +16,7 @@ from bellmix.cli import main
 from bellmix.counting import (
     AcquisitionConfig,
     counts_to_json_dict,
+    read_counts_csv,
     simulate_counts,
     write_counts_csv,
 )
@@ -30,6 +31,7 @@ from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
 from bellmix.counting import CountRecord
 from bellmix.errors import NoCounts
 from bellmix.sweep import SweepSpec, run_sweep
+from bellmix.tomography import bootstrap_errors, mle_reconstruct
 
 
 def write_json(path, data):
@@ -136,6 +138,21 @@ def test_reconstruct_json_counts_and_bootstrap(tmp_path):
     errors = result["metric_errors"]
     assert set(errors) == {"purity", "tangle", "visibility", "fidelity"}
     assert all(v >= 0.0 for v in errors.values())
+
+
+def test_reconstruct_fits_resamples_with_the_estimate_settings(tmp_path):
+    counts = tmp_path / "counts.csv"
+    recon = tmp_path / "recon.json"
+    assert main(["simulate", "--pairs", "1e4", "--seed", "5", "--out", str(counts)]) == 0
+    assert main(["reconstruct", str(counts), "--max-iterations", "8", "--tolerance", "1e-6",
+                 "--resamples", "5", "--out", str(recon)]) == 4
+    pset = standard_projector_set()
+    records = read_counts_csv(counts)
+    result = mle_reconstruct(records, pset, max_iterations=8, tolerance=1e-6)
+    acq = AcquisitionConfig(pairs_per_setting=sum(sum(r.outcome_counts) for r in records) / 9)
+    capped = bootstrap_errors(result, pset, acq, 5, max_iterations=8, tolerance=1e-6)
+    assert capped != bootstrap_errors(result, pset, acq, 5)
+    assert json.loads(recon.read_text(encoding="utf-8"))["metric_errors"] == capped
 
 
 def test_simulate_writes_csv_to_stdout(capsys):
@@ -375,6 +392,7 @@ def test_import_cli_leaves_process_pool_unloaded():
         {"outputs": 5},
         {"alphas": [0.1, 0.1000001]},
         {"alphas": [0.3, 0.3]},
+        {"acquisition": {"pairs_per_setting": 1e20}},  # a Poisson mean numpy cannot draw
     ],
 )
 def test_sweep_spec_escapes_exit_2(tmp_path, capsys, changes):
@@ -407,6 +425,13 @@ def test_paper_fixtures_command(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("pairs, code", [("1e300", 2), ("1e19", 0)])
+def test_simulate_rejects_a_mean_numpy_cannot_draw(capsys, pairs, code):
+    # At 1e19 pairs the largest mean is 5e18, below numpy's limit of about 9.2e18.
+    assert main(["simulate", "--pairs", pairs]) == code
+    assert ("Poisson mean" in capsys.readouterr().err) == (code == 2)
 
 
 @pytest.mark.parametrize("dilution", ["0", "-1", "nan", "inf"])

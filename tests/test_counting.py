@@ -15,6 +15,7 @@ from bellmix.counting import (
     counts_to_csv,
     counts_to_json_dict,
     _philox_keys,
+    _POISSON_MAX,
     _poisson,
     derive_seed,
     read_counts_json,
@@ -362,3 +363,13 @@ def test_poisson_rows_equal_streams():
 def test_stream_key_words_outside_32_bits_are_rejected(key):
     with pytest.raises(OutOfRange):
         _philox_keys([1], [(0, 0), key])
+
+
+def test_poisson_means_above_numpys_limit_are_rejected():
+    assert _POISSON_MAX == 9.223372006484771e18
+    keys = [(0, 0), (0, 1)]
+    assert _poisson([1.0, _POISSON_MAX], [1], keys)[0, 0] == stream(1, 0, 0).poisson(1.0)
+    with pytest.raises(OutOfRange, match="Poisson mean"):
+        _poisson([1.0, np.nextafter(_POISSON_MAX, np.inf)], [1], keys)
+    with pytest.raises(ValueError):  # numpy's own limit is the same number
+        stream(1, 0, 1).poisson(np.nextafter(_POISSON_MAX, np.inf))

@@ -98,8 +98,8 @@ def test_projector_set_json_round_trip(scratch, rng, angles, names):
 @round_trip
 @given(rng=_RNG, log_likelihood=_FLOAT, ll_trace=st.lists(_FLOAT, max_size=5),
        iterations=st.integers(0, 10**6), converged=st.booleans(),
-       errors=st.none() | st.tuples(*[_FLOAT] * 4), with_target=st.booleans(),
-       floored=st.integers(0, 36))
+       errors=st.none() | st.tuples(*[st.floats(0.0, allow_infinity=False)] * 4),
+       with_target=st.booleans(), floored=st.integers(0, 36))
 def test_result_json_round_trip(scratch, rng, log_likelihood, ll_trace, iterations, converged,
                                 errors, with_target, floored):
     rho_hat = random_density_matrix(rng)

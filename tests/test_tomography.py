@@ -482,13 +482,19 @@ def _uniform_result_dict():
 @pytest.mark.parametrize(
     "content",
     [b"\xff\xfe{", b"{", b"[1, 2]", {"metric_errors": [1.0]}, {"iterations": float("inf")},
-     {"converged": "false"}, {"iterations": 3.7}, {"metrics": {"purity": "0.9"}}],
+     {"converged": "false"}, {"iterations": 3.7}, {"metrics": {"purity": "0.9"}},
+     {"log_likelihood": float("nan")}, {"ll_trace": [float("inf")]},
+     {"metric_errors": {"purity": -1.0, "bogus": 2.0}},
+     {"metric_errors": {"purity": -1.0, "tangle": 0.1, "visibility": 0.1, "fidelity": 0.1}},
+     {"metric_errors": {"purity": 0.1, "tangle": 0.1, "visibility": 0.1, "fidelity": 0.1,
+                        "bogus": 2.0}},
+     {"metric_errors": {}}],
 )
 def test_read_result_json_rejects_bad_files(tmp_path, content):
     if isinstance(content, dict):  # one field of a valid result replaced
         data = _uniform_result_dict()
         for key, value in content.items():
-            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+            data[key] = {**(data[key] or {}), **value} if isinstance(value, dict) else value
         content = json.dumps(data).encode()
     path = tmp_path / "recon.json"
     path.write_bytes(content)
