@@ -6,9 +6,10 @@ accidental background. Every outcome gets its own counter-based random stream
 derived from (seed, setting, outcome), so simulating settings in any order or
 in parallel yields identical results.
 
-stream() defines that contract. Simulation derives the same Philox keys for
-all outcomes and seeds of a batch in one vectorised pass, so each count is the
-one stream() would draw.
+stream() defines that contract. Simulation draws a batch in one vectorised
+pass that transcribes numpy's seed hash, Philox block and Poisson method, and
+leaves to numpy each draw it cannot certify, so each count is the one stream()
+would draw.
 """
 
 from __future__ import annotations
@@ -46,6 +47,22 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 # The largest Poisson mean numpy draws (POISSON_LAM_MAX in numpy/random/_generator.pyx).
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+# Philox4x64-10 (Salmon et al., SC'11; numpy/random/src/philox/philox.h): the
+# multipliers of counter words 0 and 2, their 32-bit halves, and the key bumps.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> np.uint64(32)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+# numpy's random_loggam (numpy/random/src/distributions): Stirling coefficients, highest first.
+_LOGGAM = [-1.39243221690590, 0.1796443723688307, -2.955065359477124e-02, 6.410256410256410e-03,
+           -1.917526917526918e-03, 8.417508417508418e-04, -5.952380952380952e-04,
+           7.936507936507937e-04, -2.777777777777778e-03, 8.333333333333333e-02]
+
+# Relative margin, thousands of ulps, within which a Poisson decision is left to
+# numpy: its C may differ by a few ulps (libm's log and exp, FMA contraction).
+_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,29 +161,92 @@ def _philox_keys(seeds, keys) -> np.ndarray:
     return np.stack(state, axis=-1).astype("<u4").view("<u8")  # word pairs as uint64, lo first
 
 
+def _philox_block(keys) -> np.ndarray:
+    """The first Philox4x64-10 block (counter 1, as numpy draws it) of every key (N, 2) uint64.
+
+    Returns (4, N) uint64. Each round multiplies counter words 0 and 2 into
+    128 bits from 32-bit halves; the key is bumped before every round but the first.
+    """
+    key = keys.T.copy() - _PHILOX_W  # C order: keys.T is a strided view
+    even, odd = np.zeros((2, 2, len(keys)), dtype=np.uint64)  # counter words 0, 2 and 1, 3
+    even[0] = 1
+    for _ in range(10):
+        key += _PHILOX_W
+        x_lo, x_hi = even & _LO32, even >> np.uint64(32)
+        lh = _M_LO * x_hi
+        cross = (_M_LO * x_lo >> np.uint64(32)) + (lh & _LO32) + _M_HI * x_lo
+        hi = _M_HI * x_hi + (lh >> np.uint64(32)) + (cross >> np.uint64(32))
+        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    return np.stack([even, odd], axis=1).reshape(4, -1)
+
+
+def _ptrs(lam: np.ndarray, u: np.ndarray) -> tuple:
+    """numpy's random_poisson_ptrs (means >= 10) on doubles u (4, N): (counts, certified).
+
+    Attempt 1 uses u[0:2] and attempt 2 u[2:4]. A draw is certified if an
+    attempt accepts and every decision up to it is outside the margin.
+    """
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    vr = 0.9277 - 3.6224 / (b - 2)
+    U, V = u[0::2] - 0.5, u[1::2]
+    us = 0.5 - np.abs(U)
+    spread = (2 * a / us + b) * U
+    x = spread + lam + 0.43
+    floor_ok = np.abs(x - np.round(x)) > _SLACK * (np.abs(spread) + lam + 1)
+    k = np.where(floor_ok, np.floor(x), -1).astype(np.int64)
+    fast = (us >= 0.07) & (V <= vr)
+    rejected = ~fast & ((k < 0) | ((us < 0.013) & (V > us)))
+    lhs = np.log(V) + np.log(1.1239 + 1.1328 / (b - 3.4)) - np.log(a / (us * us) + b)
+    n = np.maximum(k, 6) + 1.0  # log(k!) for k >= 6 as numpy's random_loggam(n), to a few ulps
+    log_factorial = (np.polyval(_LOGGAM, 1.0 / n * (1.0 / n)) / n + 0.5 * math.log(2 * math.pi)
+                     + (n - 0.5) * np.log(n) - n)
+    k_log_lam = k * np.log(lam)
+    gap = lhs - (k_log_lam - lam - log_factorial)
+    log_ok = (np.abs(gap) > _SLACK * (lam + np.abs(k_log_lam) + log_factorial)) & (k >= 6)
+    certain = floor_ok & ((us < 0.07) | (np.abs(V - vr) > _SLACK)) & (fast | rejected | log_ok)
+    accepted = fast | (~rejected & (gap <= 0))
+    return (np.where(accepted[0], k[0], k[1]),
+            certain[0] & (accepted[0] | certain[1] & accepted[1]))
+
+
+def _multiplication(lam: np.ndarray, u: np.ndarray) -> tuple:
+    """numpy's random_poisson_mult (means in (0, 10)) on doubles u (4, N): (counts, certified)."""
+    enlam = np.exp(-lam)
+    products = np.cumprod(u, axis=0)  # certified if the last is below and none is near enlam
+    near = np.abs(products - enlam) <= _SLACK * enlam
+    return (products > enlam).sum(axis=0), (products[3] <= enlam) & ~near.any(axis=0)
+
+
 def _poisson(means, seeds, keys) -> np.ndarray:
     """Counts (len(seeds), len(keys)); slot [b, k] is stream(seeds[b], *keys[k]).poisson(mean).
 
-    means is one row (len(keys),) for every seed, or one row per seed. One
-    Philox is rekeyed for every draw, with the state of a fresh
-    Philox(SeedSequence(...)): counter 0 and an empty buffer.
+    means is one row (len(keys),) for every seed, or one row per seed. Each
+    draw that the vectorised pass cannot certify is drawn by numpy from one
+    Philox rekeyed with the state of a fresh Philox(SeedSequence(...)):
+    counter 0 and an empty buffer.
     """
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    counts = np.empty((len(seeds), len(keys)), dtype=np.int64)
+    counts = np.zeros((len(seeds), len(keys)), dtype=np.int64)
     means = np.broadcast_to(np.asarray(means, dtype=float), counts.shape)
     too_large = means[means > _POISSON_MAX]
     if too_large.size:
         raise OutOfRange(f"Poisson mean {float(too_large.max())!r} is above "
                          f"{_POISSON_MAX!r}, the largest numpy can draw")
-    rows = means.tolist()
-    for b, (row, row_means) in enumerate(zip(_philox_keys(seeds, keys), rows)):
-        for k, (key, mean) in enumerate(zip(row.tolist(), row_means)):
-            state["state"]["key"] = key
-            bitgen.state = state
-            counts[b, k] = gen.poisson(mean)
+    lam, flat = means.ravel(), counts.reshape(-1)
+    philox_keys = _philox_keys(seeds, keys).reshape(-1, 2)
+    u = (_philox_block(philox_keys) >> np.uint64(11)) * 2.0**-53  # numpy's next_double
+    certified = lam == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for method, draws in ((_ptrs, lam >= 10), (_multiplication, (lam > 0) & (lam < 10))):
+            flat[draws], certified[draws] = method(lam[draws], u[:, draws])
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for draw in np.flatnonzero(~certified).tolist():
+        state["state"]["key"] = philox_keys[draw].tolist()
+        bitgen.state = state
+        flat[draw] = gen.poisson(lam[draw])
     return counts
 
 
@@ -188,16 +268,19 @@ def _outcome_keys(pset: ProjectorSet) -> list:
     return [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
 
 
+def _simulate(states, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> list:
+    """simulate_counts of every state with acq at its own seed, drawn in one pass."""
+    means = np.stack([_means(rho, pset, acq) for rho in states])
+    return [[CountRecord(setting_index, tuple(row)) for setting_index, row in
+             enumerate(counts.reshape(-1, 4).tolist())]
+            for counts in _poisson(means, seeds, _outcome_keys(pset))]
+
+
 def simulate_counts(
     rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
 ) -> list[CountRecord]:
     """Poisson counts for every setting; fully determined by acq.seed."""
-    counts = _poisson(_means(rho, pset, acq), [acq.seed], _outcome_keys(pset))
-    counts = counts.reshape(pset.n_settings, 4)
-    return [
-        CountRecord(setting_index=setting_index, outcome_counts=tuple(row))
-        for setting_index, row in enumerate(counts.tolist())
-    ]
+    return _simulate([rho], pset, acq, [acq.seed])[0]
 
 
 def visibility_scan(

@@ -4,8 +4,8 @@ A sweep writes one directory per point (state.json, counts.csv, recon.json)
 plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
 bootstrap error bars, and the closed-form theory columns.
 
-Each point is generated and simulated, then all of them are reconstructed as
-one batch and bootstrapped in stacks of whole points. A process pool splits
+Each point is generated, all are simulated in one draw, reconstructed as one
+batch and bootstrapped in stacks of whole points. A process pool splits
 the grid into interleaved shares (point i goes to share i % workers), and
 each worker runs its share this way. Every point derives its seed from
 (master seed, point index) and every sample of a batch comes out as it would
@@ -26,8 +26,8 @@ from functools import partial
 from .counting import (
     _SWEEP_STREAM,
     AcquisitionConfig,
+    _simulate,
     derive_seed,
-    simulate_counts,
     write_counts_csv,
 )
 from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
@@ -137,7 +137,7 @@ def _format(value) -> str:
 
 
 def _run(spec: SweepSpec, points: list) -> list:
-    """Generate and simulate each point, then reconstruct and bootstrap them all as batches."""
+    """Generate each point, then simulate, reconstruct and bootstrap them all as batches."""
     pset = standard_projector_set()
     targets, descriptions, acqs = [], [], []
     for point in points:
@@ -155,7 +155,9 @@ def _run(spec: SweepSpec, points: list) -> list:
         seed = derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index)
         acqs.append(replace(spec.acquisition, seed=seed))
         point.state = generate(config)
-        point.records = simulate_counts(point.state, pset, acqs[-1])
+    states, seeds = [point.state for point in points], [acq.seed for acq in acqs]
+    for point, records in zip(points, _simulate(states, pset, spec.acquisition, seeds)):
+        point.records = records
     results = _reconstruct_batch([point.records for point in points], pset, targets, descriptions)
     if spec.resamples:
         for result, errors in zip(results, _bootstrap_batch(results, pset, acqs, spec.resamples)):
@@ -166,7 +168,9 @@ def _run(spec: SweepSpec, points: list) -> list:
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
-    """Execute the sweep and write all artifacts to spec.outputs; returns the points in order."""
+    """Run the sweep (on `parallel` workers if > 1), write it to spec.outputs, return the points."""
+    if parallel < 0:
+        raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel}")
     points = [SweepPoint(index, alpha, source) for index, (alpha, source) in enumerate(spec.grid())]
     shares = max(1, min(parallel, len(points)))
     try:
@@ -198,23 +202,12 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
         write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
 
-        metrics = point.result.metrics
-        errors = point.result.metric_errors
-        row = [
-            _format(point.alpha),
-            _format(metrics.visibility),
-            _format(metrics.tangle),
-            _format(metrics.purity),
-            _format(metrics.fidelity_to_target),
-            _format(errors["visibility"]) if errors else "",
-            _format(errors["tangle"]) if errors else "",
-            _format(errors["purity"]) if errors else "",
-            _format(errors["fidelity"]) if errors else "",
-            _format(point.theory[0]),
-            _format(point.theory[1]),
-            _format(point.theory[2]),
-            point.source,
-        ]
+        metrics, errors = point.result.metrics, point.result.metric_errors
+        estimates = [point.alpha, metrics.visibility, metrics.tangle, metrics.purity,
+                     metrics.fidelity_to_target]
+        bars = [_format(errors[name]) if errors else ""
+                for name in ("visibility", "tangle", "purity", "fidelity")]
+        row = [*map(_format, estimates), *bars, *map(_format, point.theory), point.source]
         rows.append(",".join(row))
 
     write_text(os.path.join(outdir, "sweep.csv"), "\n".join(rows) + "\n")

@@ -161,6 +161,11 @@ def _mle_batch(
     `traces`, each sample's likelihood trace (else None): its start value and
     its value at every step it accepted.
     """
+    for name, value in (("dilution", dilution), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise OutOfRange(f"{name} must be finite and > 0, got {value!r}")
+    if max_iterations < 0:
+        raise OutOfRange(f"max_iterations must be >= 0, got {max_iterations!r}")
     n = len(counts)
     totals = counts.sum(axis=1)[:, None]
     if not (totals > 0).all():
@@ -240,8 +245,6 @@ def _reconstruct_batch(
     dilution: float = 1.0,
 ) -> list:
     """mle_reconstruct of every record set, with its target and description, as one batch."""
-    if not (math.isfinite(dilution) and dilution > 0.0):
-        raise OutOfRange(f"dilution must be finite and > 0, got {dilution!r}")
     counts = np.stack([_count_vector(records, pset) for records in record_sets])
     rho, ll, iterations, converged, floored, traces = _mle_batch(
         counts, pset.flattened(),

@@ -29,7 +29,7 @@ from bellmix.optics import (
 )
 from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
 from bellmix.counting import CountRecord
-from bellmix.errors import NoCounts
+from bellmix.errors import NoCounts, OutOfRange
 from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import bootstrap_errors, mle_reconstruct
 
@@ -441,6 +441,28 @@ def test_reconstruct_rejects_nonpositive_dilution(tmp_path, capsys, dilution):
     assert main(["reconstruct", str(counts), "--dilution", dilution]) == 2
     assert "dilution" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "inf"), ("--tolerance", "nan"), ("--tolerance", "0"), ("--tolerance", "-1"),
+    ("--max-iterations", "-5"),
+])
+def test_reconstruct_rejects_stop_settings_that_cannot_stop_right(tmp_path, capsys, flag, value):
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e4", "--seed", "1", "--out", str(counts)]) == 0
+    assert main(["reconstruct", str(counts), flag, value]) == 2
+    assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+    assert main(["reconstruct", str(counts), "--max-iterations", "0"]) == 4
+
+
+def test_sweep_rejects_a_negative_worker_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    spec = _sweep_spec(tmp_path, out)
+    assert main(["sweep", "--spec", str(spec), "--parallel", "-2"]) == 2
+    assert "parallel must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(OutOfRange, match="parallel"):
+        run_sweep(SweepSpec.from_file(spec), parallel=-1)
 
 def test_sweep_exit_code_ignores_stale_points(tmp_path):
     out = tmp_path / "out"

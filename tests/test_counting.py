@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellmix.counting import (
     _BOOTSTRAP_STREAM,
@@ -14,9 +17,12 @@ from bellmix.counting import (
     counts_from_json_dict,
     counts_to_csv,
     counts_to_json_dict,
+    _philox_block,
     _philox_keys,
     _POISSON_MAX,
+    _multiplication,
     _poisson,
+    _ptrs,
     derive_seed,
     read_counts_json,
     simulate_counts,
@@ -357,6 +363,111 @@ def test_poisson_rows_equal_streams():
         assert counts[b].tolist() == [
             int(stream(seed, *key).poisson(mean)) for key, mean in zip(keys, means)
         ]
+
+
+# Philox's key bumps: a key word n bumps short of 2**64 wraps to 0 on bump n.
+_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+@pytest.mark.parametrize("key", [
+    (0, 0), (2**64 - 1, 2**64 - 1), (2**64 - 1, 0), (2**64 - _BUMPS[0], 2**64 - _BUMPS[1]),
+    (2**64 - _BUMPS[0] + 1, 2**64 - 5 * _BUMPS[1] % 2**64), (0x0123456789ABCDEF, 2**63),
+])
+def test_philox_block_equals_numpy(key):
+    block = _philox_block(np.array([key, key[::-1]], dtype=np.uint64))
+    assert block.dtype == np.uint64 and block.shape == (4, 2)
+    for column, words in enumerate([key, key[::-1]]):
+        expected = np.random.Philox(key=np.array(words, dtype=np.uint64)).random_raw(4)
+        assert block[:, column].tolist() == expected.tolist()
+
+
+def _ptrs_step(seed, key, mean):
+    """(path, attempt) that ends numpy's random_poisson_ptrs for stream(seed, *key).poisson(mean).
+
+    A scalar transcription in Python floats: path is "fast" (the squeeze
+    test), "log" (the log test), or "later" when attempts 1 and 2 both reject.
+    """
+    words = stream(seed, *key).bit_generator.random_raw(4).tolist()
+    u = [(word >> 11) * 2.0**-53 for word in words]
+    b = 0.931 + 2.53 * math.sqrt(mean)
+    a = -0.059 + 0.02483 * b
+    invalpha, vr = 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2)
+    for attempt in (1, 2):
+        U, V = u[2 * attempt - 2] - 0.5, u[2 * attempt - 1]
+        us = 0.5 - abs(U)
+        k = math.floor((2 * a / us + b) * U + mean + 0.43)
+        if us >= 0.07 and V <= vr:
+            return "fast", attempt
+        if k < 0 or (us < 0.013 and V > us):
+            continue
+        lhs = math.log(V) + math.log(invalpha) - math.log(a / (us * us) + b)
+        if lhs <= -mean + k * math.log(mean) - math.lgamma(k + 1):
+            return "log", attempt
+    return "later", 3
+
+
+# Seeds found by search whose draw at key (3, 1) and mean 2.5e5 ends at each step.
+_PTRS_STEPS = {("log", 1): 15, ("fast", 2): 3, ("log", 2): 96, ("later", 3): 155}
+
+
+def test_pinned_seeds_reach_every_ptrs_step():
+    for step, seed in _PTRS_STEPS.items():
+        assert _ptrs_step(seed, (3, 1), 2.5e5) == step
+    # Left to numpy: a draw needing a third attempt, and one whose attempt 2
+    # log test at mean 1e9 is decided within the margin.
+    assert _ptrs_step(96, (3, 1), 1e9) == ("log", 2)
+    for seed, mean in ((_PTRS_STEPS["later", 3], 2.5e5), (96, 1e9)):
+        u = (_philox_block(_philox_keys([seed], [(3, 1)])[0]) >> np.uint64(11)) * 2.0**-53
+        assert not _ptrs(np.array([mean]), u)[1][0]
+
+
+def test_decisions_at_a_boundary_are_left_to_numpy():
+    # numpy's C may differ by a few ulps (libm's log and exp, FMA contraction),
+    # so a draw whose decision is that close to its boundary is not certified.
+    u = (_philox_block(_philox_keys([1], [(0, 0)])[0]) >> np.uint64(11)) * 2.0**-53
+    U, V = float(u[0, 0]) - 0.5, float(u[1, 0])
+    us = 0.5 - abs(U)
+    assert us >= 0.07 and V < 0.9
+    squeeze = ((2 + 3.6224 / (0.9277 - V) - 0.931) / 2.53) ** 2  # its vr is V
+    floor = 1e6
+    for _ in range(4):  # move the mean until the floor's argument is 1e-9 above an integer
+        b = 0.931 + 2.53 * math.sqrt(floor)
+        x = (2 * (-0.059 + 0.02483 * b) / us + b) * U + floor + 0.43
+        floor += round(x) - x + 1e-9
+    product = -math.log(float(u[0, 0]) * float(u[1, 0]))  # exp(-mean) is a running product
+    for method, mean in ((_ptrs, squeeze), (_ptrs, floor), (_multiplication, product)):
+        assert not method(np.array([mean]), u)[1][0]
+
+
+_MEANS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+    st.floats(10.0, 1e3),
+    st.floats(1e3, 1e15),
+    st.just(_POISSON_MAX),
+)
+
+
+@st.composite
+def _batches(draw):
+    """(seeds, keys, means) with one mean per seed and key, from every branch of the draw."""
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    word = st.integers(0, 2**32 - 1)
+    keys = draw(st.lists(st.tuples(word, word), min_size=1, max_size=6))
+    return seeds, keys, [[draw(_MEANS) for _ in keys] for _ in seeds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_batches())
+@example(batch=(list(_PTRS_STEPS.values()), [(3, 1)], [[2.5e5]] * len(_PTRS_STEPS)))
+def test_poisson_equals_stream_on_every_branch(batch):
+    seeds, keys, means = batch
+    counts = _poisson(means, seeds, keys)
+    for b, seed in enumerate(seeds):
+        assert counts[b].tolist() == [
+            int(stream(seed, *key).poisson(mean)) for key, mean in zip(keys, means[b])
+        ]
+        assert counts[b].tolist() == _poisson(means[b], [seed], keys)[0].tolist()
 
 
 @pytest.mark.parametrize("key", [(2**32, 0), (0, 2**32), (-1, 0), (3, -1), (2**64, 1)])

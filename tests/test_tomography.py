@@ -11,7 +11,7 @@ from bellmix.counting import (
     derive_seed,
     simulate_counts,
 )
-from bellmix.errors import DataParse, MismatchedData, NoCounts
+from bellmix.errors import DataParse, MismatchedData, NoCounts, OutOfRange
 from bellmix.linalg import PureState, nearest_physical
 from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
@@ -265,6 +265,21 @@ def test_bootstrap_requires_two_resamples():
     with pytest.raises(NoCounts):
         bootstrap_errors(result, PSET, acq, 1)
 
+
+
+@pytest.mark.parametrize("stop", [
+    {"tolerance": float("inf")}, {"tolerance": float("nan")}, {"tolerance": 0.0},
+    {"tolerance": -1.0}, {"max_iterations": -5},
+], ids=["tolerance-inf", "tolerance-nan", "tolerance-0", "tolerance-neg", "max_iterations-neg"])
+def test_fits_reject_stop_settings_that_cannot_stop_right(stop):
+    acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
+    records = simulate_counts(mix_duty_cycle(0.5), PSET, acq)
+    with pytest.raises(OutOfRange, match=next(iter(stop))):
+        mle_reconstruct(records, PSET, **stop)
+    result = mle_reconstruct(records, PSET)
+    with pytest.raises(OutOfRange, match=next(iter(stop))):
+        bootstrap_errors(result, PSET, acq, 3, **stop)
+    assert mle_reconstruct(records, PSET, max_iterations=0).iterations == 0
 
 # ---------------------------------------------------------------------------
 # Batched reconstruction equals one-at-a-time reconstruction, bit for bit
