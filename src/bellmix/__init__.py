@@ -16,7 +16,6 @@ from .counting import (
 )
 from .linalg import (
     DensityMatrix,
-    PureState,
     hermitian_eigen,
     matrix_sqrt,
     nearest_physical,
@@ -42,12 +41,10 @@ from .optics import (
 from .states import (
     NoiseParams,
     SourceConfig,
-    apply_signal_rotator,
     bell_state,
     completely_mixed,
     generate,
     mix_duty_cycle,
-    pump_state,
 )
 from .sweep import SweepSpec, run_sweep
 from .tomography import (
@@ -66,13 +63,11 @@ __all__ = [
     "MetricsReport",
     "NoiseParams",
     "ProjectorSet",
-    "PureState",
     "ReconstructionResult",
     "SourceConfig",
     "SweepSpec",
     "WaveplateSetting",
     "analyzer_projectors",
-    "apply_signal_rotator",
     "bell_state",
     "born_probabilities",
     "bootstrap_errors",
@@ -89,7 +84,6 @@ __all__ = [
     "mix_duty_cycle",
     "mle_reconstruct",
     "nearest_physical",
-    "pump_state",
     "purity",
     "report_for",
     "run_sweep",

@@ -15,7 +15,6 @@ would draw.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,13 +92,6 @@ class AcquisitionConfig:
         with parsing("acquisition", InvalidConfig):
             return cls(**{key: kinds[key](value) for key, value in data.items()})
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs_per_setting": float(self.pairs_per_setting),
-            "accidental_rate": float(self.accidental_rate),
-            "seed": int(self.seed),
-        }
-
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -125,10 +117,14 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _hashmix(value, step: int, init: int, mult: int):
-    """numpy's hashmix of uint32 words, at step `step` of the hash constant init * mult**step."""
-    const = init * pow(mult, step, 2**32) % 2**32
-    value = (value ^ np.uint32(const)) * np.uint32(const * mult % 2**32)
+def _hashmix(value, steps, init: int, mult: int):
+    """numpy's hashmix of uint32 words at each step s of the hash constant init * mult**s.
+
+    Returns (len(steps), ...): value, or row i of value, hashed at steps[i].
+    """
+    const = [init * pow(mult, step, 2**32) % 2**32 for step in steps]
+    xor, times = np.array([const, [c * mult % 2**32 for c in const]], np.uint32)[..., None, None]
+    value = (value ^ xor) * times
     return value ^ value >> 16
 
 
@@ -146,19 +142,17 @@ def _philox_keys(seeds, keys) -> np.ndarray:
     """
     if any(not 0 <= word < 2**32 for key in keys for word in key):
         raise OutOfRange(f"stream key words must be integers in [0, 2**32), got {keys!r}")
-    step = itertools.count()
     entropy = [[seed & 0xFFFFFFFF, seed >> 32, 0, 0] for seed in map(int, seeds)]
-    words = np.array(entropy, dtype=np.uint32).reshape(-1, 4).T
-    pool = [_hashmix(word[:, None], next(step), _INIT_A, _MULT_A) for word in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(step), _INIT_A, _MULT_A))
-    for word in np.array(keys, dtype=np.uint32).reshape(-1, 2).T:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, next(step), _INIT_A, _MULT_A))
-    state = [_hashmix(word, i, _INIT_B, _MULT_B) for i, word in enumerate(pool)]
-    return np.stack(state, axis=-1).astype("<u4").view("<u8")  # word pairs as uint64, lo first
+    words = np.array(entropy, dtype=np.uint32).reshape(-1, 4).T[..., None]  # (4, B, 1)
+    pool = _hashmix(words, range(4), _INIT_A, _MULT_A)
+    for src in range(4):  # one source word's hashes mix into the other three words at once
+        dst = [word for word in range(4) if word != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], range(4 + 3 * src, 7 + 3 * src),
+                                             _INIT_A, _MULT_A))
+    for index, word in enumerate(np.array(keys, dtype=np.uint32).reshape(-1, 2).T):
+        pool = _mix(pool, _hashmix(word, range(16 + 4 * index, 20 + 4 * index), _INIT_A, _MULT_A))
+    state = np.moveaxis(_hashmix(pool, range(4), _INIT_B, _MULT_B), 0, -1)
+    return np.ascontiguousarray(state, "<u4").view("<u8")  # word pairs as uint64, lo first
 
 
 def _philox_block(keys) -> np.ndarray:
@@ -329,10 +323,13 @@ def counts_from_csv(text: str) -> list[CountRecord]:
         parts = line.split(",")
         if len(parts) != 3:
             raise DataParse(f"counts CSV line {lineno}: expected 3 fields, got {len(parts)}")
+        odd = [field for field in (parts[0], parts[2]) if not (field.isascii() and field.isdigit())]
+        if odd:  # int() would also read '+1', ' 1', '1_0' and non-ASCII digits
+            raise DataParse(f"counts CSV line {lineno}: expected ASCII digits, got {odd[0]!r}")
         try:
             setting_index = _count(int(parts[0]), f"counts CSV line {lineno}")
             count = _count(int(parts[2]), f"counts CSV line {lineno}")
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise DataParse(f"counts CSV line {lineno}: {exc}") from exc
         label = parts[1]
         if label not in OUTCOME_LABELS:

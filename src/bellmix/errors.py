@@ -30,7 +30,7 @@ class ZeroTrace(DataError):
 
 
 class NotNormalized(ConfigError):
-    """Pure-state amplitudes do not have unit norm."""
+    """The pump amplitudes beta and gamma do not have unit norm."""
 
 
 class OutOfRange(ConfigError):
@@ -58,7 +58,7 @@ class ConfigParse(ConfigError):
 
 
 class InvalidConfig(ConfigError):
-    """A configuration file parsed but contains invalid fields."""
+    """A configuration file parsed but contains invalid fields, or an output cannot be written."""
 
 
 class DataParse(DataError):

@@ -3,7 +3,8 @@
 Every file bellmix reads goes through read_text, so an unreadable or non-UTF-8
 file, or text that is not JSON, ends in one one-line error: DataParse for data
 files, ConfigParse for sweep specs and source configs. Every file it writes
-goes through write_text, where a path of None means stdout.
+goes through write_text, where a path of None means stdout, and a path that
+cannot be written ends in InvalidConfig("cannot write <path>: <reason>").
 """
 
 from __future__ import annotations
@@ -41,13 +42,22 @@ def write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def write_json(path, data) -> None:
     """data as JSON indented by 2, plus a final newline."""
     write_text(path, json.dumps(data, indent=2) + "\n")
+
+
+@contextmanager
+def writing(path):
+    """Turn an OSError in the block into InvalidConfig("cannot write <path>: <reason>")."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager

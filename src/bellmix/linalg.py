@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParse, InvalidState, NonHermitianInput, NotNormalized, ZeroTrace
+from .errors import DataParse, InvalidState, NonHermitianInput, ZeroTrace
 from .fileio import is_kind, parsing, read_json, write_json
 
 HERMITIAN_TOL = 1e-10
@@ -111,29 +111,6 @@ class DensityMatrix:
         check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Two-photon pure state; amplitudes ordered (HH, HV, VH, VV)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.amplitudes, dtype=complex)
-        if a.shape != (4,):
-            raise InvalidState(f"pure state needs 4 amplitudes, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidState("pure state contains non-finite amplitudes")
-        norm_sq = float(np.sum(np.abs(a) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise NotNormalized(f"amplitude norm^2 is {norm_sq!r}, not 1 within 1e-12")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    def density(self) -> DensityMatrix:
-        a = self.amplitudes
-        return DensityMatrix(np.outer(a, a.conj()))
 
 
 def nearest_physical(m: np.ndarray) -> DensityMatrix:

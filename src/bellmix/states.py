@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigParse, InvalidConfig, NotNormalized, OutOfRange
 from .fileio import checked, read_json
-from .linalg import DensityMatrix, PureState, hermitize
+from .linalg import DensityMatrix, hermitize
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -65,7 +65,9 @@ class SourceConfig:
             raise OutOfRange(f"signal_dc must lie in [0, 1], got {self.signal_dc!r}")
         if not math.isfinite(self.phi):
             raise OutOfRange(f"phi must be finite, got {self.phi!r}")
-        _check_pump_norm(self.beta, self.gamma)
+        total = abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
+            raise NotNormalized(f"|beta|^2 + |gamma|^2 = {total!r}, not 1 within 1e-12")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
@@ -93,19 +95,14 @@ class SourceConfig:
         return cls.from_json_dict(read_json(path, "config", ConfigParse))
 
 
-def _check_pump_norm(beta: complex, gamma: complex) -> None:
-    total = abs(beta) ** 2 + abs(gamma) ** 2
-    if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
-        raise NotNormalized(f"|beta|^2 + |gamma|^2 = {total!r}, not 1 within 1e-12")
-
-
-def bell_state(kind: str) -> PureState:
+def bell_state(kind: str) -> DensityMatrix:
     """One of the four maximally entangled states: 'phi+', 'phi-', 'psi+', 'psi-'."""
     try:
         amps = _BELL_AMPLITUDES[kind.lower()]
     except KeyError:
         raise OutOfRange(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_AMPLITUDES)}")
-    return PureState(np.array(amps, dtype=complex))
+    ket = np.array(amps, dtype=complex)
+    return DensityMatrix(np.outer(ket, ket.conj()))
 
 
 def _pump_amplitudes(phi: float, beta: complex, gamma: complex, flip: bool) -> np.ndarray:
@@ -113,12 +110,6 @@ def _pump_amplitudes(phi: float, beta: complex, gamma: complex, flip: bool) -> n
     vv = (1.0 if flip else -1.0) * np.exp(1j * phi) * gamma
     amps = np.array([beta, 0.0, 0.0, vv], dtype=complex)
     return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
-
-
-def pump_state(phi: float, beta: complex, gamma: complex) -> PureState:
-    """Pump-defined two-photon state beta|HH> - e^{i phi} gamma|VV>, normalized."""
-    _check_pump_norm(beta, gamma)
-    return PureState(_pump_amplitudes(phi, beta, gamma, flip=False))
 
 
 def mix_duty_cycle(alpha: float) -> DensityMatrix:
@@ -133,14 +124,6 @@ def mix_duty_cycle(alpha: float) -> DensityMatrix:
     m[0, 0] = m[3, 3] = 0.5
     m[0, 3] = m[3, 0] = alpha - 0.5
     return DensityMatrix(m)
-
-
-def apply_signal_rotator(state: DensityMatrix, half_wave: bool) -> DensityMatrix:
-    """Swap H and V on the signal photon when the rotator is at half-wave retardance."""
-    if not half_wave:
-        return state
-    rotated = _SIGNAL_FLIP @ state.matrix @ _SIGNAL_FLIP.conj().T
-    return DensityMatrix(hermitize(rotated))
 
 
 def completely_mixed() -> DensityMatrix:

@@ -20,7 +20,7 @@ alone. Serial and pooled runs name the same point.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from .counting import (
@@ -31,7 +31,7 @@ from .counting import (
     write_counts_csv,
 )
 from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
-from .fileio import checked, is_kind, parsing, read_json, read_text, write_text
+from .fileio import checked, is_kind, parsing, read_json, write_text, writing
 from .linalg import DensityMatrix, write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
@@ -139,7 +139,7 @@ def _format(value) -> str:
 def _run(spec: SweepSpec, points: list) -> list:
     """Generate each point, then simulate, reconstruct and bootstrap them all as batches."""
     pset = standard_projector_set()
-    targets, descriptions, acqs = [], [], []
+    targets, descriptions, seeds = [], [], []
     for point in points:
         alpha = point.alpha
         if point.source == "two_vpr":
@@ -152,15 +152,15 @@ def _run(spec: SweepSpec, points: list) -> list:
             targets.append(mix_duty_cycle(alpha))
             descriptions.append(f"duty-cycle mixture alpha={alpha:g}")
             point.theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
-        seed = derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index)
-        acqs.append(replace(spec.acquisition, seed=seed))
+        seeds.append(derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index))
         point.state = generate(config)
-    states, seeds = [point.state for point in points], [acq.seed for acq in acqs]
+    states = [point.state for point in points]
     for point, records in zip(points, _simulate(states, pset, spec.acquisition, seeds)):
         point.records = records
     results = _reconstruct_batch([point.records for point in points], pset, targets, descriptions)
     if spec.resamples:
-        for result, errors in zip(results, _bootstrap_batch(results, pset, acqs, spec.resamples)):
+        all_errors = _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
+        for result, errors in zip(results, all_errors):
             result.metric_errors = errors
     for point, result in zip(points, results):
         point.result = result
@@ -193,11 +193,11 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
         raise
 
     outdir = spec.outputs
-    os.makedirs(outdir, exist_ok=True)
     rows = [SWEEP_CSV_HEADER]
     for point in points:
         point_dir = os.path.join(outdir, _directory(point.alpha, point.source))
-        os.makedirs(point_dir, exist_ok=True)
+        with writing(point_dir):  # also makes outdir
+            os.makedirs(point_dir, exist_ok=True)
         write_state_json(os.path.join(point_dir, "state.json"), point.state)
         write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
@@ -213,19 +213,3 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     write_text(os.path.join(outdir, "sweep.csv"), "\n".join(rows) + "\n")
     return points
 
-
-def load_sweep_csv(path) -> list[dict]:
-    """Parse sweep.csv back into dictionaries keyed by the header columns."""
-    lines = [line for line in read_text(path, "sweep table").splitlines() if line.strip()]
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        entry = {}
-        for key, value in zip(header, parts):
-            if key == "source":
-                entry[key] = value
-            else:
-                entry[key] = float(value) if value else None
-        out.append(entry)
-    return out

@@ -300,29 +300,31 @@ def check_resamples(resamples: int) -> None:
 def _bootstrap_batch(
     results: list,
     pset: ProjectorSet,
-    acqs: list,
+    acq: AcquisitionConfig,
+    seeds: list,
     resamples: int,
     *,
     max_iterations: int = MAX_ITERATIONS,
     tolerance: float = TOLERANCE,
 ) -> list:
-    """bootstrap_errors of every result with its acquisition, in stacks of whole points."""
+    """bootstrap_errors of every result with acq at its own seed, in stacks of whole points."""
     if resamples < 2:
         raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
     per_stack = max(1, _STACK_SAMPLES // resamples)
     keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]
     errors = []
     for start in range(0, len(results), per_stack):
-        stack = list(zip(results[start:start + per_stack], acqs[start:start + per_stack]))
-        # Resample i of a point is seeded with derive_seed(acq.seed, _BOOTSTRAP_STREAM, i).
-        seeds = _philox_keys([acq.seed for _, acq in stack], keys)[..., 0].ravel().tolist()
-        means = np.stack([_means(result.rho_hat, pset, acq) for result, acq in stack])
-        counts = _poisson(np.repeat(means, resamples, axis=0), seeds, _outcome_keys(pset))
+        stack = results[start:start + per_stack]
+        # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
+        resample_seeds = _philox_keys(seeds[start:start + per_stack], keys)[..., 0].ravel()
+        means = np.stack([_means(result.rho_hat, pset, acq) for result in stack])
+        counts = _poisson(np.repeat(means, resamples, axis=0), resample_seeds.tolist(),
+                          _outcome_keys(pset))
         rho = hermitize(_mle_batch(counts.astype(float), pset.flattened(), dilution=1.0,
                                    max_iterations=max_iterations, tolerance=tolerance)[0])
         check_density(rho)
         targets = [(result.rho_hat if result.target is None else result.target).matrix
-                   for result, _ in stack]
+                   for result in stack]
         figures = _figures(rho, np.repeat(np.stack(targets), resamples, axis=0))
         check_ranges(*figures)
         errors += [{name: float(np.std(values[first:first + resamples], ddof=1))
@@ -348,7 +350,8 @@ def bootstrap_errors(
     when no target was supplied). A batch of one point.
     """
     return _bootstrap_batch(
-        [result], pset, [acq], resamples, max_iterations=max_iterations, tolerance=tolerance,
+        [result], pset, acq, [acq.seed], resamples,
+        max_iterations=max_iterations, tolerance=tolerance,
     )[0]
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import csv
 import json
 import os
 import time
@@ -33,7 +34,7 @@ from bellmix.states import (
     generate,
     mix_duty_cycle,
 )
-from bellmix.sweep import SweepSpec, load_sweep_csv, run_sweep
+from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import mle_reconstruct
 from helpers import random_density_matrix  # noqa: F401  (kept importable for parity)
 from test_tomography import _expected_records, diagonal_grid_search
@@ -150,7 +151,9 @@ def test_criterion_6_figure_regeneration(tmp_path):
     run_sweep(spec)
     csv_path = os.path.join(spec.outputs, "sweep.csv")
     assert os.path.exists(csv_path)
-    rows = load_sweep_csv(csv_path)
+    with open(csv_path, newline="") as fh:
+        rows = [{key: value if key == "source" else float(value) for key, value in row.items()}
+                for row in csv.DictReader(fh)]
     assert len(rows) == 11
     worst_v = worst_t = worst_p = 0.0
     for row in rows:
@@ -174,9 +177,9 @@ def test_criterion_6_figure_regeneration(tmp_path):
 
 def test_criterion_7_mle_oracle_equivalence():
     start = time.perf_counter()
-    from bellmix.linalg import PureState
+    from bellmix.linalg import DensityMatrix
 
-    truth = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).density()
+    truth = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 
     records = _expected_records(truth, 1e5)
     oracle = diagonal_grid_search(records)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -46,7 +47,7 @@ def test_generate_defaults_is_phi_minus(tmp_path, capsys):
     assert main(["generate"]) == 0
     data = json.loads(capsys.readouterr().out)
     m = matrix_from_json_dict(data)
-    assert np.abs(m - bell_state("phi-").density().matrix).max() <= 1e-12
+    assert np.abs(m - bell_state("phi-").matrix).max() <= 1e-12
 
 
 def test_generate_two_rotator_mixed_state(tmp_path):
@@ -301,11 +302,12 @@ def test_readme_sweep_csv_is_pinned(tmp_path):
 
 def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):
     from bellmix.metrics import family_purity, family_tangle, family_visibility
-    from bellmix.sweep import load_sweep_csv
 
     spec = _sweep_spec(tmp_path, tmp_path / "out")
     assert main(["sweep", "--spec", str(spec)]) == 0
-    rows = load_sweep_csv(tmp_path / "out" / "sweep.csv")
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = [{key: value if key == "source" else float(value) for key, value in row.items()}
+                for row in csv.DictReader(fh)]
     assert len(rows) == 4
     for row in rows:
         if row["source"] == "two_vpr":
@@ -463,6 +465,26 @@ def test_sweep_rejects_a_negative_worker_count(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(OutOfRange, match="parallel"):
         run_sweep(SweepSpec.from_file(spec), parallel=-1)
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file, not a directory", encoding="utf-8")
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e3", "--seed", "4", "--out", str(counts)]) == 0
+    runs = [
+        ["reconstruct", str(counts), "--out", str(blocker / "r.json")],
+        ["generate", "--out", str(blocker / "state.json")],
+        ["simulate", "--pairs", "1e3", "--out", str(blocker / "counts.json")],
+        ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker / "out")), "--resamples", "0"],
+        ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker)), "--resamples", "0"],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
+
 
 def test_sweep_exit_code_ignores_stale_points(tmp_path):
     out = tmp_path / "out"

@@ -45,9 +45,9 @@ def setting_index(signal_basis, idler_basis):
 
 
 def test_born_computational_state():
-    from bellmix.linalg import PureState
+    from bellmix.linalg import DensityMatrix
 
-    hh = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).density()
+    hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     probs = born_probabilities(hh, PSET, setting_index("HV", "HV"))
     assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -59,7 +59,7 @@ def test_born_uniform_in_diagonal_setting():
 
 def test_born_bell_anticorrelation_in_diagonal_basis():
     # <DD|phi-> = 0 while |<DA|phi->|^2 = 1/2: perfect anticorrelation.
-    probs = born_probabilities(bell_state("phi-").density(), PSET, setting_index("DA", "DA"))
+    probs = born_probabilities(bell_state("phi-"), PSET, setting_index("DA", "DA"))
     assert probs[0] == pytest.approx(0.0, abs=1e-12)  # TT = DD
     assert probs[1] == pytest.approx(0.5, abs=1e-12)  # TR = DA
     assert probs[2] == pytest.approx(0.5, abs=1e-12)  # RT = AD
@@ -83,9 +83,9 @@ def test_simulate_counts_deterministic():
 
 
 def test_simulate_zero_probability_outcomes_stay_zero():
-    from bellmix.linalg import PureState
+    from bellmix.linalg import DensityMatrix
 
-    hh = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).density()
+    hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     records = simulate_counts(hh, PSET, AcquisitionConfig(pairs_per_setting=1e6, seed=1))
     hv = records[setting_index("HV", "HV")]
     assert hv.outcome_counts[1] == 0 and hv.outcome_counts[2] == 0 and hv.outcome_counts[3] == 0
@@ -94,7 +94,7 @@ def test_simulate_zero_probability_outcomes_stay_zero():
 def test_simulate_frequencies_converge():
     acq = AcquisitionConfig(pairs_per_setting=1e6, seed=23)
     bound = 5.0 / np.sqrt(acq.pairs_per_setting)
-    for rho in (completely_mixed(), mix_duty_cycle(0.25), bell_state("psi+").density()):
+    for rho in (completely_mixed(), mix_duty_cycle(0.25), bell_state("psi+")):
         records = simulate_counts(rho, PSET, acq)
         for record in records:
             probs = born_probabilities(rho, PSET, record.setting_index)
@@ -125,9 +125,9 @@ def test_poisson_moments():
 
 
 def test_accidentals_lift_zero_outcomes():
-    from bellmix.linalg import PureState
+    from bellmix.linalg import DensityMatrix
 
-    hh = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).density()
+    hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     acq = AcquisitionConfig(pairs_per_setting=1e4, accidental_rate=50.0, seed=3)
     records = simulate_counts(hh, PSET, acq)
     hv = records[setting_index("HV", "HV")]
@@ -138,7 +138,7 @@ def test_accidentals_lift_zero_outcomes():
 def test_visibility_scan_bell_extremes():
     # For phi- the transmitted-transmitted rate peaks at +22.5 degrees (the
     # DA coincidence) and vanishes at -22.5 degrees (the AA coincidence).
-    rho = bell_state("phi-").density()
+    rho = bell_state("phi-")
     acq = AcquisitionConfig(pairs_per_setting=1e6, seed=5)
     scan = dict(visibility_scan(rho, [-22.5, 22.5], acq))
     assert scan[-22.5] == 0
@@ -250,6 +250,14 @@ def test_counts_csv_rejects_malformed():
         counts_from_csv("setting_index,outcome_label,count\n0,TT,ten\n")
     with pytest.raises(DataParse):
         counts_from_csv("setting_index,outcome_label,count\n0,TT,10\n")  # missing outcomes
+    valid = counts_to_csv([CountRecord(setting_index=s, outcome_counts=(50084, 1, 2, 3))
+                           for s in range(9)])
+    assert counts_from_csv(valid)[0].outcome_counts == (50084, 1, 2, 3)
+    odd_lines = ["0,TT,50_084", "0,TT,+50084", "0,TT, 50084", "0,TT,5008\u0664",  # Arabic-Indic 4
+                 "0_0,TT,50084", "+0,TT,50084", "\u0660,TT,50084"]
+    for line in odd_lines:
+        with pytest.raises(DataParse, match="ASCII digits"):
+            counts_from_csv(valid.replace("0,TT,50084", line, 1))
 
 
 def test_validate_against_projector_set():
@@ -279,7 +287,7 @@ _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 123456789, 9
 @pytest.mark.parametrize("rho, pairs, accidentals, seed, digest", [
     (mix_duty_cycle(0.25), 1e4, 0.0, 0,
      "b297b52145b45ba062178023fd0299ce0441813599aa269c61c0203c3364f315"),
-    (bell_state("phi-").density(), 1e6, 50.0, 123456789,
+    (bell_state("phi-"), 1e6, 50.0, 123456789,
      "0db3135834fe942d94bc42b6713cf271c6ff810661e0bb3aa78b44b03f1c9fe9"),
     (completely_mixed(), 1e7, 0.0, 2**63 + 12345,
      "4746218a7c228ebd3a8d7a4b93770f3d0800e7be52606949b238a442b0d9b14c"),

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from bellmix.errors import InvalidState, NonHermitianInput, NotNormalized, ZeroTrace
+from bellmix.errors import InvalidState, NonHermitianInput, ZeroTrace
 from bellmix.fixtures import REFERENCE_QUARTER_DC_RAW
 from bellmix.linalg import (
     DensityMatrix,
-    PureState,
     hermitian_eigen,
     matrix_from_json_dict,
     matrix_sqrt,
@@ -63,7 +62,7 @@ def test_sqrt_diagonal():
 
 
 def test_sqrt_rank_one_projector_is_fixed_point():
-    proj = bell_state("phi+").density().matrix
+    proj = bell_state("phi+").matrix
     assert np.abs(matrix_sqrt(proj) - proj).max() < 1e-12
 
 
@@ -127,11 +126,6 @@ def test_density_matrix_is_read_only():
     rho = mix_duty_cycle(0.25)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
-
-
-def test_pure_state_requires_unit_norm():
-    with pytest.raises(NotNormalized):
-        PureState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
 
 def test_matrix_json_round_trip_is_exact():

@@ -3,7 +3,7 @@ import pytest
 
 from bellmix.errors import DegenerateDenominator, InvalidState
 from bellmix.fixtures import reference_quarter_dc
-from bellmix.linalg import PureState
+from bellmix.linalg import DensityMatrix
 from bellmix.metrics import (
     MetricsReport,
     family_purity,
@@ -24,7 +24,7 @@ ALPHA_GRID = np.linspace(0.0, 1.0, 101)
 def test_purity_examples():
     assert purity(mix_duty_cycle(0.5)) == pytest.approx(0.5, abs=1e-12)
     for kind in ("phi+", "phi-", "psi+", "psi-"):
-        assert purity(bell_state(kind).density()) == pytest.approx(1.0, abs=1e-12)
+        assert purity(bell_state(kind)) == pytest.approx(1.0, abs=1e-12)
     assert purity(completely_mixed()) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_purity_reference_matrix():
 
 def test_tangle_examples():
     for kind in ("phi+", "phi-", "psi+", "psi-"):
-        assert tangle(bell_state(kind).density()) == pytest.approx(1.0, abs=1e-10)
+        assert tangle(bell_state(kind)) == pytest.approx(1.0, abs=1e-10)
     assert tangle(mix_duty_cycle(0.5)) == pytest.approx(0.0, abs=1e-12)
     assert tangle(completely_mixed()) == pytest.approx(0.0, abs=1e-12)
 
@@ -52,18 +52,16 @@ def test_visibility_examples():
 def test_visibility_degenerate_denominator():
     # Idler polarized along D is orthogonal to both analysis states, so both
     # +-45 degree transmitted-transmitted rates vanish.
-    ket = PureState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0))
+    ket = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)
     with pytest.raises(DegenerateDenominator):
-        visibility(ket.density())
+        visibility(DensityMatrix(np.outer(ket, ket.conj())))
 
 
 def test_fidelity_examples():
     rho = mix_duty_cycle(0.3)
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(bell_state("phi+").density(), bell_state("phi-").density()) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    pure = bell_state("psi+").density()
+    assert fidelity(bell_state("phi+"), bell_state("phi-")) == pytest.approx(0.0, abs=1e-12)
+    pure = bell_state("psi+")
     assert fidelity(completely_mixed(), pure) == pytest.approx(0.5, abs=1e-12)
 
 

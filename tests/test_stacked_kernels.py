@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from bellmix.errors import DegenerateDenominator, InvalidState, NonHermitianInput
 from bellmix.linalg import (
     DensityMatrix,
-    PureState,
     check_density,
     hermitian_eigen,
     hermitize,
@@ -115,7 +114,8 @@ def test_one_bad_member_raises_what_it_raises_alone():
     skewed[0, 1] = 1e-6
     negative = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)  # eigenvalue < -1e-6
     heavy = np.eye(4, dtype=complex) / 2.0  # trace 2
-    dark = PureState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)).density().matrix
+    ket = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    dark = DensityMatrix(np.outer(ket, ket.conj())).matrix
 
     for kernel in (hermitian_eigen, matrix_sqrt, check_density):
         with pytest.raises(NonHermitianInput):

@@ -9,22 +9,21 @@ from bellmix.metrics import visibility
 from bellmix.states import (
     NoiseParams,
     SourceConfig,
-    apply_signal_rotator,
     bell_state,
     completely_mixed,
     generate,
     mix_duty_cycle,
-    pump_state,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def test_bell_state_amplitudes():
-    assert np.allclose(bell_state("phi-").amplitudes, [INV_SQRT2, 0, 0, -INV_SQRT2])
-    assert np.allclose(bell_state("phi+").amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2])
-    assert np.allclose(bell_state("psi-").amplitudes, [0, INV_SQRT2, -INV_SQRT2, 0])
-    assert np.allclose(bell_state("psi+").amplitudes, [0, INV_SQRT2, INV_SQRT2, 0])
+    for kind, ket in (("phi-", [INV_SQRT2, 0, 0, -INV_SQRT2]), ("phi+", [INV_SQRT2, 0, 0, INV_SQRT2]),
+                      ("psi-", [0, INV_SQRT2, -INV_SQRT2, 0]), ("psi+", [0, INV_SQRT2, INV_SQRT2, 0])):
+        rho = bell_state(kind)
+        assert isinstance(rho, DensityMatrix)
+        assert np.allclose(rho.matrix, np.outer(ket, ket))
 
 
 def test_bell_state_unknown_kind():
@@ -32,29 +31,24 @@ def test_bell_state_unknown_kind():
         bell_state("omega+")
 
 
-def test_pump_state_balanced_zero_phase_is_phi_minus():
-    state = pump_state(0.0, INV_SQRT2, INV_SQRT2)
-    assert np.abs(state.amplitudes - bell_state("phi-").amplitudes).max() < 1e-12
+def test_pump_balanced_zero_phase_is_phi_minus():
+    state = generate(SourceConfig(phi=0.0, beta=INV_SQRT2, gamma=INV_SQRT2))
+    assert np.abs(state.matrix - bell_state("phi-").matrix).max() < 1e-12
 
 
-def test_pump_state_pi_phase_is_phi_plus():
-    state = pump_state(np.pi, INV_SQRT2, INV_SQRT2)
-    assert np.abs(state.amplitudes - bell_state("phi+").amplitudes).max() < 1e-12
+def test_pump_pi_phase_is_phi_plus():
+    state = generate(SourceConfig(phi=np.pi, beta=INV_SQRT2, gamma=INV_SQRT2))
+    assert np.abs(state.matrix - bell_state("phi+").matrix).max() < 1e-12
 
 
-def test_pump_state_product_limit():
-    state = pump_state(0.0, 1.0, 0.0)
-    assert np.allclose(state.amplitudes, [1, 0, 0, 0])
-
-
-def test_pump_state_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
-        pump_state(0.0, 1.0, 1.0)
+def test_pump_product_limit():
+    state = generate(SourceConfig(phi=0.0, beta=1.0, gamma=0.0))
+    assert np.allclose(state.matrix, np.diag([1, 0, 0, 0]))
 
 
 def test_mix_duty_cycle_endpoints_and_corner():
-    assert np.abs(mix_duty_cycle(0.0).matrix - bell_state("phi-").density().matrix).max() <= 1e-12
-    assert np.abs(mix_duty_cycle(1.0).matrix - bell_state("phi+").density().matrix).max() <= 1e-12
+    assert np.abs(mix_duty_cycle(0.0).matrix - bell_state("phi-").matrix).max() <= 1e-12
+    assert np.abs(mix_duty_cycle(1.0).matrix - bell_state("phi+").matrix).max() <= 1e-12
     half = mix_duty_cycle(0.5).matrix
     assert np.allclose(half, np.diag([0.5, 0.0, 0.0, 0.5]))
     quarter = mix_duty_cycle(0.25).matrix
@@ -79,19 +73,11 @@ def test_mix_phase_flip_relation():
 
 
 def test_signal_rotator_maps_phi_to_psi():
-    phi_minus = bell_state("phi-").density()
-    psi_minus = bell_state("psi-").density()
-    assert np.abs(apply_signal_rotator(phi_minus, True).matrix - psi_minus.matrix).max() <= 1e-12
-    phi_plus = bell_state("phi+").density()
-    psi_plus = bell_state("psi+").density()
-    assert np.abs(apply_signal_rotator(phi_plus, True).matrix - psi_plus.matrix).max() <= 1e-12
-
-
-def test_signal_rotator_identity_and_involution():
-    rho = mix_duty_cycle(0.3)
-    assert apply_signal_rotator(rho, False) is rho
-    twice = apply_signal_rotator(apply_signal_rotator(rho, True), True)
-    assert np.abs(twice.matrix - rho.matrix).max() <= 1e-12
+    # The signal rotator held at half-wave (signal_dc = 1) swaps H and V on the signal photon.
+    psi_minus = generate(SourceConfig(alpha=0.0, signal_dc=1.0))
+    assert np.abs(psi_minus.matrix - bell_state("psi-").matrix).max() <= 1e-12
+    psi_plus = generate(SourceConfig(alpha=1.0, signal_dc=1.0))
+    assert np.abs(psi_plus.matrix - bell_state("psi+").matrix).max() <= 1e-12
 
 
 def test_generate_completely_mixed():

@@ -12,7 +12,7 @@ from bellmix.counting import (
     simulate_counts,
 )
 from bellmix.errors import DataParse, MismatchedData, NoCounts, OutOfRange
-from bellmix.linalg import PureState, nearest_physical
+from bellmix.linalg import DensityMatrix, nearest_physical
 from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
@@ -98,7 +98,7 @@ def test_log_likelihood_all_zero_counts():
 
 
 def test_log_likelihood_certain_outcome():
-    hh = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).density()
+    hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     values = np.zeros(36)
     values[0] = 100  # HV/HV setting, TT outcome, probability exactly 1
     records = _records_from_vector(values)
@@ -141,7 +141,7 @@ def test_mle_uniform_counts_give_maximally_mixed():
 
 
 def test_mle_simulated_bell_state():
-    truth = bell_state("phi-").density()
+    truth = bell_state("phi-")
     acq = AcquisitionConfig(pairs_per_setting=1e5, seed=42)
     records = simulate_counts(truth, PSET, acq)
     result = mle_reconstruct(records, PSET, target=truth)
@@ -172,7 +172,7 @@ def test_mle_likelihood_monotone_and_iterates_physical():
 
 def test_mle_non_convergence_is_flagged():
     records = simulate_counts(
-        bell_state("phi+").density(), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=2)
+        bell_state("phi+"), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=2)
     )
     result = mle_reconstruct(records, PSET, max_iterations=2)
     assert not result.converged
@@ -203,7 +203,7 @@ def test_mle_consistency_across_duty_cycles():
 
 
 def test_mle_matches_diagonal_oracle_exact_counts():
-    truth = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)).density()
+    truth = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     records = _expected_records(truth, 1e5)
     oracle = diagonal_grid_search(records)
     result = mle_reconstruct(records, PSET)
@@ -211,7 +211,7 @@ def test_mle_matches_diagonal_oracle_exact_counts():
 
 
 def test_mle_matches_diagonal_oracle_noisy_counts():
-    truth = PureState(np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)).density()
+    truth = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
     records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=123))
     oracle = diagonal_grid_search(records)
     result = mle_reconstruct(records, PSET)
@@ -325,10 +325,10 @@ def _scalar_rrr(records, max_iterations=10000, tolerance=1e-10):
 
 def test_mle_matches_scalar_reference_loop():
     cases = [
-        (bell_state("phi+").density(), 40.0, 10000),
+        (bell_state("phi+"), 40.0, 10000),
         (mix_duty_cycle(0.25), 1e5, 10000),
         (mix_duty_cycle(0.6), 1e7, 10000),
-        (bell_state("phi+").density(), 1e5, 30),
+        (bell_state("phi+"), 1e5, 30),
     ]
     for seed, (truth, pairs, cap) in enumerate(cases):
         records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=pairs, seed=seed))
@@ -366,7 +366,7 @@ def _assert_same_fit(batched, alone):
 
 
 def test_batch_matches_single_fits_with_differing_zero_masks():
-    truth = bell_state("phi+").density()
+    truth = bell_state("phi+")
     acq = AcquisitionConfig(pairs_per_setting=40.0, seed=77)
     result = mle_reconstruct(simulate_counts(truth, PSET, acq), PSET, target=truth)
     resampled = list(_resample_records(result, acq, 12))
@@ -380,7 +380,7 @@ def test_batch_matches_single_fits_with_differing_zero_masks():
 
 def test_batch_matches_single_fits_when_some_hit_the_cap():
     uniform = _records_from_vector(np.full(36, 250))
-    hard = simulate_counts(bell_state("phi+").density(), PSET,
+    hard = simulate_counts(bell_state("phi+"), PSET,
                            AcquisitionConfig(pairs_per_setting=1e5, seed=2))
     mixed = simulate_counts(mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=4))
     record_sets = [hard, uniform, mixed, hard, uniform]
@@ -431,7 +431,7 @@ def test_bootstrap_errors_are_pinned():
 
 
 def test_reconstruct_batch_equals_single_reconstructions():
-    phi = bell_state("phi+").density()
+    phi = bell_state("phi+")
     zeros = simulate_counts(phi, PSET, AcquisitionConfig(pairs_per_setting=40.0, seed=3))
     points = [
         (simulate_counts(mix_duty_cycle(0.1), PSET, AcquisitionConfig(1e6, seed=1)),
@@ -460,8 +460,8 @@ def test_bootstrap_batch_equals_single_bootstraps():
         points.append((mle_reconstruct(simulate_counts(mix_duty_cycle(alpha), PSET, acq), PSET,
                                        target=target), acq))
     assert len(points) * resamples > _STACK_SAMPLES  # more than one stack
-    batch = _bootstrap_batch([result for result, _ in points], PSET,
-                             [acq for _, acq in points], resamples)
+    batch = _bootstrap_batch([result for result, _ in points], PSET, AcquisitionConfig(1e3),
+                             [acq.seed for _, acq in points], resamples)
     assert batch == [bootstrap_errors(result, PSET, acq, resamples) for result, acq in points]
 
 
