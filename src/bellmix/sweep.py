@@ -5,25 +5,29 @@ plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
 bootstrap error bars, and the closed-form theory columns.
 
 Each point is generated, all are simulated in one draw, reconstructed as one
-batch and bootstrapped in stacks of whole points. A process pool splits
-the grid into interleaved shares (point i goes to share i % workers), and
-each worker runs its share this way. Every point derives its seed from
-(master seed, point index) and every sample of a batch comes out as it would
-alone, and all files are written by the coordinating process in point order,
-so output bytes do not depend on batching or on the pool.
+batch and bootstrapped in stacks of whole points, then written. With workers,
+the grid splits into interleaved shares (point i goes to share i % workers),
+each run and written this way by its own forked child. The coordinator makes
+every point directory first and writes sweep.csv last, from the points the
+children send back. Every point derives its seed from (master seed, point
+index) and every sample of a batch comes out as it would alone, so output
+bytes do not depend on batching or on the workers.
 
-A sweep that fails is rerun one point at a time to name the first point, in
-grid order, that fails: a batch fails exactly when one of its points fails
-alone. Serial and pooled runs name the same point.
+A sweep that fails is rerun one point at a time, computing only, to name the
+first point in grid order that fails: a batch fails exactly when one of its
+points fails alone. It leaves its point directories and any points a share
+finished, but no sweep.csv.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
-from functools import partial
 
 from .counting import (
+    _POISSON_MAX,
     _SWEEP_STREAM,
     AcquisitionConfig,
     _simulate,
@@ -80,6 +84,11 @@ class SweepSpec:
             if not 0.0 <= alpha <= 1.0:
                 raise OutOfRange(f"sweep alpha {alpha!r} outside [0, 1]")
         check_resamples(self.resamples)
+        if not self.outputs:
+            raise InvalidConfig("sweep outputs must name a directory, got ''")
+        if self.acquisition.pairs_per_setting + self.acquisition.accidental_rate > _POISSON_MAX:
+            raise OutOfRange("pairs_per_setting + accidental_rate must be at most "
+                             f"{_POISSON_MAX!r}, the largest Poisson mean numpy draws")
         names = [_directory(alpha, source) for alpha, source in self.grid()]
         shared = sorted({name for name in names if names.count(name) > 1})
         if shared:
@@ -167,23 +176,73 @@ def _run(spec: SweepSpec, points: list) -> list:
     return points
 
 
+def _run_and_write(spec: SweepSpec, points: list) -> list:
+    """_run the points, then write each one's state.json, counts.csv and recon.json."""
+    for point in _run(spec, points):
+        point_dir = os.path.join(spec.outputs, _directory(point.alpha, point.source))
+        write_state_json(os.path.join(point_dir, "state.json"), point.state)
+        write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
+        write_result_json(os.path.join(point_dir, "recon.json"), point.result)
+    return points
+
+
+def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
+    """Run and write each share points[i::shares] in a forked child, then take its points back.
+
+    A child pickles its points, or the exception it raised, to a pipe. Every
+    child is reaped, after a SIGKILL if this process raised first.
+    """
+    children, payloads, statuses = [], [], []
+    try:
+        for share in range(shares):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into the caller's code
+                try:
+                    try:
+                        payload = pickle.dumps(_run_and_write(spec, points[share::shares]))
+                    except BaseException as exc:  # the parent raises it
+                        try:
+                            payload = pickle.dumps(exc)
+                        except Exception:  # noqa: BLE001 - an exception that cannot be pickled
+                            payload = pickle.dumps(RuntimeError(repr(exc)))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        payloads = [pipe.read() for _pid, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not payloads:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for share, (payload, status) in enumerate(zip(payloads, statuses)):
+        outcome = pickle.loads(payload) if payload else RuntimeError(  # bytes our child wrote
+            f"sweep share {share} reported nothing; exit status {status}")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        points[share::shares] = outcome
+
+
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     """Run the sweep (on `parallel` workers if > 1), write it to spec.outputs, return the points."""
     if parallel < 0:
         raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel}")
     points = [SweepPoint(index, alpha, source) for index, (alpha, source) in enumerate(spec.grid())]
+    for point in points:  # an unwritable outputs fails before any compute
+        point_dir = os.path.join(spec.outputs, _directory(point.alpha, point.source))
+        with writing(point_dir):
+            os.makedirs(point_dir, exist_ok=True)
     shares = max(1, min(parallel, len(points)))
     try:
         if shares > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
-
-            with ProcessPoolExecutor(max_workers=shares) as pool:
-                outcomes = pool.map(partial(_run, spec),
-                                    [points[share::shares] for share in range(shares)])
-                for share, share_points in enumerate(outcomes):
-                    points[share::shares] = share_points
+            _fork_shares(spec, points, shares)
         else:
-            _run(spec, points)
+            _run_and_write(spec, points)
     except BellmixError:
         for point in points:
             try:
@@ -192,16 +251,8 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
                 raise type(exc)(f"sweep point alpha={point.alpha:g} ({point.source}): {exc}") from exc
         raise
 
-    outdir = spec.outputs
     rows = [SWEEP_CSV_HEADER]
     for point in points:
-        point_dir = os.path.join(outdir, _directory(point.alpha, point.source))
-        with writing(point_dir):  # also makes outdir
-            os.makedirs(point_dir, exist_ok=True)
-        write_state_json(os.path.join(point_dir, "state.json"), point.state)
-        write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
-        write_result_json(os.path.join(point_dir, "recon.json"), point.result)
-
         metrics, errors = point.result.metrics, point.result.metric_errors
         estimates = [point.alpha, metrics.visibility, metrics.tangle, metrics.purity,
                      metrics.fidelity_to_target]
@@ -209,7 +260,5 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
                 for name in ("visibility", "tangle", "purity", "fidelity")]
         row = [*map(_format, estimates), *bars, *map(_format, point.theory), point.source]
         rows.append(",".join(row))
-
-    write_text(os.path.join(outdir, "sweep.csv"), "\n".join(rows) + "\n")
+    write_text(os.path.join(spec.outputs, "sweep.csv"), "\n".join(rows) + "\n")
     return points
-

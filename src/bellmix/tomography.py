@@ -186,49 +186,50 @@ def _mle_batch(
     converged = np.zeros(n, dtype=bool)
     stop = np.zeros(n, dtype=bool)
     it = 0
-    while True:
-        capped = it >= max_iterations
-        if capped or np.count_nonzero(stop):
-            converged[rows[stop]] = True
-            if capped:
-                stop[:] = True
-            done = rows[stop]
-            final_rho[done], final_ll[done], final_probs[done] = rho[stop], ll[stop], probs[stop]
-            iterations[done] = it
-            keep = ~stop
-            if not keep.any():
-                break
-            rows, rho, probs, ll, eps, counts, totals = (
-                a[keep] for a in (rows, rho, probs, ll, eps, counts, totals)
-            )
-            groups = _nonzero_groups(counts)
-        it += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            capped = it >= max_iterations
+            if capped or np.count_nonzero(stop):
+                converged[rows[stop]] = True
+                if capped:
+                    stop[:] = True
+                done = rows[stop]
+                final_rho[done], final_ll[done], final_probs[done] = rho[stop], ll[stop], probs[stop]
+                iterations[done] = it
+                keep = ~stop
+                if not keep.any():
+                    break
+                rows, rho, probs, ll, eps, counts, totals = (
+                    a[keep] for a in (rows, rho, probs, ll, eps, counts, totals)
+                )
+                groups = _nonzero_groups(counts)
+            it += 1
 
-        weights = counts / (totals * probs)
-        r_op = (weights[:, None, :] @ flat).reshape(-1, 4, 4)
-        step = eye + eps * r_op
-        candidate = hermitize(step @ rho @ step.conj().swapaxes(1, 2))
-        candidate /= candidate.trace(axis1=1, axis2=2).real[:, None, None]
-        candidate_probs = _probabilities(flat, candidate)
-        ll_new = _log_likelihoods(groups, candidate_probs)
+            weights = counts / (totals * probs)
+            r_op = (weights[:, None, :] @ flat).reshape(-1, 4, 4)
+            step = eye + eps * r_op
+            candidate = hermitize(step @ rho @ step.conj().swapaxes(1, 2))
+            candidate /= candidate.trace(axis1=1, axis2=2).real[:, None, None]
+            candidate_probs = _probabilities(flat, candidate)
+            ll_new = _log_likelihoods(groups, candidate_probs)
 
-        downhill = ll_new < ll
-        stop = (ll_new - ll) / np.maximum(np.abs(ll_new), 1.0) < tolerance
-        if np.count_nonzero(downhill):
-            # Dilute and retry from the same iterate; monotonicity is kept by
-            # never accepting a downhill step. The masked writes are skipped
-            # when every step went uphill: they cost a fifth of a lone
-            # sample's iteration.
-            eps[downhill] *= 0.5
-            stop[downhill] = eps[downhill, 0, 0] < 1e-10
-            candidate[downhill], candidate_probs[downhill] = rho[downhill], probs[downhill]
-            ll_new[downhill] = ll[downhill]
-        # The accepted candidate's probabilities are the next iterate's.
-        rho, probs, ll = candidate, candidate_probs, ll_new
-        if traces:
-            for row, value, rejected in zip(rows.tolist(), ll.tolist(), downhill.tolist()):
-                if not rejected:
-                    trace[row].append(value)
+            downhill = ~(ll_new >= ll)  # also a step that overflowed to NaN
+            stop = (ll_new - ll) / np.maximum(np.abs(ll_new), 1.0) < tolerance
+            if np.count_nonzero(downhill):
+                # Dilute and retry from the same iterate; monotonicity is kept by
+                # never accepting a downhill step. The masked writes are skipped
+                # when every step went uphill: they cost a fifth of a lone
+                # sample's iteration.
+                eps[downhill] *= 0.5
+                stop[downhill] = eps[downhill, 0, 0] < 1e-10
+                candidate[downhill], candidate_probs[downhill] = rho[downhill], probs[downhill]
+                ll_new[downhill] = ll[downhill]
+            # The accepted candidate's probabilities are the next iterate's.
+            rho, probs, ll = candidate, candidate_probs, ll_new
+            if traces:
+                for row, value, rejected in zip(rows.tolist(), ll.tolist(), downhill.tolist()):
+                    if not rejected:
+                        trace[row].append(value)
 
     floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
     return final_rho, final_ll, iterations, converged, floored, trace

@@ -4,8 +4,12 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,7 @@ from bellmix.optics import (
 from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
 from bellmix.counting import CountRecord
 from bellmix.errors import NoCounts, OutOfRange
+from bellmix import sweep
 from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import bootstrap_errors, mle_reconstruct
 
@@ -285,6 +290,72 @@ def test_sweep_error_names_the_first_failing_point(tmp_path, capsys, parallel, p
         run_sweep(SweepSpec.from_file(spec), parallel=parallel)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("misbehave, message", [
+    (lambda: _raise(RuntimeError("share blew up")), r"^share blew up$"),
+    # An exception holding a lock cannot be pickled, so its repr comes back instead.
+    (lambda: _raise(ValueError(threading.Lock())), r"^ValueError\(<unlocked"),
+    (lambda: os._exit(3), r"^sweep share 0 reported nothing; exit status 3$"),
+], ids=["raises", "raises-unpicklable", "exits"])
+def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, misbehave, message):
+    parent, real_run = os.getpid(), sweep._run
+
+    def run(spec, points):
+        if os.getpid() != parent:
+            misbehave()
+        return real_run(spec, points)
+
+    monkeypatch.setattr(sweep, "_run", run)
+    spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
+    with pytest.raises(RuntimeError, match=message):
+        run_sweep(spec, parallel=2)
+    _assert_no_child_left()
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_a_pooled_sweep_leaves_no_child(tmp_path):
+    spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
+    run_sweep(spec, parallel=3)
+    _assert_no_child_left()
+    with pytest.raises(NoCounts):  # no point has counts
+        run_sweep(replace(spec, acquisition=AcquisitionConfig(pairs_per_setting=1e-9)), parallel=3)
+    _assert_no_child_left()
+
+
+def test_an_interrupted_pooled_sweep_kills_its_children(tmp_path, monkeypatch):
+    parent, real_run = os.getpid(), sweep._run
+
+    def run(spec, points):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real_run(spec, points)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep, "_run", run)
+    spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, parallel=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
 def test_readme_sweep_csv_is_pinned(tmp_path):
     # The sweep spec printed in README.md, serial; the digest is that of the
     # benchmark's golden sweep.csv for master seed 2026.
@@ -395,9 +466,11 @@ def test_import_cli_leaves_process_pool_unloaded():
         {"alphas": [0.1, 0.1000001]},
         {"alphas": [0.3, 0.3]},
         {"acquisition": {"pairs_per_setting": 1e20}},  # a Poisson mean numpy cannot draw
+        {"outputs": ""},  # would write into the current directory
     ],
 )
-def test_sweep_spec_escapes_exit_2(tmp_path, capsys, changes):
+def test_sweep_spec_escapes_exit_2(tmp_path, capsys, monkeypatch, changes):
+    monkeypatch.chdir(tmp_path)
     spec = {"alphas": [0.5], "acquisition": {"pairs_per_setting": 1e3}, "resamples": 0,
             "outputs": str(tmp_path / "out")}
     spec.update(changes)
@@ -407,6 +480,15 @@ def test_sweep_spec_escapes_exit_2(tmp_path, capsys, changes):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+    assert os.listdir(tmp_path) == ["spec.json"]
+
+
+def test_sweep_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = _sweep_spec(tmp_path, tmp_path / "out")
+    assert main(["sweep", "--spec", str(spec), "--out", ""]) == 2
+    assert "outputs must name a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["spec.json"]
 
 
 def test_resamples_one_is_rejected(tmp_path, capsys):
@@ -443,6 +525,21 @@ def test_reconstruct_rejects_nonpositive_dilution(tmp_path, capsys, dilution):
     assert main(["reconstruct", str(counts), "--dilution", dilution]) == 2
     assert "dilution" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("dilution", ["1e200", "1e308"])
+def test_reconstruct_dilutes_a_step_that_overflows(tmp_path, dilution):
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e5", "--seed", "3", "--out", str(counts)]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    runs = [subprocess.run([sys.executable, "-W", "error", "-m", "bellmix.cli", "reconstruct",
+                            str(counts), "--dilution", value],
+                           env=env, capture_output=True, text=True)
+            for value in (dilution, "1e20")]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
+    huge, reference = (json.loads(run.stdout) for run in runs)
+    assert huge["converged"] is True
+    assert huge["log_likelihood"] == pytest.approx(reference["log_likelihood"], rel=1e-12)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -484,6 +581,18 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("parallel", ["0", "2"])
+def test_unwritable_outputs_exit_2_before_any_compute(tmp_path, capsys, parallel):
+    # With counts this low every point raises NoCounts once computed, which exits 3.
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file, not a directory", encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.0, 0.5], "acquisition": {"pairs_per_setting": 1e-9},
+                      "outputs": str(blocker / "out"), "resamples": 0})
+    assert main(["sweep", "--spec", str(spec), "--parallel", parallel]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
 
 
 def test_sweep_exit_code_ignores_stale_points(tmp_path):
