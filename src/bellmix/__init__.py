@@ -8,7 +8,6 @@ tangle, visibility, and fidelity with bootstrap error bars.
 
 from .counting import (
     AcquisitionConfig,
-    CountRecord,
     born_probabilities,
     derive_seed,
     simulate_counts,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionConfig",
-    "CountRecord",
     "DensityMatrix",
     "MetricsReport",
     "NoiseParams",

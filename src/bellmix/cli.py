@@ -71,11 +71,11 @@ def _cmd_simulate(args) -> int:
         seed=_effective_seed(args.seed, 0),
     )
     pset = standard_projector_set()
-    records = simulate_counts(generate(config), pset, acq)
+    counts = simulate_counts(generate(config), pset, acq)
     if args.out is not None and args.out.endswith(".json"):
-        write_counts_json(args.out, records)
+        write_counts_json(args.out, counts)
     else:
-        write_counts_csv(args.out, records)  # stdout if no --out
+        write_counts_csv(args.out, counts)  # stdout if no --out
     if args.projectors_out is not None:
         write_projector_set_json(args.projectors_out, pset)
     return EXIT_OK
@@ -88,16 +88,16 @@ def _read_counts(path):
 
 
 def _resolve_target(args):
-    if getattr(args, "target", None) is not None:
+    if args.target is not None:
         return read_state_json(args.target), f"state file {args.target}"
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         return mix_duty_cycle(args.alpha), f"duty-cycle mixture alpha={args.alpha:g}"
     return None, None
 
 
 def _cmd_reconstruct(args) -> int:
     check_resamples(args.resamples)
-    records = _read_counts(args.counts)
+    counts = _read_counts(args.counts)
     pset = (
         read_projector_set_json(args.projectors)
         if args.projectors is not None
@@ -105,7 +105,7 @@ def _cmd_reconstruct(args) -> int:
     )
     target, description = _resolve_target(args)
     result = mle_reconstruct(
-        records,
+        counts,
         pset,
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
@@ -114,9 +114,8 @@ def _cmd_reconstruct(args) -> int:
         target_description=description or "self",
     )
     if args.resamples >= 2:
-        totals = [sum(record.outcome_counts) for record in records]
-        acq = AcquisitionConfig(
-            pairs_per_setting=max(1.0, sum(totals) / len(totals)),
+        acq = AcquisitionConfig(  # an exact int sum: int64 would wrap above 2**63
+            pairs_per_setting=max(1.0, sum(counts.reshape(-1).tolist()) / len(counts)),
             seed=_effective_seed(args.seed, 0),
         )
         result.metric_errors = bootstrap_errors(
@@ -188,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="maximum-likelihood reconstruction from counts")
     p.add_argument("counts", help="counts file (.csv or .json)")
     p.add_argument("--projectors", help="projector set JSON (bundled standard set if omitted)")
-    p.add_argument("--target", help="target state JSON for the fidelity metric")
-    p.add_argument("--alpha", type=float, help="use the duty-cycle mixture at this alpha as target")
+    target = p.add_mutually_exclusive_group()  # giving both exits 2
+    target.add_argument("--target", help="target state JSON for the fidelity metric")
+    target.add_argument("--alpha", type=float, help="target the duty-cycle mixture at this alpha")
     p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
     p.add_argument("--tolerance", type=float, default=TOLERANCE)
     p.add_argument("--dilution", type=float, default=1.0)
@@ -201,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="figures of merit of a stored state")
     p.add_argument("--state", required=True, help="state JSON file")
-    p.add_argument("--target", help="target state JSON for fidelity")
-    p.add_argument("--alpha", type=float, help="use the duty-cycle mixture at this alpha as target")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--target", help="target state JSON for fidelity")
+    target.add_argument("--alpha", type=float, help="target the duty-cycle mixture at this alpha")
     p.add_argument("--out", help="metrics JSON path (stdout if omitted)")
     p.set_defaults(func=_cmd_metrics)
 

@@ -10,17 +10,22 @@ stream() defines that contract. Simulation draws a batch in one vectorised
 pass that transcribes numpy's seed hash, Philox block and Poisson method, and
 leaves to numpy each draw it cannot certify, so each count is the one stream()
 would draw.
+
+A count table is an int64 (n_settings, 4) array: row s holds the counts of
+setting s's outcomes TT, TR, RT, RR. It is drawn, written, read and fitted in
+that form; the CSV and JSON readers here accept settings 0..n-1, each once.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParse, InvalidConfig, MismatchedData, OutOfRange
+from .errors import DataParse, InvalidConfig, OutOfRange
 from .fileio import checked, is_kind, parsing, read_json, read_text, write_json, write_text
 from .linalg import DensityMatrix
 from .optics import (
@@ -91,14 +96,6 @@ class AcquisitionConfig:
         checked(data, "acquisition", kinds)
         with parsing("acquisition", InvalidConfig):
             return cls(**{key: kinds[key](value) for key, value in data.items()})
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidence counts of the four outcomes of one setting."""
-
-    setting_index: int
-    outcome_counts: tuple
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -262,18 +259,14 @@ def _outcome_keys(pset: ProjectorSet) -> list:
     return [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
 
 
-def _simulate(states, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> list:
-    """simulate_counts of every state with acq at its own seed, drawn in one pass."""
+def _simulate(states, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> np.ndarray:
+    """simulate_counts of every state with acq at its own seed, drawn in one pass: (B, n, 4)."""
     means = np.stack([_means(rho, pset, acq) for rho in states])
-    return [[CountRecord(setting_index, tuple(row)) for setting_index, row in
-             enumerate(counts.reshape(-1, 4).tolist())]
-            for counts in _poisson(means, seeds, _outcome_keys(pset))]
+    return _poisson(means, seeds, _outcome_keys(pset)).reshape(len(states), -1, 4)
 
 
-def simulate_counts(
-    rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig
-) -> list[CountRecord]:
-    """Poisson counts for every setting; fully determined by acq.seed."""
+def simulate_counts(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig) -> np.ndarray:
+    """The count table of rho under pset; fully determined by acq.seed."""
     return _simulate([rho], pset, acq, [acq.seed])[0]
 
 
@@ -298,12 +291,13 @@ def visibility_scan(
     return list(zip(angles, _poisson(means, [acq.seed], keys)[0].tolist()))
 
 
-def counts_to_csv(records) -> str:
+def counts_to_csv(counts) -> str:
+    """counts (n_settings, 4) as CSV: one line per outcome, settings and outcomes in order."""
     out = io.StringIO()
     out.write(COUNTS_CSV_HEADER + "\n")
-    for record in records:
-        for label, count in zip(OUTCOME_LABELS, record.outcome_counts):
-            out.write(f"{record.setting_index},{label},{int(count)}\n")
+    for setting_index, row in enumerate(counts):
+        for label, count in zip(OUTCOME_LABELS, row):
+            out.write(f"{setting_index},{label},{int(count)}\n")
     return out.getvalue()
 
 
@@ -314,7 +308,21 @@ def _count(value, where: str) -> int:
     return value
 
 
-def counts_from_csv(text: str) -> list[CountRecord]:
+def _count_table(rows: list, what: str) -> np.ndarray:
+    """(setting index, counts) rows, in any order, as an int64 (n_settings, 4) array.
+
+    The settings must be exactly 0..n-1, each once, with n >= 1, and each needs four counts.
+    """
+    settings = sorted(setting for setting, _ in rows)
+    if not rows or settings != list(range(len(rows))):
+        raise DataParse(f"{what}: settings must be 0..n-1, each once, got {reprlib.repr(settings)}")
+    for setting, counts in rows:
+        if len(counts) != len(OUTCOME_LABELS):
+            raise DataParse(f"{what}: setting {setting} has {len(counts)} counts, expected 4")
+    return np.array([counts for _, counts in sorted(rows)], dtype=np.int64)
+
+
+def counts_from_csv(text: str) -> np.ndarray:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != COUNTS_CSV_HEADER:
         raise DataParse(f"counts CSV must start with header {COUNTS_CSV_HEADER!r}")
@@ -338,79 +346,38 @@ def counts_from_csv(text: str) -> list[CountRecord]:
         if label in slot:
             raise DataParse(f"counts CSV line {lineno}: duplicate ({setting_index}, {label})")
         slot[label] = count
-    records = []
-    for setting_index in sorted(per_setting):
-        slot = per_setting[setting_index]
-        missing = [label for label in OUTCOME_LABELS if label not in slot]
-        if missing:
-            raise DataParse(f"setting {setting_index} is missing outcomes {missing}")
-        records.append(
-            CountRecord(
-                setting_index=setting_index,
-                outcome_counts=tuple(slot[label] for label in OUTCOME_LABELS),
-            )
-        )
-    return records
+    return _count_table([(setting_index, [slot[label] for label in OUTCOME_LABELS if label in slot])
+                         for setting_index, slot in per_setting.items()], "counts CSV")
 
 
-def counts_to_json_dict(records) -> dict:
+def counts_to_json_dict(counts) -> dict:
     return {
         "records": [
-            {
-                "setting_index": int(record.setting_index),
-                "outcome_counts": [int(c) for c in record.outcome_counts],
-            }
-            for record in records
+            {"setting_index": setting_index, "outcome_counts": [int(c) for c in row]}
+            for setting_index, row in enumerate(counts)
         ]
     }
 
 
-def counts_from_json_dict(data: dict) -> list[CountRecord]:
+def counts_from_json_dict(data: dict) -> np.ndarray:
     with parsing("counts JSON"):
-        return [
-            CountRecord(
-                setting_index=_count(entry["setting_index"], "counts JSON setting_index"),
-                outcome_counts=tuple(
-                    _count(c, "counts JSON count") for c in entry["outcome_counts"]
-                ),
-            )
-            for entry in data["records"]
-        ]
+        rows = [(_count(entry["setting_index"], "counts JSON setting_index"),
+                 [_count(c, "counts JSON count") for c in entry["outcome_counts"]])
+                for entry in data["records"]]
+    return _count_table(rows, "counts JSON")
 
 
-def write_counts_csv(path, records) -> None:
-    write_text(path, counts_to_csv(records))
+def write_counts_csv(path, counts) -> None:
+    write_text(path, counts_to_csv(counts))
 
 
-def read_counts_csv(path) -> list[CountRecord]:
+def read_counts_csv(path) -> np.ndarray:
     return counts_from_csv(read_text(path, "counts file"))
 
 
-def write_counts_json(path, records) -> None:
-    write_json(path, counts_to_json_dict(records))
+def write_counts_json(path, counts) -> None:
+    write_json(path, counts_to_json_dict(counts))
 
 
-def read_counts_json(path) -> list[CountRecord]:
+def read_counts_json(path) -> np.ndarray:
     return counts_from_json_dict(read_json(path, "counts file"))
-
-
-def validate_against(records, pset: ProjectorSet) -> None:
-    """Raise MismatchedData unless records exactly cover the projector set."""
-    seen = set()
-    for record in records:
-        if not 0 <= record.setting_index < pset.n_settings:
-            raise MismatchedData(
-                f"setting index {record.setting_index} outside projector set "
-                f"(0..{pset.n_settings - 1})"
-            )
-        if record.setting_index in seen:
-            raise MismatchedData(f"duplicate records for setting {record.setting_index}")
-        if len(record.outcome_counts) != len(OUTCOME_LABELS):
-            raise MismatchedData(
-                f"setting {record.setting_index} has {len(record.outcome_counts)} outcomes, "
-                f"expected {len(OUTCOME_LABELS)}"
-            )
-        seen.add(record.setting_index)
-    missing = set(range(pset.n_settings)) - seen
-    if missing:
-        raise MismatchedData(f"records missing settings {sorted(missing)}")

@@ -46,7 +46,7 @@ class IndexOutOfRange(DataError):
 
 
 class MismatchedData(DataError):
-    """Count records and projector set disagree."""
+    """A count table and a projector set disagree."""
 
 
 class NoCounts(DataError):

@@ -102,8 +102,8 @@ def run_fixture_checks(
     )
     acq = AcquisitionConfig(pairs_per_setting=pairs_per_setting, seed=seed)
     pset = standard_projector_set()
-    records = simulate_counts(generate(config), pset, acq)
-    result = mle_reconstruct(records, pset, target=mixed, target_description="identity/4")
+    counts = simulate_counts(generate(config), pset, acq)
+    result = mle_reconstruct(counts, pset, target=mixed, target_description="identity/4")
     low, high = COMPLETELY_MIXED_PURITY_BAND
     checks.append(FixtureCheck("simulated_mixed_purity", result.metrics.purity, low, high))
     checks.append(FixtureCheck("simulated_mixed_tangle", result.metrics.tangle, 0.0, 0.01))

@@ -13,10 +13,12 @@ children send back. Every point derives its seed from (master seed, point
 index) and every sample of a batch comes out as it would alone, so output
 bytes do not depend on batching or on the workers.
 
-A sweep that fails is rerun one point at a time, computing only, to name the
-first point in grid order that fails: a batch fails exactly when one of its
-points fails alone. It leaves its point directories and any points a share
-finished, but no sweep.csv.
+A sweep that fails on a data error is rerun one point at a time, computing
+only, to name the first point in grid order that fails: a batch fails exactly
+when one of its points fails alone. Only data errors are rerun: a point file
+that cannot be written fails the sweep at once, without recomputing the grid.
+A failed sweep leaves its point directories and any points a share finished,
+but no sweep.csv.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import pickle
 import signal
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .counting import (
     _POISSON_MAX,
     _SWEEP_STREAM,
@@ -34,7 +38,7 @@ from .counting import (
     derive_seed,
     write_counts_csv,
 )
-from .errors import BellmixError, ConfigParse, InvalidConfig, OutOfRange
+from .errors import ConfigParse, DataError, InvalidConfig, OutOfRange
 from .fileio import checked, is_kind, parsing, read_json, write_text, writing
 from .linalg import DensityMatrix, write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
@@ -136,7 +140,7 @@ class SweepPoint:
     alpha: float
     source: str
     state: DensityMatrix | None = None
-    records: list | None = None
+    counts: np.ndarray | None = None
     theory: tuple = ()
     result: ReconstructionResult | None = None
 
@@ -163,16 +167,14 @@ def _run(spec: SweepSpec, points: list) -> list:
             point.theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
         seeds.append(derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index))
         point.state = generate(config)
-    states = [point.state for point in points]
-    for point, records in zip(points, _simulate(states, pset, spec.acquisition, seeds)):
-        point.records = records
-    results = _reconstruct_batch([point.records for point in points], pset, targets, descriptions)
+    tables = _simulate([point.state for point in points], pset, spec.acquisition, seeds)
+    results = _reconstruct_batch(list(tables), pset, targets, descriptions)
     if spec.resamples:
         all_errors = _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
         for result, errors in zip(results, all_errors):
             result.metric_errors = errors
-    for point, result in zip(points, results):
-        point.result = result
+    for point, counts, result in zip(points, tables, results):
+        point.counts, point.result = counts, result
     return points
 
 
@@ -181,7 +183,7 @@ def _run_and_write(spec: SweepSpec, points: list) -> list:
     for point in _run(spec, points):
         point_dir = os.path.join(spec.outputs, _directory(point.alpha, point.source))
         write_state_json(os.path.join(point_dir, "state.json"), point.state)
-        write_counts_csv(os.path.join(point_dir, "counts.csv"), point.records)
+        write_counts_csv(os.path.join(point_dir, "counts.csv"), point.counts)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
     return points
 
@@ -243,11 +245,11 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
             _fork_shares(spec, points, shares)
         else:
             _run_and_write(spec, points)
-    except BellmixError:
+    except DataError:  # only writing raises a ConfigError once SweepSpec has checked the spec
         for point in points:
             try:
                 _run(spec, [point])
-            except BellmixError as exc:
+            except DataError as exc:
                 raise type(exc)(f"sweep point alpha={point.alpha:g} ({point.source}): {exc}") from exc
         raise
 

@@ -40,9 +40,8 @@ from .counting import (
     _outcome_keys,
     _philox_keys,
     _poisson,
-    validate_against,
 )
-from .errors import DataParse, NoCounts, OutOfRange
+from .errors import DataParse, MismatchedData, NoCounts, OutOfRange
 from .fileio import parsing, read_json, typed, write_json
 from .linalg import (
     DensityMatrix,
@@ -87,13 +86,13 @@ class ReconstructionResult:
     floored_outcomes: int = 0
 
 
-def _count_vector(records, pset: ProjectorSet) -> np.ndarray:
-    """Counts as a flat (4 * n_settings,) vector in projector order."""
-    validate_against(records, pset)
-    ordered = sorted(records, key=lambda r: r.setting_index)
-    return np.array(
-        [float(c) for record in ordered for c in record.outcome_counts], dtype=float
-    )
+def _count_vector(counts, pset: ProjectorSet) -> np.ndarray:
+    """A count table (n_settings, 4) of pset as a flat float vector in projector order."""
+    counts = np.asarray(counts)
+    if counts.shape != (pset.n_settings, 4):
+        raise MismatchedData(f"counts of shape {counts.shape} do not match the projector "
+                             f"set's ({pset.n_settings}, 4)")
+    return counts.reshape(-1).astype(float)
 
 
 def _probabilities(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -131,9 +130,9 @@ def _log_likelihoods(groups: list, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_likelihood(rho: DensityMatrix, records, pset: ProjectorSet) -> float:
+def log_likelihood(rho: DensityMatrix, counts, pset: ProjectorSet) -> float:
     """Sum of n_j log p_j(rho) over all outcomes, omitting n_j = 0 terms."""
-    counts = _count_vector(records, pset)[None]
+    counts = _count_vector(counts, pset)[None]
     probs = _probabilities(pset.flattened(), rho.matrix[None])
     return float(_log_likelihoods(_nonzero_groups(counts), probs)[0])
 
@@ -236,7 +235,7 @@ def _mle_batch(
 
 
 def _reconstruct_batch(
-    record_sets: list,
+    count_tables: list,
     pset: ProjectorSet,
     targets: list,
     descriptions: list,
@@ -245,8 +244,8 @@ def _reconstruct_batch(
     tolerance: float = TOLERANCE,
     dilution: float = 1.0,
 ) -> list:
-    """mle_reconstruct of every record set, with its target and description, as one batch."""
-    counts = np.stack([_count_vector(records, pset) for records in record_sets])
+    """mle_reconstruct of every count table, with its target and description, as one batch."""
+    counts = np.stack([_count_vector(table, pset) for table in count_tables])
     rho, ll, iterations, converged, floored, traces = _mle_batch(
         counts, pset.flattened(),
         max_iterations=max_iterations, tolerance=tolerance, dilution=dilution, traces=True,
@@ -273,7 +272,7 @@ def _reconstruct_batch(
 
 
 def mle_reconstruct(
-    records,
+    counts,
     pset: ProjectorSet,
     *,
     max_iterations: int = MAX_ITERATIONS,
@@ -282,12 +281,12 @@ def mle_reconstruct(
     target: DensityMatrix | None = None,
     target_description: str | None = None,
 ) -> ReconstructionResult:
-    """Reconstruct the state maximizing the likelihood of the observed counts.
+    """Reconstruct the state maximizing the likelihood of the count table (n_settings, 4).
 
     A batch of one through the diluted RρR iteration.
     """
     return _reconstruct_batch(
-        [records], pset, [target], [target_description],
+        [counts], pset, [target], [target_description],
         max_iterations=max_iterations, tolerance=tolerance, dilution=dilution,
     )[0]
 

@@ -1,4 +1,4 @@
-"""Shared random-sample builders for the test suite."""
+"""Shared random-sample builders and checks for the test suite."""
 
 import numpy as np
 
@@ -34,3 +34,9 @@ def rotate_state(rho: DensityMatrix, u) -> DensityMatrix:
     m = hermitize(m)
     m[3, 3] += 1.0 - m.trace().real
     return DensityMatrix(m)
+
+
+def assert_same_table(got, expected):
+    """got is an int64 count table equal to expected."""
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert got.tolist() == expected.tolist()

@@ -37,7 +37,7 @@ from bellmix.states import (
 from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import mle_reconstruct
 from helpers import random_density_matrix  # noqa: F401  (kept importable for parity)
-from test_tomography import _expected_records, diagonal_grid_search
+from test_tomography import _expected_counts, diagonal_grid_search
 
 PSET = standard_projector_set()
 
@@ -97,10 +97,10 @@ def test_criterion_4_tomography_round_trip():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         truth = mix_duty_cycle(alpha)
         for seed in range(10):
-            records = simulate_counts(
+            counts = simulate_counts(
                 truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=seed)
             )
-            result = mle_reconstruct(records, PSET, target=truth)
+            result = mle_reconstruct(counts, PSET, target=truth)
             assert np.all(np.diff(result.ll_trace) >= 0.0)
             assert result.metrics.fidelity_to_target >= 0.99
             worst = min(worst, result.metrics.fidelity_to_target)
@@ -117,10 +117,10 @@ def test_criterion_5_noise_matched_band():
     worst_low, worst_high = 1.0, 0.0
     for index, alpha in enumerate(TABLE_ALPHAS):
         config = SourceConfig(alpha=alpha, noise=noise)
-        records = simulate_counts(
+        counts = simulate_counts(
             generate(config), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=1000 + index)
         )
-        result = mle_reconstruct(records, PSET, target=mix_duty_cycle(alpha))
+        result = mle_reconstruct(counts, PSET, target=mix_duty_cycle(alpha))
         f = result.metrics.fidelity_to_target
         assert 0.96 <= f <= 1.0
         if alpha == 0.0:
@@ -181,9 +181,9 @@ def test_criterion_7_mle_oracle_equivalence():
 
     truth = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 
-    records = _expected_records(truth, 1e5)
-    oracle = diagonal_grid_search(records)
-    result = mle_reconstruct(records, PSET)
+    counts = _expected_counts(truth, 1e5)
+    oracle = diagonal_grid_search(counts)
+    result = mle_reconstruct(counts, PSET)
     f_exact = fidelity(result.rho_hat, oracle)
     assert f_exact >= 1.0 - 1e-4
 

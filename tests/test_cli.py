@@ -33,7 +33,6 @@ from bellmix.optics import (
     standard_projector_set,
 )
 from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
-from bellmix.counting import CountRecord
 from bellmix.errors import NoCounts, OutOfRange
 from bellmix import sweep
 from bellmix.sweep import SweepSpec, run_sweep
@@ -111,10 +110,7 @@ def test_reconstruct_malformed_counts(tmp_path, capsys):
 
 def test_reconstruct_uniform_counts(tmp_path):
     counts_path = tmp_path / "uniform.csv"
-    records = [
-        CountRecord(setting_index=i, outcome_counts=(250, 250, 250, 250)) for i in range(9)
-    ]
-    write_counts_csv(counts_path, records)
+    write_counts_csv(counts_path, np.full((9, 4), 250))
     out = tmp_path / "recon.json"
     assert main(["reconstruct", str(counts_path), "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
@@ -153,9 +149,9 @@ def test_reconstruct_fits_resamples_with_the_estimate_settings(tmp_path):
     assert main(["reconstruct", str(counts), "--max-iterations", "8", "--tolerance", "1e-6",
                  "--resamples", "5", "--out", str(recon)]) == 4
     pset = standard_projector_set()
-    records = read_counts_csv(counts)
-    result = mle_reconstruct(records, pset, max_iterations=8, tolerance=1e-6)
-    acq = AcquisitionConfig(pairs_per_setting=sum(sum(r.outcome_counts) for r in records) / 9)
+    table = read_counts_csv(counts)
+    result = mle_reconstruct(table, pset, max_iterations=8, tolerance=1e-6)
+    acq = AcquisitionConfig(pairs_per_setting=int(table.sum()) / 9)
     capped = bootstrap_errors(result, pset, acq, 5, max_iterations=8, tolerance=1e-6)
     assert capped != bootstrap_errors(result, pset, acq, 5)
     assert json.loads(recon.read_text(encoding="utf-8"))["metric_errors"] == capped
@@ -166,6 +162,19 @@ def test_simulate_writes_csv_to_stdout(capsys):
     out = capsys.readouterr().out
     assert out.startswith("setting_index,outcome_label,count\n")
     assert len(out.splitlines()) == 37
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "metrics"])
+def test_target_and_alpha_together_exit_2(tmp_path, capsys, command):
+    state = tmp_path / "state.json"
+    write_json(state, matrix_to_json_dict(np.eye(4) / 4.0))
+    counts = tmp_path / "counts.csv"
+    write_counts_csv(counts, np.full((9, 4), 250))
+    inputs = [str(counts)] if command == "reconstruct" else ["--state", str(state)]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *inputs, "--target", str(state), "--alpha", "0.3"])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_metrics_with_target_file(tmp_path, capsys):
@@ -407,9 +416,9 @@ def test_sweep_artifacts_round_trip(tmp_path):
     write_state_json(copy_path, state)
     assert (point / "state.json").read_bytes() == copy_path.read_bytes()
 
-    records = read_counts_csv(point / "counts.csv")
+    counts = read_counts_csv(point / "counts.csv")
     copy_path = tmp_path / "counts_copy.csv"
-    write_counts_csv(copy_path, records)
+    write_counts_csv(copy_path, counts)
     assert (point / "counts.csv").read_bytes() == copy_path.read_bytes()
 
     result = read_result_json(point / "recon.json")
@@ -595,6 +604,27 @@ def test_unwritable_outputs_exit_2_before_any_compute(tmp_path, capsys, parallel
     assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
 
 
+@pytest.mark.parametrize("parallel, runs", [("0", [3]), ("2", [])], ids=["serial", "pooled"])
+def test_unwritable_outputs_of_a_point_exit_2_without_recomputing(tmp_path, capsys, monkeypatch,
+                                                                   parallel, runs):
+    parent, real_run, sizes = os.getpid(), sweep._run, []
+
+    def run(spec, points):
+        if os.getpid() == parent:
+            sizes.append(len(points))
+        return real_run(spec, points)
+
+    monkeypatch.setattr(sweep, "_run", run)
+    blocked = tmp_path / "out" / "alpha_1" / "recon.json"
+    blocked.mkdir(parents=True)  # a directory where the point's recon.json goes
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.0, 0.5, 1.0], "acquisition": {"pairs_per_setting": 1e3},
+                      "outputs": str(tmp_path / "out"), "resamples": 3})
+    assert main(["sweep", "--spec", str(spec), "--parallel", parallel]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}")
+    assert sizes == runs  # one serial run of the grid, or none in the pooled parent
+
+
 def test_sweep_exit_code_ignores_stale_points(tmp_path):
     out = tmp_path / "out"
     spec = _sweep_spec(tmp_path, out)
@@ -618,7 +648,7 @@ _FILE_INPUTS = {
                                   "--out", "{dir}/generated.json"]),
 }
 
-_UNIFORM = [CountRecord(setting_index=i, outcome_counts=(250, 250, 250, 250)) for i in range(9)]
+_UNIFORM = np.full((9, 4), 250)
 _VALID = {
     "counts_json": counts_to_json_dict(_UNIFORM),
     "projectors": projector_set_to_json_dict(standard_projector_set()),
@@ -674,6 +704,16 @@ def _json_keys(value):
     return set()
 
 
+def _counts_csv(settings):
+    return "setting_index,outcome_label,count\n" + "".join(
+        f"{setting},{label},250\n" for setting in settings for label in ("TT", "TR", "RT", "RR"))
+
+
+def _counts_json(records):
+    return json.dumps({"records": [{"setting_index": setting, "outcome_counts": counts}
+                                   for setting, counts in records]})
+
+
 # (kind, content, exit code) for the explicit examples.
 _EXAMPLES = [
     *((kind, b"\xff\xfe{\x80", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
@@ -696,6 +736,13 @@ _EXAMPLES = [
     ("counts_csv", b"setting_index,outcome_label,count\n0,TT,1e400\n", 3),
     ("counts_csv", b"setting_index,outcome_label,count\n0,TT,-50\n", 3),
     ("counts_csv", ("setting_index,outcome_label,count\n0,TT,%d\n" % 10**400).encode(), 3),
+    # A count table needs settings 0..n-1, each once, with four counts each.
+    ("counts_csv", _counts_csv([*range(8), 9]).encode(), 3),
+    ("counts_csv", b"setting_index,outcome_label,count\n9223372036854775806,TT,1\n", 3),
+    *(("counts_json", _counts_json(records).encode(), 3) for records in (
+        [(setting, [250] * 4) for setting in (*range(8), 9)],
+        [(setting, [250] * 4) for setting in (*range(9), 3)],
+        [(setting, [250] * (3 if setting == 3 else 4)) for setting in range(9)])),
     ("state", _dark_state(), 3),
     ("state", b"[" * 100000, 3),  # nested past the recursion limit
 ]

@@ -11,7 +11,6 @@ from bellmix.counting import (
     _BOOTSTRAP_STREAM,
     _SCAN_STREAM,
     AcquisitionConfig,
-    CountRecord,
     born_probabilities,
     counts_from_csv,
     counts_from_json_dict,
@@ -20,6 +19,7 @@ from bellmix.counting import (
     _philox_block,
     _philox_keys,
     _POISSON_MAX,
+    _count_table,
     _multiplication,
     _poisson,
     _ptrs,
@@ -27,12 +27,13 @@ from bellmix.counting import (
     read_counts_json,
     simulate_counts,
     stream,
-    validate_against,
     visibility_scan,
 )
 from bellmix.errors import DataParse, IndexOutOfRange, MismatchedData, OutOfRange
 from bellmix.optics import WaveplateSetting, analyzer_projectors, standard_projector_set
 from bellmix.states import bell_state, completely_mixed, mix_duty_cycle
+from bellmix.tomography import _count_vector
+from helpers import assert_same_table
 
 PSET = standard_projector_set()
 
@@ -76,42 +77,35 @@ def test_simulate_counts_deterministic():
     rho = mix_duty_cycle(0.25)
     first = simulate_counts(rho, PSET, acq)
     second = simulate_counts(rho, PSET, acq)
-    assert first == second
-    assert len(first) == 9
+    assert np.array_equal(first, second)
+    assert first.shape == (9, 4)
     different = simulate_counts(rho, PSET, AcquisitionConfig(pairs_per_setting=1e4, seed=100))
-    assert different != first
+    assert not np.array_equal(different, first)
 
 
 def test_simulate_zero_probability_outcomes_stay_zero():
     from bellmix.linalg import DensityMatrix
 
     hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    records = simulate_counts(hh, PSET, AcquisitionConfig(pairs_per_setting=1e6, seed=1))
-    hv = records[setting_index("HV", "HV")]
-    assert hv.outcome_counts[1] == 0 and hv.outcome_counts[2] == 0 and hv.outcome_counts[3] == 0
+    counts = simulate_counts(hh, PSET, AcquisitionConfig(pairs_per_setting=1e6, seed=1))
+    assert counts[setting_index("HV", "HV")][1:].tolist() == [0, 0, 0]
 
 
 def test_simulate_frequencies_converge():
     acq = AcquisitionConfig(pairs_per_setting=1e6, seed=23)
     bound = 5.0 / np.sqrt(acq.pairs_per_setting)
     for rho in (completely_mixed(), mix_duty_cycle(0.25), bell_state("psi+")):
-        records = simulate_counts(rho, PSET, acq)
-        for record in records:
-            probs = born_probabilities(rho, PSET, record.setting_index)
-            total = sum(record.outcome_counts)
-            for count, p in zip(record.outcome_counts, probs):
-                assert abs(count / total - p) <= bound
+        for setting, row in enumerate(simulate_counts(rho, PSET, acq)):
+            probs = born_probabilities(rho, PSET, setting)
+            assert np.abs(row / row.sum() - probs).max() <= bound
 
 
 def test_simulate_frequencies_huge_pairs():
     # Law of large numbers at 1e8 pairs: 3e-4 is a >5 sigma Poisson margin.
-    records = simulate_counts(
+    counts = simulate_counts(
         completely_mixed(), PSET, AcquisitionConfig(pairs_per_setting=1e8, seed=23)
     )
-    for record in records:
-        total = sum(record.outcome_counts)
-        for count in record.outcome_counts:
-            assert abs(count / total - 0.25) <= 3e-4
+    assert np.abs(counts / counts.sum(axis=1, keepdims=True) - 0.25).max() <= 3e-4
 
 
 def test_poisson_moments():
@@ -129,9 +123,7 @@ def test_accidentals_lift_zero_outcomes():
 
     hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     acq = AcquisitionConfig(pairs_per_setting=1e4, accidental_rate=50.0, seed=3)
-    records = simulate_counts(hh, PSET, acq)
-    hv = records[setting_index("HV", "HV")]
-    background = hv.outcome_counts[1:]
+    background = simulate_counts(hh, PSET, acq)[setting_index("HV", "HV")][1:]
     assert all(10 <= c <= 110 for c in background)  # Poisson(50) within ~7 sigma
 
 
@@ -211,34 +203,34 @@ def test_acquisition_validation():
 
 
 def test_counts_csv_round_trip():
-    records = simulate_counts(
+    counts = simulate_counts(
         mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
     )
-    text = counts_to_csv(records)
-    back = counts_from_csv(text)
-    assert [r.setting_index for r in back] == [r.setting_index for r in records]
-    assert [r.outcome_counts for r in back] == [r.outcome_counts for r in records]
+    assert_same_table(counts_from_csv(counts_to_csv(counts)), counts)
 
 
 def test_counts_json_round_trip():
-    records = simulate_counts(
+    counts = simulate_counts(
         mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
     )
-    data = counts_to_json_dict(records)
+    data = counts_to_json_dict(counts)
     assert all(set(entry) == {"setting_index", "outcome_counts"} for entry in data["records"])
-    assert counts_from_json_dict(data) == records
+    assert [entry["setting_index"] for entry in data["records"]] == list(range(9))
+    assert_same_table(counts_from_json_dict(data), counts)
+    data["records"].reverse()  # the reader puts each setting in its row
+    assert_same_table(counts_from_json_dict(data), counts)
 
 
 def test_counts_json_ignores_old_duration_tag(tmp_path):
-    records = simulate_counts(
+    counts = simulate_counts(
         mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
     )
-    data = counts_to_json_dict(records)
+    data = counts_to_json_dict(counts)
     for entry in data["records"]:
         entry["duration_tag"] = "pairs=1000"
     path = tmp_path / "counts.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert read_counts_json(path) == records
+    assert_same_table(read_counts_json(path), counts)
 
 
 def test_counts_csv_rejects_malformed():
@@ -250,9 +242,8 @@ def test_counts_csv_rejects_malformed():
         counts_from_csv("setting_index,outcome_label,count\n0,TT,ten\n")
     with pytest.raises(DataParse):
         counts_from_csv("setting_index,outcome_label,count\n0,TT,10\n")  # missing outcomes
-    valid = counts_to_csv([CountRecord(setting_index=s, outcome_counts=(50084, 1, 2, 3))
-                           for s in range(9)])
-    assert counts_from_csv(valid)[0].outcome_counts == (50084, 1, 2, 3)
+    valid = counts_to_csv([(50084, 1, 2, 3)] * 9)
+    assert counts_from_csv(valid)[0].tolist() == [50084, 1, 2, 3]
     odd_lines = ["0,TT,50_084", "0,TT,+50084", "0,TT, 50084", "0,TT,5008\u0664",  # Arabic-Indic 4
                  "0_0,TT,50084", "+0,TT,50084", "\u0660,TT,50084"]
     for line in odd_lines:
@@ -260,13 +251,23 @@ def test_counts_csv_rejects_malformed():
             counts_from_csv(valid.replace("0,TT,50084", line, 1))
 
 
-def test_validate_against_projector_set():
-    records = [CountRecord(setting_index=0, outcome_counts=(1, 2, 3, 4))]
-    with pytest.raises(MismatchedData):
-        validate_against(records, PSET)
-    bad = [CountRecord(setting_index=12, outcome_counts=(1, 2, 3, 4))]
-    with pytest.raises(MismatchedData):
-        validate_against(bad, PSET)
+def test_count_table_must_match_the_projector_set_shape():
+    for shape in ((1, 4), (10, 4), (9, 3), (36,), (9, 4, 1)):
+        with pytest.raises(MismatchedData, match="projector set"):
+            _count_vector(np.ones(shape, dtype=np.int64), PSET)
+    assert _count_vector(np.arange(36).reshape(9, 4), PSET).tolist() == list(range(36))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], r"settings must be 0\.\.n-1, each once, got \[\]"),
+    ([(0, [1, 2, 3, 4]), (2, [1, 2, 3, 4])], r"got \[0, 2\]"),
+    ([(0, [1, 2, 3, 4]), (0, [1, 2, 3, 4])], r"got \[0, 0\]"),
+    ([(2**63 - 1, [1, 2, 3, 4])], r"got \[9223372036854775807\]"),
+    ([(1, [1, 2, 3, 4]), (0, [1, 2, 3])], "setting 0 has 3 counts, expected 4"),
+])
+def test_count_tables_need_each_setting_0_to_n_once(rows, message):
+    with pytest.raises(DataParse, match=message):
+        _count_table(rows, "counts")
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -325,12 +326,14 @@ def test_simulated_counts_equal_one_stream_per_outcome():
     acq = AcquisitionConfig(pairs_per_setting=1e3, accidental_rate=0.5, seed=2**40 + 7)
     rho = mix_duty_cycle(0.3)
     expected = [
-        tuple(int(stream(acq.seed, setting, outcome).poisson(acq.pairs_per_setting * float(p)
+        list(int(stream(acq.seed, setting, outcome).poisson(acq.pairs_per_setting * float(p)
                                                              + acq.accidental_rate))
               for outcome, p in enumerate(born_probabilities(rho, PSET, setting)))
         for setting in range(PSET.n_settings)
     ]
-    assert [r.outcome_counts for r in simulate_counts(rho, PSET, acq)] == expected
+    counts = simulate_counts(rho, PSET, acq)
+    assert counts.dtype == np.int64 and counts.shape == (9, 4)
+    assert counts.tolist() == expected
     scan = visibility_scan(rho, [5.0, 50.0], acq)
     assert [count for _, count in scan] == [
         int(stream(acq.seed, _SCAN_STREAM, index).poisson(mean))

@@ -7,7 +7,6 @@ import pytest
 from bellmix.counting import (
     _BOOTSTRAP_STREAM,
     AcquisitionConfig,
-    CountRecord,
     derive_seed,
     simulate_counts,
 )
@@ -58,11 +57,9 @@ def _simplex_candidates(p1_values, p2_values, p3_values):
     return pops[pops.min(axis=1) >= -1e-12]
 
 
-def diagonal_grid_search(records, coarse=0.02, refinements=(0.002, 0.0002)):
+def diagonal_grid_search(counts, coarse=0.02, refinements=(0.002, 0.0002)):
     """Best diagonal state by exhaustive grid search over the 3-simplex."""
-    counts = np.array(
-        [float(c) for r in sorted(records, key=lambda r: r.setting_index) for c in r.outcome_counts]
-    )
+    counts = np.asarray(counts, dtype=float).reshape(-1)
     grid = np.arange(0.0, 1.0 + 1e-9, coarse)
     best = _best_diagonal(counts, _simplex_candidates(grid, grid, grid))
     for step in refinements:
@@ -79,46 +76,40 @@ def diagonal_grid_search(records, coarse=0.02, refinements=(0.002, 0.0002)):
 # ---------------------------------------------------------------------------
 
 
-def _records_from_vector(values):
-    return [
-        CountRecord(setting_index=i, outcome_counts=tuple(values[4 * i: 4 * i + 4]))
-        for i in range(9)
-    ]
-
-
-def _expected_records(rho, pairs):
+def _expected_counts(rho, pairs):
+    """The expected count table (9, 4) of rho: float, since the fit accepts any counts."""
     flat = PSET.flattened()
     probs = np.real(flat @ rho.matrix.T.reshape(16))
-    return _records_from_vector(pairs * probs)
+    return (pairs * probs).reshape(9, 4)
 
 
 def test_log_likelihood_all_zero_counts():
-    records = _records_from_vector(np.zeros(36))
-    assert log_likelihood(mix_duty_cycle(0.3), records, PSET) == 0.0
+    counts = np.zeros((9, 4))
+    assert log_likelihood(mix_duty_cycle(0.3), counts, PSET) == 0.0
 
 
 def test_log_likelihood_certain_outcome():
     hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     values = np.zeros(36)
     values[0] = 100  # HV/HV setting, TT outcome, probability exactly 1
-    records = _records_from_vector(values)
-    assert log_likelihood(hh, records, PSET) == 0.0
+    counts = values.reshape(9, 4)
+    assert log_likelihood(hh, counts, PSET) == 0.0
 
 
 def test_log_likelihood_gibbs_inequality():
     rng = np.random.default_rng(29)
     rho0 = random_density_matrix(rng, rank=3)
-    records = _expected_records(rho0, 1e6)
-    baseline = log_likelihood(rho0, records, PSET)
+    counts = _expected_counts(rho0, 1e6)
+    baseline = log_likelihood(rho0, counts, PSET)
     for _ in range(100):
         scale = float(rng.uniform(1e-3, 0.3))
         perturbed = nearest_physical(rho0.matrix + scale * random_hermitian(rng))
-        assert baseline >= log_likelihood(perturbed, records, PSET)
+        assert baseline >= log_likelihood(perturbed, counts, PSET)
 
 
 def test_log_likelihood_mismatched_records():
     with pytest.raises(MismatchedData):
-        log_likelihood(mix_duty_cycle(0.3), _records_from_vector(np.ones(36))[:5], PSET)
+        log_likelihood(mix_duty_cycle(0.3), np.ones((5, 4)), PSET)
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +119,23 @@ def test_log_likelihood_mismatched_records():
 
 def test_mle_recovers_state_from_exact_counts():
     truth = mix_duty_cycle(0.25)
-    records = _expected_records(truth, 1e6)
-    result = mle_reconstruct(records, PSET, target=truth)
+    counts = _expected_counts(truth, 1e6)
+    result = mle_reconstruct(counts, PSET, target=truth)
     assert result.converged
     assert result.metrics.fidelity_to_target >= 1.0 - 1e-6
 
 
 def test_mle_uniform_counts_give_maximally_mixed():
-    records = _records_from_vector(np.full(36, 500.0))
-    result = mle_reconstruct(records, PSET)
+    counts = np.full((9, 4), 500.0)
+    result = mle_reconstruct(counts, PSET)
     assert np.abs(result.rho_hat.matrix - np.eye(4) / 4.0).max() <= 1e-6
 
 
 def test_mle_simulated_bell_state():
     truth = bell_state("phi-")
     acq = AcquisitionConfig(pairs_per_setting=1e5, seed=42)
-    records = simulate_counts(truth, PSET, acq)
-    result = mle_reconstruct(records, PSET, target=truth)
+    counts = simulate_counts(truth, PSET, acq)
+    result = mle_reconstruct(counts, PSET, target=truth)
     assert result.converged
     assert result.metrics.fidelity_to_target >= 0.999
     assert result.floored_outcomes == 0  # healthy data never pins an observed outcome
@@ -152,11 +143,11 @@ def test_mle_simulated_bell_state():
 
 def test_mle_likelihood_monotone_and_iterates_physical():
     truth = mix_duty_cycle(0.75)
-    records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e4, seed=6))
+    counts = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e4, seed=6))
     likelihoods = []
     for cap in (1, 2, 5, 10, 20, 40, 80, None):
         kwargs = {} if cap is None else {"max_iterations": cap}
-        result = mle_reconstruct(records, PSET, **kwargs)
+        result = mle_reconstruct(counts, PSET, **kwargs)
         rho = result.rho_hat.matrix
         assert np.abs(rho - rho.conj().T).max() <= 1e-10
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
@@ -171,29 +162,29 @@ def test_mle_likelihood_monotone_and_iterates_physical():
 
 
 def test_mle_non_convergence_is_flagged():
-    records = simulate_counts(
+    counts = simulate_counts(
         bell_state("phi+"), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=2)
     )
-    result = mle_reconstruct(records, PSET, max_iterations=2)
+    result = mle_reconstruct(counts, PSET, max_iterations=2)
     assert not result.converged
     assert result.iterations == 2
 
 
 def test_mle_rejects_empty_and_mismatched():
     with pytest.raises(NoCounts):
-        mle_reconstruct(_records_from_vector(np.zeros(36)), PSET)
+        mle_reconstruct(np.zeros((9, 4)), PSET)
     with pytest.raises(MismatchedData):
-        mle_reconstruct(_records_from_vector(np.ones(36))[:3], PSET)
+        mle_reconstruct(np.ones((3, 4)), PSET)
 
 
 def test_mle_consistency_across_duty_cycles():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         truth = mix_duty_cycle(alpha)
         for seed in (0, 1, 2):
-            records = simulate_counts(
+            counts = simulate_counts(
                 truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=seed)
             )
-            result = mle_reconstruct(records, PSET, target=truth)
+            result = mle_reconstruct(counts, PSET, target=truth)
             assert result.metrics.fidelity_to_target >= 0.99
 
 
@@ -204,17 +195,17 @@ def test_mle_consistency_across_duty_cycles():
 
 def test_mle_matches_diagonal_oracle_exact_counts():
     truth = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    records = _expected_records(truth, 1e5)
-    oracle = diagonal_grid_search(records)
-    result = mle_reconstruct(records, PSET)
+    counts = _expected_counts(truth, 1e5)
+    oracle = diagonal_grid_search(counts)
+    result = mle_reconstruct(counts, PSET)
     assert fidelity(result.rho_hat, oracle) >= 1.0 - 1e-4
 
 
 def test_mle_matches_diagonal_oracle_noisy_counts():
     truth = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
-    records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=123))
-    oracle = diagonal_grid_search(records)
-    result = mle_reconstruct(records, PSET)
+    counts = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=123))
+    oracle = diagonal_grid_search(counts)
+    result = mle_reconstruct(counts, PSET)
     assert fidelity(result.rho_hat, oracle) >= 1.0 - 1e-4
 
 
@@ -226,8 +217,8 @@ def test_mle_matches_diagonal_oracle_noisy_counts():
 def test_bootstrap_deterministic():
     truth = mix_duty_cycle(0.25)
     acq = AcquisitionConfig(pairs_per_setting=1e4, seed=55)
-    records = simulate_counts(truth, PSET, acq)
-    result = mle_reconstruct(records, PSET, target=truth)
+    counts = simulate_counts(truth, PSET, acq)
+    result = mle_reconstruct(counts, PSET, target=truth)
     first = bootstrap_errors(result, PSET, acq, 20)
     second = bootstrap_errors(result, PSET, acq, 20)
     assert first == second
@@ -238,8 +229,8 @@ def test_bootstrap_deterministic():
 def test_bootstrap_errors_shrink_with_huge_counts():
     truth = mix_duty_cycle(0.25)
     acq = AcquisitionConfig(pairs_per_setting=1e8, seed=13)
-    records = simulate_counts(truth, PSET, acq)
-    result = mle_reconstruct(records, PSET, target=truth)
+    counts = simulate_counts(truth, PSET, acq)
+    result = mle_reconstruct(counts, PSET, target=truth)
     errors = bootstrap_errors(result, PSET, acq, 100)
     assert all(v <= 1e-3 for v in errors.values())
 
@@ -250,8 +241,8 @@ def test_bootstrap_fidelity_error_matches_reported_magnitudes():
     # reproduces that displacement (fidelity ~0.98 against the ideal mixture).
     config = SourceConfig(alpha=0.25, phi=0.8, noise=NoiseParams(dephasing=0.027))
     acq = AcquisitionConfig(pairs_per_setting=1e5, seed=11)
-    records = simulate_counts(generate(config), PSET, acq)
-    result = mle_reconstruct(records, PSET, target=mix_duty_cycle(0.25))
+    counts = simulate_counts(generate(config), PSET, acq)
+    result = mle_reconstruct(counts, PSET, target=mix_duty_cycle(0.25))
     assert 0.96 <= result.metrics.fidelity_to_target <= 0.99
     errors = bootstrap_errors(result, PSET, acq, 100)
     assert 1e-4 <= errors["fidelity"] <= 5e-3
@@ -260,8 +251,8 @@ def test_bootstrap_fidelity_error_matches_reported_magnitudes():
 def test_bootstrap_requires_two_resamples():
     truth = mix_duty_cycle(0.5)
     acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
-    records = simulate_counts(truth, PSET, acq)
-    result = mle_reconstruct(records, PSET)
+    counts = simulate_counts(truth, PSET, acq)
+    result = mle_reconstruct(counts, PSET)
     with pytest.raises(NoCounts):
         bootstrap_errors(result, PSET, acq, 1)
 
@@ -273,22 +264,22 @@ def test_bootstrap_requires_two_resamples():
 ], ids=["tolerance-inf", "tolerance-nan", "tolerance-0", "tolerance-neg", "max_iterations-neg"])
 def test_fits_reject_stop_settings_that_cannot_stop_right(stop):
     acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
-    records = simulate_counts(mix_duty_cycle(0.5), PSET, acq)
+    counts = simulate_counts(mix_duty_cycle(0.5), PSET, acq)
     with pytest.raises(OutOfRange, match=next(iter(stop))):
-        mle_reconstruct(records, PSET, **stop)
-    result = mle_reconstruct(records, PSET)
+        mle_reconstruct(counts, PSET, **stop)
+    result = mle_reconstruct(counts, PSET)
     with pytest.raises(OutOfRange, match=next(iter(stop))):
         bootstrap_errors(result, PSET, acq, 3, **stop)
-    assert mle_reconstruct(records, PSET, max_iterations=0).iterations == 0
+    assert mle_reconstruct(counts, PSET, max_iterations=0).iterations == 0
 
 # ---------------------------------------------------------------------------
 # Batched reconstruction equals one-at-a-time reconstruction, bit for bit
 # ---------------------------------------------------------------------------
 
 
-def _scalar_rrr(records, max_iterations=10000, tolerance=1e-10):
+def _scalar_rrr(counts, max_iterations=10000, tolerance=1e-10):
     """The one-sample diluted RρR loop the batched routine replaced, kept as reference."""
-    counts = _count_vector(records, PSET)
+    counts = _count_vector(counts, PSET)
     total, flat, eye = counts.sum(), PSET.flattened(), np.eye(4, dtype=complex)
     mask = counts > 0
 
@@ -331,22 +322,22 @@ def test_mle_matches_scalar_reference_loop():
         (bell_state("phi+"), 1e5, 30),
     ]
     for seed, (truth, pairs, cap) in enumerate(cases):
-        records = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=pairs, seed=seed))
-        rho, trace, iterations, converged = _scalar_rrr(records, max_iterations=cap)
-        result = mle_reconstruct(records, PSET, max_iterations=cap)
+        counts = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=pairs, seed=seed))
+        rho, trace, iterations, converged = _scalar_rrr(counts, max_iterations=cap)
+        result = mle_reconstruct(counts, PSET, max_iterations=cap)
         assert result.rho_hat.matrix.tobytes() == rho.tobytes()
         assert result.ll_trace == trace and result.log_likelihood == trace[-1]
         assert (result.iterations, result.converged) == (iterations, converged)
 
 
-def _batch(record_sets, target=None, description="self", max_iterations=10000):
-    """One result per record set, from a single batched reconstruction."""
-    n = len(record_sets)
-    return _reconstruct_batch(record_sets, PSET, [target] * n, [description] * n,
+def _batch(tables, target=None, description="self", max_iterations=10000):
+    """One result per count table, from a single batched reconstruction."""
+    n = len(tables)
+    return _reconstruct_batch(tables, PSET, [target] * n, [description] * n,
                               max_iterations=max_iterations)
 
 
-def _resample_records(result, acq, resamples):
+def _resample_counts(result, acq, resamples):
     """Reference bootstrap resamples: simulate_counts at each derived resample seed."""
     return [
         simulate_counts(result.rho_hat, PSET,
@@ -369,34 +360,34 @@ def test_batch_matches_single_fits_with_differing_zero_masks():
     truth = bell_state("phi+")
     acq = AcquisitionConfig(pairs_per_setting=40.0, seed=77)
     result = mle_reconstruct(simulate_counts(truth, PSET, acq), PSET, target=truth)
-    resampled = list(_resample_records(result, acq, 12))
-    masks = {tuple(_count_vector(records, PSET) > 0) for records in resampled}
+    resampled = list(_resample_counts(result, acq, 12))
+    masks = {tuple(_count_vector(counts, PSET) > 0) for counts in resampled}
     assert len({sum(mask) for mask in masks}) > 1  # several nonzero-count groups
     fits = _batch(resampled, target=truth, description="phi+")
-    for records, fit in zip(resampled, fits):
-        _assert_same_fit(fit, mle_reconstruct(records, PSET, target=truth, target_description="phi+"))
-        assert log_likelihood(fit.rho_hat, records, PSET) == fit.log_likelihood
+    for counts, fit in zip(resampled, fits):
+        _assert_same_fit(fit, mle_reconstruct(counts, PSET, target=truth, target_description="phi+"))
+        assert log_likelihood(fit.rho_hat, counts, PSET) == fit.log_likelihood
 
 
 def test_batch_matches_single_fits_when_some_hit_the_cap():
-    uniform = _records_from_vector(np.full(36, 250))
+    uniform = np.full((9, 4), 250)
     hard = simulate_counts(bell_state("phi+"), PSET,
                            AcquisitionConfig(pairs_per_setting=1e5, seed=2))
     mixed = simulate_counts(mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=4))
-    record_sets = [hard, uniform, mixed, hard, uniform]
-    fits = _batch(record_sets, max_iterations=25)
+    tables = [hard, uniform, mixed, hard, uniform]
+    fits = _batch(tables, max_iterations=25)
     assert [fit.converged for fit in fits] == [False, True, False, False, True]
     assert {fit.iterations for fit in fits if not fit.converged} == {25}
-    for records, fit in zip(record_sets, fits):
-        _assert_same_fit(fit, mle_reconstruct(records, PSET, max_iterations=25))
+    for counts, fit in zip(tables, fits):
+        _assert_same_fit(fit, mle_reconstruct(counts, PSET, max_iterations=25))
 
 
 def test_public_log_likelihood_equals_reconstruction_value():
     for alpha, seed in ((0.0, 3), (0.25, 5), (0.9, 8)):
-        records = simulate_counts(mix_duty_cycle(alpha), PSET,
+        counts = simulate_counts(mix_duty_cycle(alpha), PSET,
                                   AcquisitionConfig(pairs_per_setting=1e5, seed=seed))
-        result = mle_reconstruct(records, PSET)
-        assert log_likelihood(result.rho_hat, records, PSET) == result.log_likelihood
+        result = mle_reconstruct(counts, PSET)
+        assert log_likelihood(result.rho_hat, counts, PSET) == result.log_likelihood
         assert result.ll_trace[-1] == result.log_likelihood
 
 
@@ -407,9 +398,9 @@ def test_bootstrap_errors_equal_one_at_a_time_resamples():
                              target_description="alpha=0.25")
     errors = bootstrap_errors(result, PSET, acq, 9, max_iterations=60)
     singles = [
-        mle_reconstruct(records, PSET, max_iterations=60, target=truth,
+        mle_reconstruct(counts, PSET, max_iterations=60, target=truth,
                         target_description="alpha=0.25").metrics
-        for records in _resample_records(result, acq, 9)
+        for counts in _resample_counts(result, acq, 9)
     ]
     attributes = {"purity": "purity", "tangle": "tangle", "visibility": "visibility",
                   "fidelity": "fidelity_to_target"}
@@ -438,14 +429,14 @@ def test_reconstruct_batch_equals_single_reconstructions():
          mix_duty_cycle(0.1), "alpha=0.1"),
         (zeros, phi, "phi+"),
         (simulate_counts(mix_duty_cycle(0.5), PSET, AcquisitionConfig(1e3, seed=2)), None, None),
-        (_records_from_vector(np.full(36, 250)), None, "uniform"),
+        (np.full((9, 4), 250), None, "uniform"),
         (simulate_counts(phi, PSET, AcquisitionConfig(1e5, seed=4)), phi, None),
     ]
-    records, targets, descriptions = (list(column) for column in zip(*points))
+    tables, targets, descriptions = (list(column) for column in zip(*points))
     assert min(_count_vector(zeros, PSET)) == 0
-    batch = _reconstruct_batch(records, PSET, targets, descriptions)
-    singles = [mle_reconstruct(records, PSET, target=target, target_description=description)
-               for records, target, description in points]
+    batch = _reconstruct_batch(tables, PSET, targets, descriptions)
+    singles = [mle_reconstruct(counts, PSET, target=target, target_description=description)
+               for counts, target, description in points]
     assert len({result.iterations for result in singles}) == len(points)
     for batched, alone in zip(batch, singles):
         assert result_to_json_dict(batched) == result_to_json_dict(alone)
@@ -473,8 +464,8 @@ def test_bootstrap_batch_equals_single_bootstraps():
 def test_result_json_round_trip():
     truth = mix_duty_cycle(0.25)
     acq = AcquisitionConfig(pairs_per_setting=1e4, seed=21)
-    records = simulate_counts(truth, PSET, acq)
-    result = mle_reconstruct(records, PSET, target=truth, target_description="alpha=0.25")
+    counts = simulate_counts(truth, PSET, acq)
+    result = mle_reconstruct(counts, PSET, target=truth, target_description="alpha=0.25")
     result.metric_errors = bootstrap_errors(result, PSET, acq, 5)
     back = result_from_json_dict(result_to_json_dict(result))
     assert np.array_equal(back.rho_hat.matrix, result.rho_hat.matrix)
@@ -490,8 +481,7 @@ def test_result_json_round_trip():
 
 
 def _uniform_result_dict():
-    records = [CountRecord(setting_index=i, outcome_counts=(250,) * 4) for i in range(9)]
-    return result_to_json_dict(mle_reconstruct(records, PSET))
+    return result_to_json_dict(mle_reconstruct(np.full((9, 4), 250), PSET))
 
 
 @pytest.mark.parametrize(
