@@ -8,7 +8,6 @@ tangle, visibility, and fidelity with bootstrap error bars.
 
 from .counting import (
     AcquisitionConfig,
-    born_probabilities,
     derive_seed,
     simulate_counts,
     visibility_scan,
@@ -67,7 +66,6 @@ __all__ = [
     "WaveplateSetting",
     "analyzer_projectors",
     "bell_state",
-    "born_probabilities",
     "bootstrap_errors",
     "completely_mixed",
     "derive_seed",

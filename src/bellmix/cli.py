@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate, simulate, reconstruct, metrics, sweep, paper-fixtures.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 reconstruction
-did not converge. The BELLMIX_SEED environment variable overrides any
-configured or flagged seed.
+Exit codes: 0 success, 1 a paper-fixtures check failed, 2 configuration
+error, 3 data error, 4 reconstruction did not converge. The BELLMIX_SEED
+environment variable overrides any configured or flagged seed.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Born-rule probabilities and seeded Poisson coincidence-count simulation.
+"""Seeded Poisson coincidence-count simulation and the count-table file formats.
 
 Counts are independent Poisson draws per outcome (pairs arrive in a fixed time
 window; nothing constrains the per-setting total), with an optional flat
-accidental background. Every outcome gets its own counter-based random stream
+accidental background. The Poisson means come from optics._born, the same Born
+product the fit maximises. Every outcome gets its own counter-based random stream
 derived from (seed, setting, outcome), so simulating settings in any order or
 in parallel yields identical results.
 
@@ -20,21 +21,14 @@ from __future__ import annotations
 
 import io
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataParse, InvalidConfig, OutOfRange
-from .fileio import checked, is_kind, parsing, read_json, read_text, write_json, write_text
+from .fileio import by_index, checked, is_kind, parsing, read_json, read_text, write_json, write_text
 from .linalg import DensityMatrix
-from .optics import (
-    CALIBRATION_IDLER,
-    OUTCOME_LABELS,
-    ProjectorSet,
-    WaveplateSetting,
-    analyzer_projectors,
-)
+from .optics import OUTCOME_LABELS, ProjectorSet, _born, _calibration_projector
 
 # Stream namespaces; setting indices only use 0..8, so these cannot collide.
 _SCAN_STREAM = 101
@@ -241,33 +235,21 @@ def _poisson(means, seeds, keys) -> np.ndarray:
     return counts
 
 
-def born_probabilities(rho: DensityMatrix, pset: ProjectorSet, setting_index: int) -> np.ndarray:
-    """The four outcome probabilities tr(rho Pi_k) of one setting, clipped at zero."""
-    group = pset.setting_projectors(setting_index)  # raises IndexOutOfRange
-    probs = np.real(np.einsum("kij,ji->k", group, rho.matrix))
-    return np.clip(probs, 0.0, None)
+def _means(flat: np.ndarray, states: np.ndarray, acq: AcquisitionConfig) -> np.ndarray:
+    """Poisson mean of every outcome (rows of flat) of every state (B, 4, 4): (B, n_outcomes)."""
+    return acq.pairs_per_setting * np.maximum(_born(flat, states), 0.0) + acq.accidental_rate
 
 
-def _means(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig) -> np.ndarray:
-    """Poisson mean of every outcome (4 * n_settings,), in projector order."""
-    probs = np.concatenate([born_probabilities(rho, pset, s) for s in range(pset.n_settings)])
-    return acq.pairs_per_setting * probs + acq.accidental_rate
-
-
-def _outcome_keys(pset: ProjectorSet) -> list:
-    """The stream key (setting, outcome) of every outcome, in projector order."""
-    return [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
-
-
-def _simulate(states, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> np.ndarray:
-    """simulate_counts of every state with acq at its own seed, drawn in one pass: (B, n, 4)."""
-    means = np.stack([_means(rho, pset, acq) for rho in states])
-    return _poisson(means, seeds, _outcome_keys(pset)).reshape(len(states), -1, 4)
+def _simulate(states: np.ndarray, pset: ProjectorSet, acq: AcquisitionConfig, seeds) -> np.ndarray:
+    """simulate_counts of every state (B, 4, 4) with acq at its own seed, in one pass: (B, n, 4)."""
+    keys = [(setting, outcome) for setting in range(pset.n_settings) for outcome in range(4)]
+    counts = _poisson(_means(pset.flattened(), states, acq), seeds, keys)
+    return counts.reshape(len(states), -1, 4)
 
 
 def simulate_counts(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConfig) -> np.ndarray:
     """The count table of rho under pset; fully determined by acq.seed."""
-    return _simulate([rho], pset, acq, [acq.seed])[0]
+    return _simulate(rho.matrix[None], pset, acq, [acq.seed])[0]
 
 
 def visibility_scan(
@@ -282,13 +264,10 @@ def visibility_scan(
     non_finite = [angle for angle in angles if not math.isfinite(angle)]
     if non_finite:
         raise OutOfRange(f"HWP angles must be finite, got {non_finite}")
-    means = []
-    for angle in angles:
-        proj = analyzer_projectors(WaveplateSetting(0.0, angle), CALIBRATION_IDLER)[0]
-        p = max(0.0, float(np.real(np.trace(rho.matrix @ proj))))
-        means.append(acq.pairs_per_setting * p + acq.accidental_rate)
+    flat = np.array([_calibration_projector(angle) for angle in angles]).reshape(-1, 16)
     keys = [(_SCAN_STREAM, angle_index) for angle_index in range(len(angles))]
-    return list(zip(angles, _poisson(means, [acq.seed], keys)[0].tolist()))
+    counts = _poisson(_means(flat, rho.matrix[None], acq), [acq.seed], keys)
+    return list(zip(angles, counts[0].tolist()))
 
 
 def counts_to_csv(counts) -> str:
@@ -313,13 +292,11 @@ def _count_table(rows: list, what: str) -> np.ndarray:
 
     The settings must be exactly 0..n-1, each once, with n >= 1, and each needs four counts.
     """
-    settings = sorted(setting for setting, _ in rows)
-    if not rows or settings != list(range(len(rows))):
-        raise DataParse(f"{what}: settings must be 0..n-1, each once, got {reprlib.repr(settings)}")
-    for setting, counts in rows:
+    table = by_index(rows, what)
+    for setting, counts in enumerate(table):
         if len(counts) != len(OUTCOME_LABELS):
             raise DataParse(f"{what}: setting {setting} has {len(counts)} counts, expected 4")
-    return np.array([counts for _, counts in sorted(rows)], dtype=np.int64)
+    return np.array(table, dtype=np.int64)
 
 
 def counts_from_csv(text: str) -> np.ndarray:

@@ -41,10 +41,6 @@ class DegenerateDenominator(DataError):
     """Both coincidence rates vanish; the visibility quotient is undefined."""
 
 
-class IndexOutOfRange(DataError):
-    """Setting index does not exist in the projector set."""
-
-
 class MismatchedData(DataError):
     """A count table and a projector set disagree."""
 

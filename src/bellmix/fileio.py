@@ -10,6 +10,7 @@ cannot be written ends in InvalidConfig("cannot write <path>: <reason>").
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from contextlib import contextmanager
 
@@ -81,6 +82,14 @@ def typed(value, kind, what: str, error=DataParse):
     if not is_kind(value, kind):
         raise error(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value
+
+
+def by_index(rows: list, what: str) -> list:
+    """The values of (index, value) rows, in any order, by index, if those are 0..n-1, each once."""
+    indices = sorted(index for index, _ in rows)
+    if not rows or indices != list(range(len(rows))):
+        raise DataParse(f"{what}: settings must be 0..n-1, each once, got {reprlib.repr(indices)}")
+    return [value for _, value in sorted(rows, key=lambda row: row[0])]
 
 
 def checked(data, what: str, kinds: dict) -> dict:

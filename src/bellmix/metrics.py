@@ -5,19 +5,20 @@ problem is solved through the Hermitian similarity sqrt(rho) * rho_tilde *
 sqrt(rho), whose spectrum equals that of rho * rho_tilde, so the whole module
 stays on the Hermitian eigensolver. Every figure is computed over a
 (..., 4, 4) stack of states; a single state is a batch of one.
+The visibility uses the scan's calibration projectors with its own trace, since
+optics._born moves the last bit of about half the visibilities pinned in sweep.csv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidState
 from .fileio import parsing, typed
 from .linalg import DensityMatrix, hermitian_eigen, hermitize, matrix_sqrt, zero_clip
-from .optics import CALIBRATION_IDLER, WaveplateSetting, analyzer_projectors
+from .optics import _calibration_projector
 
 # (sigma_y tensor sigma_y); real in the HV basis.
 _SPIN_FLIP = np.array(
@@ -29,12 +30,6 @@ _SPIN_FLIP = np.array(
     ],
     dtype=complex,
 )
-
-@lru_cache(maxsize=8)
-def _tt_projector(signal_hwp_deg: float) -> np.ndarray:
-    proj = analyzer_projectors(WaveplateSetting(0.0, signal_hwp_deg), CALIBRATION_IDLER)[0]
-    proj.setflags(write=False)
-    return proj
 
 
 def _purity(m: np.ndarray) -> np.ndarray:
@@ -55,8 +50,8 @@ def _tangle(m: np.ndarray, root: np.ndarray) -> np.ndarray:
 
 
 def _visibility(m: np.ndarray) -> np.ndarray:
-    n_plus = np.maximum(0.0, np.trace(m @ _tt_projector(22.5), axis1=-2, axis2=-1).real)
-    n_minus = np.maximum(0.0, np.trace(m @ _tt_projector(-22.5), axis1=-2, axis2=-1).real)
+    n_plus = np.maximum(0.0, np.trace(m @ _calibration_projector(22.5), axis1=-2, axis2=-1).real)
+    n_minus = np.maximum(0.0, np.trace(m @ _calibration_projector(-22.5), axis1=-2, axis2=-1).real)
     denominator = n_plus + n_minus
     if (denominator < 1e-15).any():
         raise DegenerateDenominator("both +-45 degree coincidence rates vanish")

@@ -7,6 +7,9 @@ two orthogonal analysis states per arm; the four coincidence outcomes of a
 setting are their tensor products, so every setting is a complete projective
 measurement. This plate order is what makes QWP 0 / HWP 22.5 analyze the
 +-45 degree basis, as the hardware calibration procedure requires.
+
+_born is the one Born product, from which the simulated counts' Poisson means,
+the fit's likelihood and the visibility scan take their probabilities.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataParse, IndexOutOfRange, InvalidState
-from .fileio import is_kind, parsing, read_json, write_json
+from .errors import DataParse, InvalidState
+from .fileio import by_index, is_kind, parsing, read_json, typed, write_json
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 
 HWP_RETARDANCE = np.pi
@@ -98,6 +101,22 @@ BASIS_ORDER = ("HV", "DA", "RL")
 CALIBRATION_IDLER = WaveplateSetting(0.0, -22.5)
 
 
+@lru_cache(maxsize=8)
+def _calibration_projector(signal_hwp_deg: float) -> np.ndarray:
+    """The read-only TT projector with the signal HWP at signal_hwp_deg and the idler parked."""
+    proj = analyzer_projectors(WaveplateSetting(0.0, signal_hwp_deg), CALIBRATION_IDLER)[0]
+    proj.setflags(write=False)
+    return proj
+
+
+def _born(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born probabilities tr(rho Pi_j) (B, n_outcomes) of states rho (B, 4, 4), unclipped.
+
+    flat holds projectors Pi_j as rows (n_outcomes, 16), as ProjectorSet.flattened() does.
+    """
+    return (flat @ rho.swapaxes(1, 2).reshape(-1, 16, 1)).real[..., 0]
+
+
 @dataclass(frozen=True)
 class ProjectorSet:
     """Nine analyzer settings and their 36 labeled rank-1 projectors."""
@@ -115,13 +134,6 @@ class ProjectorSet:
     @property
     def n_settings(self) -> int:
         return len(self.settings)
-
-    def setting_projectors(self, setting_index: int) -> np.ndarray:
-        if not 0 <= setting_index < self.n_settings:
-            raise IndexOutOfRange(
-                f"setting index {setting_index} outside 0..{self.n_settings - 1}"
-            )
-        return self.projectors[setting_index]
 
     def flattened(self) -> np.ndarray:
         """All projectors as rows of a (4*n_settings, 16) matrix, outcome-major order."""
@@ -192,22 +204,19 @@ def _waveplates(angles: dict) -> WaveplateSetting:
 
 
 def projector_set_from_json_dict(data: dict) -> ProjectorSet:
-    """The projector set in data, if every setting is a complete projective measurement."""
+    """The settings in data placed by "index", if each is a complete projective measurement."""
     with parsing("projector-set JSON"):
-        entries = data["settings"]
-        settings = []
-        groups = []
-        for entry in entries:
-            signal = _waveplates(entry["signal_angles"])
-            idler = _waveplates(entry["idler_angles"])
-            settings.append(
-                AnalyzerPair(str(entry["signal_basis"]), str(entry["idler_basis"]), signal, idler)
-            )
-            groups.append(
-                [matrix_from_json_dict(entry["projectors"][label]) for label in OUTCOME_LABELS]
-            )
+        rows = []
+        for entry in data["settings"]:
+            bases = [typed(entry[key], str, f"projector-set JSON {key!r}")
+                     for key in ("signal_basis", "idler_basis")]
+            pair = AnalyzerPair(*bases, _waveplates(entry["signal_angles"]),
+                                _waveplates(entry["idler_angles"]))
+            group = [matrix_from_json_dict(entry["projectors"][label]) for label in OUTCOME_LABELS]
+            rows.append((typed(entry["index"], int, "projector-set JSON 'index'"), (pair, group)))
+        settings, groups = zip(*by_index(rows, "projector-set JSON"))
         # np.array raises ValueError when 2x2 and 4x4 matrices are mixed.
-        pset = ProjectorSet(settings=tuple(settings), projectors=np.array(groups))
+        pset = ProjectorSet(settings=settings, projectors=np.array(groups))
     pset.validate()
     return pset
 

@@ -167,7 +167,8 @@ def _run(spec: SweepSpec, points: list) -> list:
             point.theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
         seeds.append(derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index))
         point.state = generate(config)
-    tables = _simulate([point.state for point in points], pset, spec.acquisition, seeds)
+    states = np.stack([point.state.matrix for point in points])
+    tables = _simulate(states, pset, spec.acquisition, seeds)
     results = _reconstruct_batch(list(tables), pset, targets, descriptions)
     if spec.resamples:
         all_errors = _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)

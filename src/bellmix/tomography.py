@@ -32,15 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (
-    _BOOTSTRAP_STREAM,
-    AcquisitionConfig,
-    _count,
-    _means,
-    _outcome_keys,
-    _philox_keys,
-    _poisson,
-)
+from .counting import _BOOTSTRAP_STREAM, AcquisitionConfig, _count, _philox_keys, _simulate
 from .errors import DataParse, MismatchedData, NoCounts, OutOfRange
 from .fileio import parsing, read_json, typed, write_json
 from .linalg import (
@@ -51,7 +43,7 @@ from .linalg import (
     matrix_to_json_dict,
 )
 from .metrics import MetricsReport, _figures, check_ranges
-from .optics import ProjectorSet
+from .optics import ProjectorSet, _born
 
 PROBABILITY_FLOOR = 1e-15
 
@@ -97,8 +89,7 @@ def _count_vector(counts, pset: ProjectorSet) -> np.ndarray:
 
 def _probabilities(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Born probabilities (B, n_outcomes) of states rho (B, 4, 4), floored."""
-    probs = (flat @ rho.swapaxes(1, 2).reshape(-1, 16, 1)).real[..., 0]
-    return np.maximum(probs, PROBABILITY_FLOOR)
+    return np.maximum(_born(flat, rho), PROBABILITY_FLOOR)
 
 
 def _nonzero_groups(counts: np.ndarray) -> list:
@@ -317,10 +308,10 @@ def _bootstrap_batch(
         stack = results[start:start + per_stack]
         # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
         resample_seeds = _philox_keys(seeds[start:start + per_stack], keys)[..., 0].ravel()
-        means = np.stack([_means(result.rho_hat, pset, acq) for result in stack])
-        counts = _poisson(np.repeat(means, resamples, axis=0), resample_seeds.tolist(),
-                          _outcome_keys(pset))
-        rho = hermitize(_mle_batch(counts.astype(float), pset.flattened(), dilution=1.0,
+        estimates = np.stack([result.rho_hat.matrix for result in stack])
+        counts = _simulate(np.repeat(estimates, resamples, axis=0), pset, acq, resample_seeds)
+        counts = counts.reshape(len(counts), -1).astype(float)
+        rho = hermitize(_mle_batch(counts, pset.flattened(), dilution=1.0,
                                    max_iterations=max_iterations, tolerance=tolerance)[0])
         check_density(rho)
         targets = [(result.rho_hat if result.target is None else result.target).matrix

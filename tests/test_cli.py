@@ -89,16 +89,29 @@ def test_simulate_then_reconstruct_round_trip(tmp_path):
 def test_reconstruct_with_exported_projectors(tmp_path):
     counts = tmp_path / "counts.csv"
     projectors = tmp_path / "projectors.json"
+    config = tmp_path / "config.json"
+    write_json(config, {"alpha": 0.25})
     assert (
         main(
             [
-                "simulate", "--pairs", "2e4", "--seed", "5",
+                "simulate", "--config", str(config), "--pairs", "2e4", "--seed", "5",
                 "--out", str(counts), "--projectors-out", str(projectors),
             ]
         )
         == 0
     )
-    assert main(["reconstruct", str(counts), "--projectors", str(projectors)]) == 0
+    # A setting is placed by its index, not by its position in the file.
+    reversed_projectors = tmp_path / "reversed.json"
+    document = json.loads(projectors.read_text(encoding="utf-8"))
+    write_json(reversed_projectors, {"settings": document["settings"][::-1]})
+    recons = []
+    for path in (projectors, reversed_projectors):
+        out = tmp_path / f"recon_{path.stem}.json"
+        argv = ["reconstruct", str(counts), "--projectors", str(path), "--alpha", "0.25"]
+        assert main(argv + ["--out", str(out)]) == 0
+        recons.append(out.read_bytes())
+    assert recons[0] == recons[1]
+    assert json.loads(recons[0])["metrics"]["fidelity_to_target"] >= 0.999
 
 
 def test_reconstruct_malformed_counts(tmp_path, capsys):
@@ -520,6 +533,12 @@ def test_paper_fixtures_command(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_paper_fixtures_exits_1_when_a_check_fails(capsys):
+    # At 10 pairs per setting the simulated mixture is far from its closed-form purity.
+    assert main(["paper-fixtures", "--pairs", "10", "--seed", "7"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("pairs, code", [("1e300", 2), ("1e19", 0)])
 def test_simulate_rejects_a_mean_numpy_cannot_draw(capsys, pairs, code):
     # At 1e19 pairs the largest mean is 5e18, below numpy's limit of about 9.2e18.
@@ -718,10 +737,12 @@ def _counts_json(records):
 _EXAMPLES = [
     *((kind, b"\xff\xfe{\x80", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
     *((kind, b"[1, 2]", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
-    *((kind, _with_literal(doc, path, "1e400"),
-       # A projector set's index is a label the reader skips.
-       0 if path[-1] == "index" else _FILE_INPUTS[kind][1])
+    *((kind, _with_literal(doc, path, "1e400"), _FILE_INPUTS[kind][1])
       for kind, doc in _VALID.items() for path in _numeric_paths(doc)),
+    # A projector set places its settings by index: integers 0..n-1, each once, in any order.
+    *(("projectors", _with_literal(_VALID["projectors"], ("settings", 3, field), literal), 3)
+      for field, literal in (("index", "8"), ("index", "9"), ("index", "true"), ("index", '"3"'),
+                             ("index", "3.0"), ("signal_basis", "null"), ("idler_basis", "7"))),
     *(("projectors", _with_literal(_VALID["projectors"], ("settings", 3, "signal_angles", field),
                                    literal), 3)
       for field in ("qwp_angle", "hwp_angle") for literal in ("Infinity", "NaN", '"22.5"')),

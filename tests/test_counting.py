@@ -11,7 +11,6 @@ from bellmix.counting import (
     _BOOTSTRAP_STREAM,
     _SCAN_STREAM,
     AcquisitionConfig,
-    born_probabilities,
     counts_from_csv,
     counts_from_json_dict,
     counts_to_csv,
@@ -29,8 +28,14 @@ from bellmix.counting import (
     stream,
     visibility_scan,
 )
-from bellmix.errors import DataParse, IndexOutOfRange, MismatchedData, OutOfRange
-from bellmix.optics import WaveplateSetting, analyzer_projectors, standard_projector_set
+from bellmix.errors import DataParse, MismatchedData, OutOfRange
+from bellmix.optics import (
+    CALIBRATION_IDLER,
+    WaveplateSetting,
+    _born,
+    analyzer_projectors,
+    standard_projector_set,
+)
 from bellmix.states import bell_state, completely_mixed, mix_duty_cycle
 from bellmix.tomography import _count_vector
 from helpers import assert_same_table
@@ -45,31 +50,31 @@ def setting_index(signal_basis, idler_basis):
     )
 
 
+def born(rho, setting):
+    """The four outcome probabilities of one setting: a row of _born on the standard set."""
+    return _born(PSET.flattened(), rho.matrix[None])[0].reshape(-1, 4)[setting]
+
+
 def test_born_computational_state():
     from bellmix.linalg import DensityMatrix
 
     hh = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    probs = born_probabilities(hh, PSET, setting_index("HV", "HV"))
+    probs = born(hh, setting_index("HV", "HV"))
     assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_born_uniform_in_diagonal_setting():
-    probs = born_probabilities(mix_duty_cycle(0.5), PSET, setting_index("DA", "DA"))
+    probs = born(mix_duty_cycle(0.5), setting_index("DA", "DA"))
     assert np.allclose(probs, 0.25, atol=1e-12)
 
 
 def test_born_bell_anticorrelation_in_diagonal_basis():
     # <DD|phi-> = 0 while |<DA|phi->|^2 = 1/2: perfect anticorrelation.
-    probs = born_probabilities(bell_state("phi-"), PSET, setting_index("DA", "DA"))
+    probs = born(bell_state("phi-"), setting_index("DA", "DA"))
     assert probs[0] == pytest.approx(0.0, abs=1e-12)  # TT = DD
     assert probs[1] == pytest.approx(0.5, abs=1e-12)  # TR = DA
     assert probs[2] == pytest.approx(0.5, abs=1e-12)  # RT = AD
     assert probs[3] == pytest.approx(0.0, abs=1e-12)  # RR = AA
-
-
-def test_born_bounds():
-    with pytest.raises(IndexOutOfRange):
-        born_probabilities(completely_mixed(), PSET, 9)
 
 
 def test_simulate_counts_deterministic():
@@ -96,7 +101,7 @@ def test_simulate_frequencies_converge():
     bound = 5.0 / np.sqrt(acq.pairs_per_setting)
     for rho in (completely_mixed(), mix_duty_cycle(0.25), bell_state("psi+")):
         for setting, row in enumerate(simulate_counts(rho, PSET, acq)):
-            probs = born_probabilities(rho, PSET, setting)
+            probs = born(rho, setting)
             assert np.abs(row / row.sum() - probs).max() <= bound
 
 
@@ -146,8 +151,6 @@ def test_visibility_scan_deterministic():
 
 
 def _noiseless_tt_means(rho, angles):
-    from bellmix.optics import CALIBRATION_IDLER
-
     means = []
     for angle in angles:
         proj = analyzer_projectors(WaveplateSetting(0.0, float(angle)), CALIBRATION_IDLER)[0]
@@ -318,8 +321,10 @@ def test_visibility_scan_rejects_non_finite_angles(bad):
 
 
 def _scan_means(rho, angles, acq):
+    rows = [analyzer_projectors(WaveplateSetting(0.0, angle), CALIBRATION_IDLER)[0].reshape(16)
+            for angle in angles]
     return [acq.pairs_per_setting * max(0.0, p) + acq.accidental_rate
-            for p in _noiseless_tt_means(rho, angles)]
+            for p in _born(np.array(rows), rho.matrix[None])[0].tolist()]
 
 
 def test_simulated_counts_equal_one_stream_per_outcome():
@@ -328,7 +333,7 @@ def test_simulated_counts_equal_one_stream_per_outcome():
     expected = [
         list(int(stream(acq.seed, setting, outcome).poisson(acq.pairs_per_setting * float(p)
                                                              + acq.accidental_rate))
-              for outcome, p in enumerate(born_probabilities(rho, PSET, setting)))
+              for outcome, p in enumerate(np.maximum(born(rho, setting), 0.0)))
         for setting in range(PSET.n_settings)
     ]
     counts = simulate_counts(rho, PSET, acq)

@@ -1,6 +1,6 @@
 """Stacked kernels against their per-matrix calls.
 
-Every linalg kernel and figure of merit takes a (..., n, n) stack, and the
+Every linalg kernel, figure of merit and the Born product takes a stack, and the
 bootstrap relies on each member coming out exactly as it would alone, so
 these tests compare bytes, never with a tolerance.
 """
@@ -30,6 +30,7 @@ from bellmix.metrics import (
     tangle,
     visibility,
 )
+from bellmix.optics import _born, standard_projector_set
 from bellmix.states import completely_mixed
 from helpers import random_density_matrix
 
@@ -60,6 +61,8 @@ def test_stacked_linalg_equals_per_matrix_calls(stack):
     alone = [hermitian_eigen(m) for m in stack]
     assert _equal(w, [pair[0] for pair in alone]) and _equal(v, [pair[1] for pair in alone])
     assert _equal(matrix_sqrt(stack), [matrix_sqrt(m) for m in stack])
+    flat = standard_projector_set().flattened()
+    assert _equal(_born(flat, stack), [_born(flat, m[None])[0] for m in stack])
     check_density(stack)
 
 
