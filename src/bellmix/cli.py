@@ -104,6 +104,11 @@ def _cmd_reconstruct(args) -> int:
         else standard_projector_set()
     )
     target, description = _resolve_target(args)
+    # The bootstrap's acquisition comes first, so a bad seed exits before the fit.
+    acq = AcquisitionConfig(  # an exact int sum: int64 would wrap above 2**63
+        pairs_per_setting=max(1.0, sum(counts.reshape(-1).tolist()) / len(counts)),
+        seed=_effective_seed(args.seed, 0),
+    ) if args.resamples >= 2 else None
     result = mle_reconstruct(
         counts,
         pset,
@@ -113,11 +118,7 @@ def _cmd_reconstruct(args) -> int:
         target=target,
         target_description=description or "self",
     )
-    if args.resamples >= 2:
-        acq = AcquisitionConfig(  # an exact int sum: int64 would wrap above 2**63
-            pairs_per_setting=max(1.0, sum(counts.reshape(-1).tolist()) / len(counts)),
-            seed=_effective_seed(args.seed, 0),
-        )
+    if acq is not None:
         result.metric_errors = bootstrap_errors(
             result, pset, acq, args.resamples,
             max_iterations=args.max_iterations, tolerance=args.tolerance,

@@ -32,7 +32,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     """Raise NonHermitianInput if any matrix of a (..., n, n) stack is not Hermitian to tol."""
     defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-    if defect > tol:
+    if not defect <= tol:  # also NaN
         raise NonHermitianInput(
             f"matrix deviates from Hermitian symmetry by {defect:.3e} (tolerance {tol:.1e})"
         )
@@ -121,10 +121,10 @@ def nearest_physical(m: np.ndarray) -> DensityMatrix:
     accepts arbitrarily negative eigenvalues; it raises ZeroTrace only when
     nothing positive survives the clip.
     """
-    m = hermitize(np.asarray(m, dtype=complex))
+    m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise InvalidState("matrix contains non-finite entries")
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(hermitize(m))
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if total <= 0.0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -119,7 +119,11 @@ def _born(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Nine analyzer settings and their 36 labeled rank-1 projectors."""
+    """Nine analyzer settings and their 36 labeled rank-1 projectors.
+
+    Constructing one checks, to 1e-10, that each setting's outcomes sum to the
+    identity and each projector is Hermitian, idempotent and of unit trace.
+    """
 
     settings: tuple[AnalyzerPair, ...]
     projectors: np.ndarray  # shape (n_settings, 4, 4, 4)
@@ -128,6 +132,20 @@ class ProjectorSet:
         arr = np.array(self.projectors, dtype=complex)
         if arr.ndim != 4 or arr.shape[1:] != (4, 4, 4) or arr.shape[0] != len(self.settings):
             raise InvalidState(f"projector array has shape {arr.shape}")
+        with np.errstate(all="ignore"):  # a non-finite defect fails its check
+            defects = (
+                (np.abs(arr.sum(axis=1) - np.eye(4)).max(axis=(1, 2)),
+                 "setting {}: outcomes do not sum to identity"),
+                (np.abs(arr - arr.conj().swapaxes(2, 3)).max(axis=(2, 3)),
+                 "projector ({},{}) is not Hermitian"),
+                (np.abs(arr @ arr - arr).max(axis=(2, 3)), "projector ({},{}) is not idempotent"),
+                (np.abs(arr.trace(axis1=2, axis2=3) - 1.0),
+                 "projector ({},{}) does not have unit trace"),
+            )
+        for defect, message in defects:  # the first failing setting or projector of each check
+            failing = np.argwhere(~(defect <= 1e-10))  # NaN fails too
+            if len(failing):
+                raise InvalidState(message.format(*failing[0].tolist()))
         arr.setflags(write=False)
         object.__setattr__(self, "projectors", arr)
 
@@ -139,35 +157,14 @@ class ProjectorSet:
         """All projectors as rows of a (4*n_settings, 16) matrix, outcome-major order."""
         return self.projectors.reshape(-1, 16)
 
-    def validate(self) -> None:
-        """Check completeness per setting and the rank-1 projector identities."""
-        eye = np.eye(4)
-        for index in range(self.n_settings):
-            group = self.projectors[index]
-            if np.abs(group.sum(axis=0) - eye).max() > 1e-10:
-                raise InvalidState(f"setting {index}: outcomes do not sum to identity")
-            for k, proj in enumerate(group):
-                if np.abs(proj - proj.conj().T).max() > 1e-10:
-                    raise InvalidState(f"projector ({index},{k}) is not Hermitian")
-                if np.abs(proj @ proj - proj).max() > 1e-10:
-                    raise InvalidState(f"projector ({index},{k}) is not idempotent")
-                if abs(proj.trace() - 1.0) > 1e-10:
-                    raise InvalidState(f"projector ({index},{k}) does not have unit trace")
-
 
 @lru_cache(maxsize=1)
 def standard_projector_set() -> ProjectorSet:
     """All nine pairs of single-arm bases HV, DA, RL, signal basis varying slowest."""
-    settings = []
-    groups = []
-    for signal_name, idler_name in itertools.product(BASIS_ORDER, repeat=2):
-        signal = BASIS_ANGLES[signal_name]
-        idler = BASIS_ANGLES[idler_name]
-        settings.append(AnalyzerPair(signal_name, idler_name, signal, idler))
-        groups.append(analyzer_projectors(signal, idler))
-    pset = ProjectorSet(settings=tuple(settings), projectors=np.array(groups))
-    pset.validate()
-    return pset
+    settings = tuple(AnalyzerPair(signal, idler, BASIS_ANGLES[signal], BASIS_ANGLES[idler])
+                     for signal, idler in itertools.product(BASIS_ORDER, repeat=2))
+    groups = [analyzer_projectors(pair.signal, pair.idler) for pair in settings]
+    return ProjectorSet(settings=settings, projectors=np.array(groups))
 
 
 def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
@@ -178,14 +175,8 @@ def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
                 "index": index,
                 "signal_basis": pair.signal_basis,
                 "idler_basis": pair.idler_basis,
-                "signal_angles": {
-                    "qwp_angle": float(pair.signal.qwp_angle),
-                    "hwp_angle": float(pair.signal.hwp_angle),
-                },
-                "idler_angles": {
-                    "qwp_angle": float(pair.idler.qwp_angle),
-                    "hwp_angle": float(pair.idler.hwp_angle),
-                },
+                "signal_angles": {key: float(a) for key, a in asdict(pair.signal).items()},
+                "idler_angles": {key: float(a) for key, a in asdict(pair.idler).items()},
                 "projectors": {
                     label: matrix_to_json_dict(pset.projectors[index, k])
                     for k, label in enumerate(OUTCOME_LABELS)
@@ -197,10 +188,11 @@ def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
 
 def _waveplates(angles: dict) -> WaveplateSetting:
     """One arm's waveplate angles, if both are finite JSON numbers."""
-    qwp, hwp = angles["qwp_angle"], angles["hwp_angle"]
-    if not all(is_kind(a, float) and math.isfinite(a) for a in (qwp, hwp)):
-        raise DataParse(f"waveplate angles must be finite numbers, got {qwp!r}, {hwp!r}")
-    return WaveplateSetting(float(qwp), float(hwp))
+    values = [angles[field.name] for field in fields(WaveplateSetting)]
+    if not all(is_kind(a, float) and math.isfinite(a) for a in values):
+        got = ", ".join(map(repr, values))
+        raise DataParse(f"waveplate angles must be finite numbers, got {got}")
+    return WaveplateSetting(*map(float, values))
 
 
 def projector_set_from_json_dict(data: dict) -> ProjectorSet:
@@ -216,9 +208,7 @@ def projector_set_from_json_dict(data: dict) -> ProjectorSet:
             rows.append((typed(entry["index"], int, "projector-set JSON 'index'"), (pair, group)))
         settings, groups = zip(*by_index(rows, "projector-set JSON"))
         # np.array raises ValueError when 2x2 and 4x4 matrices are mixed.
-        pset = ProjectorSet(settings=settings, projectors=np.array(groups))
-    pset.validate()
-    return pset
+        return ProjectorSet(settings=settings, projectors=np.array(groups))
 
 
 def write_projector_set_json(path, pset: ProjectorSet) -> None:

@@ -65,7 +65,10 @@ class SourceConfig:
             raise OutOfRange(f"signal_dc must lie in [0, 1], got {self.signal_dc!r}")
         if not math.isfinite(self.phi):
             raise OutOfRange(f"phi must be finite, got {self.phi!r}")
-        total = abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        try:
+            total = abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        except OverflowError:  # an amplitude too large to square
+            total = math.inf
         if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
             raise NotNormalized(f"|beta|^2 + |gamma|^2 = {total!r}, not 1 within 1e-12")
 

@@ -84,7 +84,11 @@ def _count_vector(counts, pset: ProjectorSet) -> np.ndarray:
     if counts.shape != (pset.n_settings, 4):
         raise MismatchedData(f"counts of shape {counts.shape} do not match the projector "
                              f"set's ({pset.n_settings}, 4)")
-    return counts.reshape(-1).astype(float)
+    vector = counts.reshape(-1).astype(float)
+    bad = vector[~(np.isfinite(vector) & (vector >= 0.0))]
+    if bad.size:
+        raise DataParse(f"counts must be finite and >= 0, got {float(bad[0])!r}")
+    return vector
 
 
 def _probabilities(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -40,3 +40,23 @@ def assert_same_table(got, expected):
     """got is an int64 count table equal to expected."""
     assert got.dtype == np.int64 and got.shape == expected.shape
     assert got.tolist() == expected.tolist()
+
+
+def broken_setting_zero(projectors):
+    """The projector array (n, 4, 4, 4) with setting 0 replaced three ways: {message: array}.
+
+    Each replacement still sums to the identity, and fails the construction
+    check that the InvalidState message names.
+    """
+    flat = projectors.copy()
+    flat[0] = np.eye(4) / 4.0  # complete and Hermitian, not idempotent
+    anti_hermitian = np.zeros((4, 4))
+    anti_hermitian[0, 1], anti_hermitian[1, 0] = 1e-6, -1e-6
+    skew = projectors.copy()
+    skew[0, 1] += anti_hermitian
+    skew[0, 2] -= anti_hermitian
+    traces = projectors.copy()  # complete, Hermitian and idempotent, of traces 2, 1, 1, 0
+    traces[0] = [np.diag(d) for d in ([1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0])]
+    return {"projector (0,0) is not idempotent": flat,
+            "projector (0,1) is not Hermitian": skew,
+            "projector (0,0) does not have unit trace": traces}

@@ -37,6 +37,7 @@ from bellmix.errors import NoCounts, OutOfRange
 from bellmix import sweep
 from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import bootstrap_errors, mle_reconstruct
+from helpers import broken_setting_zero
 
 
 def write_json(path, data):
@@ -225,6 +226,24 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert main(["simulate", "--pairs", "1e4", "--seed", "1", "--out", str(third)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes() != third.read_bytes()
+
+
+@pytest.mark.parametrize("flags, env", [(["--seed", "-4"], None), ([], "abc")],
+                         ids=["negative_seed", "unparsable_env_seed"])
+def test_reconstruct_rejects_its_bootstrap_seed_before_the_fit(tmp_path, capsys, monkeypatch,
+                                                               flags, env):
+    def fit(*args, **kwargs):
+        raise AssertionError("the fit ran before the seed was checked")
+
+    monkeypatch.setattr("bellmix.cli.mle_reconstruct", fit)
+    monkeypatch.delenv("BELLMIX_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("BELLMIX_SEED", env)
+    counts = tmp_path / "counts.csv"
+    write_counts_csv(counts, np.full((9, 4), 250))
+    assert main(["reconstruct", str(counts), "--resamples", "3", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err.lower() and err.count("\n") == 1
 
 
 def _sweep_spec(tmp_path, outputs, seed=404):
@@ -438,6 +457,17 @@ def test_sweep_artifacts_round_trip(tmp_path):
     copy_path = tmp_path / "recon_copy.json"
     write_result_json(copy_path, result)
     assert (point / "recon.json").read_bytes() == copy_path.read_bytes()
+
+
+def test_sweep_pairs_flag_writes_the_tree_of_a_spec_with_those_pairs(tmp_path):
+    spec = _sweep_spec(tmp_path, tmp_path / "flag")
+    assert main(["sweep", "--spec", str(spec), "--pairs", "3e4"]) == 0
+    document = json.loads(spec.read_text(encoding="utf-8"))
+    document["acquisition"]["pairs_per_setting"] = 3e4
+    document["outputs"] = str(tmp_path / "spec")
+    write_json(spec, document)
+    assert main(["sweep", "--spec", str(spec)]) == 0
+    assert _tree_bytes(tmp_path / "flag") == _tree_bytes(tmp_path / "spec")
 
 
 def test_sweep_bad_spec(tmp_path):
@@ -707,11 +737,12 @@ def _dark_state():
     return json.dumps(matrix_to_json_dict(np.outer(ket, ket.conj()))).encode()
 
 
-def _flat_projectors():
-    """The standard set with every projector replaced by I/4: no setting is a measurement."""
+def _projector_file(projectors):
+    """The standard set's file with its projectors replaced by projectors (9, 4, 4, 4)."""
     document = copy.deepcopy(_VALID["projectors"])
-    for entry in document["settings"]:
-        entry["projectors"] = {label: _VALID["state"] for label in entry["projectors"]}
+    for entry, group in zip(document["settings"], projectors):
+        entry["projectors"] = {label: matrix_to_json_dict(m)
+                               for label, m in zip(entry["projectors"], group)}
     return json.dumps(document).encode()
 
 
@@ -746,7 +777,10 @@ _EXAMPLES = [
     *(("projectors", _with_literal(_VALID["projectors"], ("settings", 3, "signal_angles", field),
                                    literal), 3)
       for field in ("qwp_angle", "hwp_angle") for literal in ("Infinity", "NaN", '"22.5"')),
-    ("projectors", _flat_projectors(), 3),
+    # Every projector I/4, so no setting is a measurement; or one of setting 0's checks fails.
+    ("projectors", _projector_file(np.full((9, 4, 4, 4), np.eye(4) / 4.0)), 3),
+    *(("projectors", _projector_file(projectors), 3)
+      for projectors in broken_setting_zero(standard_projector_set().projectors).values()),
     *(("state", _with_literal(_VALID["state"], path, literal), 3)
       for path, literal in ((("dim",), "4.7"), (("dim",), "true"), (("dim",), '"4"'),
                             (("re", 0, 0), '"0.25"'), (("im", 1, 2), "true"),
@@ -757,6 +791,9 @@ _EXAMPLES = [
     ("counts_csv", b"setting_index,outcome_label,count\n0,TT,1e400\n", 3),
     ("counts_csv", b"setting_index,outcome_label,count\n0,TT,-50\n", 3),
     ("counts_csv", ("setting_index,outcome_label,count\n0,TT,%d\n" % 10**400).encode(), 3),
+    ("counts_csv", b"setting_index,outcome_label,count\n0,TT\n", 3),
+    ("counts_csv", (_counts_csv(range(9)) + "4,RT,250\n").encode(), 3),
+    ("counts_csv", ("setting_index,outcome_label,count\n%s,TT,1\n" % ("1" * 5000)).encode(), 3),
     # A count table needs settings 0..n-1, each once, with four counts each.
     ("counts_csv", _counts_csv([*range(8), 9]).encode(), 3),
     ("counts_csv", b"setting_index,outcome_label,count\n9223372036854775806,TT,1\n", 3),
@@ -766,6 +803,7 @@ _EXAMPLES = [
         [(setting, [250] * (3 if setting == 3 else 4)) for setting in range(9)])),
     ("state", _dark_state(), 3),
     ("state", b"[" * 100000, 3),  # nested past the recursion limit
+    ("config", b'{"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308}', 2),  # |beta|^2 overflows
 ]
 
 _JSON_VALUES = st.recursive(

@@ -203,6 +203,9 @@ def test_acquisition_validation():
             AcquisitionConfig(pairs_per_setting=bad)
         with pytest.raises(OutOfRange):
             AcquisitionConfig(accidental_rate=bad)
+    for seed in (-1, 2**64):
+        with pytest.raises(OutOfRange, match="64-bit unsigned"):
+            AcquisitionConfig(seed=seed)
 
 
 def test_counts_csv_round_trip():

@@ -40,6 +40,14 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(m)
 
 
+@pytest.mark.parametrize("kernel", [hermitian_eigen, matrix_sqrt])
+def test_kernels_reject_a_nan_entry_as_non_hermitian(kernel):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(NonHermitianInput, match="by nan"):
+        kernel(m)
+
+
 def test_eigen_reconstruction_property():
     rng = np.random.default_rng(20240801)
     for index in range(1000):
@@ -108,6 +116,13 @@ def test_nearest_physical_idempotent():
         assert np.abs(twice - once).max() <= 1e-12
 
 
+def test_nearest_physical_rejects_an_infinite_entry():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 3] = np.inf
+    with pytest.raises(InvalidState, match="non-finite"):
+        nearest_physical(m)
+
+
 def test_nearest_physical_zero_trace():
     with pytest.raises(ZeroTrace):
         nearest_physical(np.diag([-1.0, -0.5, 0.0, 0.0]).astype(complex))
@@ -120,6 +135,12 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.eye(4, dtype=complex) / 2)  # trace 2
     with pytest.raises(InvalidState):
         DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    nan_entry = np.eye(4, dtype=complex) / 4.0
+    nan_entry[2, 2] = np.nan
+    with pytest.raises(InvalidState, match="non-finite"):
+        DensityMatrix(nan_entry)
+    with pytest.raises(InvalidState, match="must be 4x4"):
+        DensityMatrix(np.eye(3, dtype=complex) / 3.0)
 
 
 def test_density_matrix_is_read_only():

@@ -1,11 +1,15 @@
 import itertools
+import re
 
 import numpy as np
+import pytest
 
+from bellmix.errors import InvalidState
 from bellmix.optics import (
     HWP_RETARDANCE,
     OUTCOME_LABELS,
     QWP_RETARDANCE,
+    ProjectorSet,
     WaveplateSetting,
     _born,
     analyzer_projectors,
@@ -15,7 +19,7 @@ from bellmix.optics import (
     waveplate_jones,
 )
 from bellmix.states import bell_state, mix_duty_cycle
-from helpers import random_density_matrix
+from helpers import broken_setting_zero, random_density_matrix
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 KET_D = np.array([1.0, 1.0]) * INV_SQRT2
@@ -101,6 +105,23 @@ def test_projector_identities():
         assert np.abs(proj - proj.conj().T).max() <= 1e-10
         assert np.abs(proj @ proj - proj).max() <= 1e-10
         assert abs(proj.trace() - 1.0) <= 1e-10
+
+
+def _nan_entry():
+    projectors = standard_projector_set().projectors.copy()
+    projectors[2, 1, 0, 3] = np.nan
+    return projectors
+
+
+_BROKEN = {"setting 2: outcomes do not sum to identity": _nan_entry(),
+           **broken_setting_zero(standard_projector_set().projectors)}
+
+
+@pytest.mark.parametrize("message, projectors", _BROKEN.items(),
+                         ids=["nan_entry", "not_idempotent", "not_hermitian", "not_unit_trace"])
+def test_a_projector_set_is_checked_when_constructed(message, projectors):
+    with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+        ProjectorSet(standard_projector_set().settings, projectors)
 
 
 def test_diagonal_setting_probabilities_for_incoherent_mixture():

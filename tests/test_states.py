@@ -151,6 +151,9 @@ def test_source_config_range_checks():
         SourceConfig(signal_dc=-0.2)
     with pytest.raises(NotNormalized):
         SourceConfig(beta=1.0, gamma=1.0)
+    for beta in (1e200, complex(1e308, 1e308)):  # too large to square
+        with pytest.raises(NotNormalized, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
+            SourceConfig(beta=beta, gamma=0.0)
 
 
 def test_source_config_json_defaults_and_fields():
@@ -186,3 +189,5 @@ def test_source_config_json_rejects_bad_fields():
         SourceConfig.from_json_dict({"alfa": 0.2})
     with pytest.raises(InvalidConfig):
         SourceConfig.from_json_dict({"alpha": 1.5})
+    with pytest.raises(InvalidConfig, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
+        SourceConfig.from_json_dict({"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308})

@@ -177,6 +177,28 @@ def test_mle_rejects_empty_and_mismatched():
         mle_reconstruct(np.ones((3, 4)), PSET)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -5.0, float("nan")])
+def test_fits_reject_non_finite_and_negative_counts(bad):
+    counts = simulate_counts(
+        mix_duty_cycle(0.25), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=4)
+    ).astype(float)
+    counts[4, 2] = bad
+    with pytest.raises(DataParse, match="counts must be finite and >= 0"):
+        mle_reconstruct(counts, PSET)
+    with pytest.raises(DataParse, match="counts must be finite and >= 0"):
+        log_likelihood(mix_duty_cycle(0.25), counts, PSET)
+
+
+def test_mle_dilutes_a_step_that_overflows():
+    counts = simulate_counts(
+        mix_duty_cycle(0.25), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=3)
+    )
+    result = mle_reconstruct(counts, PSET, dilution=1e200)
+    assert result.converged
+    assert len(result.ll_trace) - 1 < result.iterations  # some steps were rejected and diluted
+    assert np.all(np.diff(result.ll_trace) >= 0.0)
+
+
 def test_mle_consistency_across_duty_cycles():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         truth = mix_duty_cycle(alpha)
