@@ -23,14 +23,27 @@ EIG_REJECT = 1e-6
 
 _EPS = float(np.finfo(float).eps)
 
+# No sum over a 4x4 matrix of entries this size (m + m^dagger, a trace) overflows.
+_MAX_ENTRY = 1e300
+
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger)/2 of a matrix or of a stack of matrices."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def _require_summable(m: np.ndarray) -> None:
+    """Raise InvalidState on an entry that is infinite or above _MAX_ENTRY; NaN passes."""
+    largest = float(np.maximum(np.abs(m.real), np.abs(m.imag)).max(initial=0.0))
+    if largest > _MAX_ENTRY:
+        raise InvalidState(
+            f"matrix entry of size {largest:.3e} exceeds {_MAX_ENTRY:.0e}; its sums would overflow"
+        )
+
+
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     """Raise NonHermitianInput if any matrix of a (..., n, n) stack is not Hermitian to tol."""
+    _require_summable(m)
     defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
     if not defect <= tol:  # also NaN
         raise NonHermitianInput(
@@ -124,6 +137,7 @@ def nearest_physical(m: np.ndarray) -> DensityMatrix:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise InvalidState("matrix contains non-finite entries")
+    _require_summable(m)
     w, v = np.linalg.eigh(hermitize(m))
     w = np.clip(w, 0.0, None)
     total = float(w.sum())

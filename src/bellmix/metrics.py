@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, InvalidState
 from .fileio import parsing, typed
-from .linalg import DensityMatrix, hermitian_eigen, hermitize, matrix_sqrt, zero_clip
+from .linalg import DensityMatrix, hermitian_eigen, matrix_sqrt, zero_clip
 from .optics import _calibration_projector
 
 # (sigma_y tensor sigma_y); real in the HV basis.
@@ -38,7 +38,7 @@ def _purity(m: np.ndarray) -> np.ndarray:
 
 def _root_spectrum(root: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Square roots of the eigenvalues of root @ x @ root, descending."""
-    w, _ = hermitian_eigen(hermitize(root @ x @ root))
+    w, _ = hermitian_eigen(root @ x @ root)
     return np.sqrt(zero_clip(w))
 
 
@@ -90,19 +90,25 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(_root_spectrum(matrix_sqrt(rho.matrix), sigma.matrix).sum())
 
 
-def family_purity(alpha: float) -> float:
-    """Closed-form purity of the duty-cycle mixture, 2(alpha - 1/2)^2 + 1/2."""
-    return 2.0 * (alpha - 0.5) ** 2 + 0.5
+def family_purity(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.0) -> float:
+    """Closed-form purity of the duty-cycle mixture, 2(alpha - 1/2)^2 + 1/2 without noise.
+
+    With depolarizing p, dephasing d and v = (1 - p)(1 - d), it is
+    2 (v (alpha - 1/2))^2 + 2 (((1 - p)/2 + p/4)^2 + (p/4)^2); zero noise keeps the bits.
+    """
+    v = (1.0 - depolarizing) * (1.0 - dephasing)
+    diagonal = ((1.0 - depolarizing) / 2.0 + depolarizing / 4.0) ** 2 + (depolarizing / 4.0) ** 2
+    return 2.0 * (v * (alpha - 0.5)) ** 2 + 2.0 * diagonal
 
 
-def family_tangle(alpha: float) -> float:
-    """Closed-form tangle of the duty-cycle mixture, (1 - 2 alpha)^2."""
-    return (1.0 - 2.0 * alpha) ** 2
+def family_tangle(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.0) -> float:
+    """Closed-form tangle of the duty-cycle mixture, max(0, visibility - p/2)^2."""
+    return max(0.0, family_visibility(alpha, dephasing, depolarizing) - depolarizing / 2.0) ** 2
 
 
-def family_visibility(alpha: float) -> float:
-    """Closed-form +-45 degree visibility of the duty-cycle mixture, |1 - 2 alpha|."""
-    return abs(1.0 - 2.0 * alpha)
+def family_visibility(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.0) -> float:
+    """Closed-form +-45 degree visibility of the duty-cycle mixture, (1 - p)(1 - d)|1 - 2 alpha|."""
+    return (1.0 - depolarizing) * (1.0 - dephasing) * abs(1.0 - 2.0 * alpha)
 
 
 # MetricsReport's figures in _figures order, each with its range [low, 1].

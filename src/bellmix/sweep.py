@@ -27,6 +27,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,14 +60,6 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def _directory(alpha: float, source: str) -> str:
-    """A point's directory name; SweepSpec rejects a grid where two points share one.
-
-    alpha keeps 6 significant digits, so 0.1 and 0.1000001 both give alpha_0.1.
-    """
-    return "completely_mixed" if source == "two_vpr" else f"alpha_{alpha:g}"
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid of duty cycles plus acquisition, noise, and output settings.
@@ -93,17 +86,27 @@ class SweepSpec:
         if self.acquisition.pairs_per_setting + self.acquisition.accidental_rate > _POISSON_MAX:
             raise OutOfRange("pairs_per_setting + accidental_rate must be at most "
                              f"{_POISSON_MAX!r}, the largest Poisson mean numpy draws")
-        names = [_directory(alpha, source) for alpha, source in self.grid()]
+        # alpha_{alpha:g} keeps 6 significant digits, so 0.1 and 0.1000001 share alpha_0.1.
+        names = [point.directory for point in self.points()]
         shared = sorted({name for name in names if names.count(name) > 1})
         if shared:
             raise InvalidConfig(f"sweep points would share the directories {shared}")
 
-    def grid(self) -> list:
-        """(alpha, source) of every point, in point order."""
-        grid = [(float(alpha), "pump_vpr") for alpha in self.alphas]
-        if self.include_completely_mixed:
-            grid.append((0.5, "two_vpr"))
-        return grid
+    def points(self) -> list:
+        """A new SweepPoint for every point, in point order: the duty cycles, then two_vpr."""
+        points = [
+            SweepPoint(index, alpha, "pump_vpr", f"alpha_{alpha:g}",
+                       SourceConfig(alpha=alpha, noise=self.noise), partial(mix_duty_cycle, alpha),
+                       f"duty-cycle mixture alpha={alpha:g}",
+                       tuple(family(alpha, self.noise.dephasing, self.noise.depolarizing)
+                             for family in (family_visibility, family_tangle, family_purity)))
+            for index, alpha in enumerate(map(float, self.alphas))
+        ]
+        if self.include_completely_mixed:  # I/4 at any noise
+            points.append(SweepPoint(len(points), 0.5, "two_vpr", "completely_mixed",
+                                     SourceConfig(alpha=0.5, signal_dc=0.5, noise=self.noise),
+                                     partial(completely_mixed), "identity/4", (0.0, 0.0, 0.25)))
+        return points
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
@@ -134,14 +137,18 @@ class SweepSpec:
 
 @dataclass
 class SweepPoint:
-    """One sweep point: its place on the grid, its simulated data and, once run, its result."""
+    """One sweep point as SweepSpec.points() fixes it and, once _run, its data and result."""
 
     index: int
     alpha: float
     source: str
+    directory: str
+    config: SourceConfig
+    make_target: partial  # called where the point runs: a pool's coordinator never calls LAPACK
+    description: str  # of the target
+    theory: tuple  # closed-form (visibility, tangle, purity) of config's state
     state: DensityMatrix | None = None
     counts: np.ndarray | None = None
-    theory: tuple = ()
     result: ReconstructionResult | None = None
 
 
@@ -152,24 +159,13 @@ def _format(value) -> str:
 def _run(spec: SweepSpec, points: list) -> list:
     """Generate each point, then simulate, reconstruct and bootstrap them all as batches."""
     pset = standard_projector_set()
-    targets, descriptions, seeds = [], [], []
     for point in points:
-        alpha = point.alpha
-        if point.source == "two_vpr":
-            config = SourceConfig(alpha=alpha, signal_dc=0.5, noise=spec.noise)
-            targets.append(completely_mixed())
-            descriptions.append("identity/4")
-            point.theory = (0.0, 0.0, 0.25)
-        else:
-            config = SourceConfig(alpha=alpha, noise=spec.noise)
-            targets.append(mix_duty_cycle(alpha))
-            descriptions.append(f"duty-cycle mixture alpha={alpha:g}")
-            point.theory = (family_visibility(alpha), family_tangle(alpha), family_purity(alpha))
-        seeds.append(derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index))
-        point.state = generate(config)
+        point.state = generate(point.config)
+    seeds = [derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index) for point in points]
     states = np.stack([point.state.matrix for point in points])
     tables = _simulate(states, pset, spec.acquisition, seeds)
-    results = _reconstruct_batch(list(tables), pset, targets, descriptions)
+    results = _reconstruct_batch(list(tables), pset, [point.make_target() for point in points],
+                                 [point.description for point in points])
     if spec.resamples:
         all_errors = _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
         for result, errors in zip(results, all_errors):
@@ -182,7 +178,7 @@ def _run(spec: SweepSpec, points: list) -> list:
 def _run_and_write(spec: SweepSpec, points: list) -> list:
     """_run the points, then write each one's state.json, counts.csv and recon.json."""
     for point in _run(spec, points):
-        point_dir = os.path.join(spec.outputs, _directory(point.alpha, point.source))
+        point_dir = os.path.join(spec.outputs, point.directory)
         write_state_json(os.path.join(point_dir, "state.json"), point.state)
         write_counts_csv(os.path.join(point_dir, "counts.csv"), point.counts)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
@@ -235,9 +231,9 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     """Run the sweep (on `parallel` workers if > 1), write it to spec.outputs, return the points."""
     if parallel < 0:
         raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel}")
-    points = [SweepPoint(index, alpha, source) for index, (alpha, source) in enumerate(spec.grid())]
+    points = spec.points()
     for point in points:  # an unwritable outputs fails before any compute
-        point_dir = os.path.join(spec.outputs, _directory(point.alpha, point.source))
+        point_dir = os.path.join(spec.outputs, point.directory)
         with writing(point_dir):
             os.makedirs(point_dir, exist_ok=True)
     shares = max(1, min(parallel, len(points)))

@@ -150,10 +150,10 @@ def _mle_batch(
     as converged=False, never silently. A stopped sample leaves the working
     arrays, which are compacted only on iterations where one stopped.
 
-    Returns, in batch order, the final states (B, 4, 4), log-likelihoods,
-    iteration counts, convergence flags and floored-outcome counts, and, if
-    `traces`, each sample's likelihood trace (else None): its start value and
-    its value at every step it accepted.
+    Returns, in batch order, the final states (B, 4, 4), each exactly
+    Hermitian, log-likelihoods, iteration counts, convergence flags and
+    floored-outcome counts, and, if `traces`, each sample's likelihood trace
+    (else None): its start value and its value at every step it accepted.
     """
     for name, value in (("dilution", dilution), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0.0):
@@ -245,7 +245,6 @@ def _reconstruct_batch(
         counts, pset.flattened(),
         max_iterations=max_iterations, tolerance=tolerance, dilution=dilution, traces=True,
     )
-    rho = hermitize(rho)
     rho_hats = [DensityMatrix(m) for m in rho]
     # Fidelity is to the target, else to the estimate itself.
     sigma = np.stack([m if target is None else target.matrix for m, target in zip(rho, targets)])
@@ -315,8 +314,8 @@ def _bootstrap_batch(
         estimates = np.stack([result.rho_hat.matrix for result in stack])
         counts = _simulate(np.repeat(estimates, resamples, axis=0), pset, acq, resample_seeds)
         counts = counts.reshape(len(counts), -1).astype(float)
-        rho = hermitize(_mle_batch(counts, pset.flattened(), dilution=1.0,
-                                   max_iterations=max_iterations, tolerance=tolerance)[0])
+        rho = _mle_batch(counts, pset.flattened(), dilution=1.0,
+                         max_iterations=max_iterations, tolerance=tolerance)[0]
         check_density(rho)
         targets = [(result.rho_hat if result.target is None else result.target).matrix
                    for result in stack]

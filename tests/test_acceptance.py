@@ -246,3 +246,23 @@ def test_criterion_8_sweep_determinism(tmp_path):
         elapsed,
         60,
     )
+
+
+def test_bootstrap_sigma_covers_the_truth_on_interior_points(tmp_path):
+    # Fixed before looking at the outcome: 40 master seeds, three interior duty
+    # cycles, 1e5 pairs, 50 resamples, no noise. The band is 0.68 +- 3 binomial
+    # standard deviations of 120 points. The ends of the grid are left out: there
+    # sigma is not a confidence interval (see the README's sweep section).
+    truths = {"purity": family_purity, "tangle": family_tangle, "visibility": family_visibility}
+    hits, total = dict.fromkeys(truths, 0), 0
+    for seed in range(1000, 1040):
+        spec = SweepSpec(alphas=(0.1, 0.25, 0.75), resamples=50, outputs=str(tmp_path / str(seed)),
+                         acquisition=AcquisitionConfig(pairs_per_setting=1e5, seed=seed))
+        for point in run_sweep(spec):
+            total += 1
+            for name, truth in truths.items():
+                error = abs(getattr(point.result.metrics, name) - truth(point.alpha))
+                hits[name] += error <= point.result.metric_errors[name]
+    assert total == 120
+    for name, count in hits.items():
+        assert 0.55 <= count / total <= 0.81, (name, count / total)

@@ -434,6 +434,29 @@ def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):
         assert row["fidelity_err"] is not None and row["fidelity_err"] >= 0.0
 
 
+@pytest.mark.parametrize("parallel", ["0", "2"])
+def test_noisy_serial_and_pooled_sweeps_give_noisy_theory_columns(tmp_path, parallel):
+    from bellmix.metrics import family_purity, family_tangle, family_visibility
+
+    noise = (0.027, 0.05)
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.0, 0.25, 0.5, 1.0], "acquisition": {"pairs_per_setting": 1e3},
+                      "noise": {"dephasing": noise[0], "depolarizing": noise[1]},
+                      "include_completely_mixed": True, "resamples": 0})
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out), "--parallel", parallel]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    theory = [tuple(float(row[f"theory_{name}"]) for name in ("visibility", "tangle", "purity"))
+              for row in rows]
+    assert theory == [
+        *((family_visibility(alpha, *noise), family_tangle(alpha, *noise),
+           family_purity(alpha, *noise)) for alpha in (0.0, 0.25, 0.5, 1.0)),
+        (0.0, 0.0, 0.25),
+    ]
+    assert theory[0] != (1.0, 1.0, 1.0)
+
+
 def test_sweep_artifacts_round_trip(tmp_path):
     from bellmix.counting import read_counts_csv
     from bellmix.linalg import read_state_json, write_state_json
@@ -737,6 +760,13 @@ def _dark_state():
     return json.dumps(matrix_to_json_dict(np.outer(ket, ket.conj()))).encode()
 
 
+def _overflowing_state():
+    """1e308 on the diagonal and on one off-diagonal pair: finite, but its sums overflow."""
+    m = 1e308 * np.eye(4)
+    m[0, 1] = m[1, 0] = 1e308
+    return json.dumps(matrix_to_json_dict(m)).encode()
+
+
 def _projector_file(projectors):
     """The standard set's file with its projectors replaced by projectors (9, 4, 4, 4)."""
     document = copy.deepcopy(_VALID["projectors"])
@@ -802,6 +832,7 @@ _EXAMPLES = [
         [(setting, [250] * 4) for setting in (*range(9), 3)],
         [(setting, [250] * (3 if setting == 3 else 4)) for setting in range(9)])),
     ("state", _dark_state(), 3),
+    ("state", _overflowing_state(), 3),
     ("state", b"[" * 100000, 3),  # nested past the recursion limit
     ("config", b'{"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308}', 2),  # |beta|^2 overflows
 ]

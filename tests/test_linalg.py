@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellmix.errors import InvalidState, NonHermitianInput, ZeroTrace
+from bellmix.errors import BellmixError, InvalidState, NonHermitianInput, ZeroTrace
 from bellmix.fixtures import REFERENCE_QUARTER_DC_RAW
 from bellmix.linalg import (
     DensityMatrix,
@@ -121,6 +121,21 @@ def test_nearest_physical_rejects_an_infinite_entry():
     m[0, 3] = np.inf
     with pytest.raises(InvalidState, match="non-finite"):
         nearest_physical(m)
+
+
+def _symmetric_pair(diagonal, off_diagonal):
+    m = diagonal * np.eye(4, dtype=complex)
+    m[0, 1] = m[1, 0] = off_diagonal
+    return m
+
+
+@pytest.mark.parametrize("kernel", [hermitian_eigen, matrix_sqrt, nearest_physical, DensityMatrix])
+@pytest.mark.parametrize("m", [_symmetric_pair(1.0, np.inf), _symmetric_pair(1e308, 1e308)],
+                         ids=["infinite-pair", "sums-overflow"])
+def test_kernels_reject_entries_that_cannot_be_summed(kernel, m):
+    # Under warnings-as-errors a numpy RuntimeWarning would fail this test instead.
+    with pytest.raises(BellmixError):
+        kernel(m)
 
 
 def test_nearest_physical_zero_trace():

@@ -6,6 +6,7 @@ from bellmix.fixtures import reference_quarter_dc
 from bellmix.linalg import DensityMatrix
 from bellmix.metrics import (
     MetricsReport,
+    _figures,
     family_purity,
     family_tangle,
     family_visibility,
@@ -15,7 +16,14 @@ from bellmix.metrics import (
     tangle,
     visibility,
 )
-from bellmix.states import bell_state, completely_mixed, mix_duty_cycle
+from bellmix.states import (
+    NoiseParams,
+    SourceConfig,
+    bell_state,
+    completely_mixed,
+    generate,
+    mix_duty_cycle,
+)
 from helpers import random_density_matrix, random_local_unitary, rotate_state
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 101)
@@ -76,6 +84,18 @@ def test_closed_form_agreement():
         assert abs(purity(rho) - family_purity(float(alpha))) <= 1e-12
         assert abs(tangle(rho) - family_tangle(float(alpha))) <= 1e-10
         assert abs(visibility(rho) - family_visibility(float(alpha))) <= 1e-10
+
+
+@pytest.mark.parametrize("dephasing", [0.0, 0.027, 0.3, 1.0])
+@pytest.mark.parametrize("depolarizing", [0.0, 0.05, 0.5, 1.0])
+def test_noisy_closed_forms_match_generated_states(dephasing, depolarizing):
+    for alpha in ALPHA_GRID.tolist():
+        noise = NoiseParams(dephasing, depolarizing)
+        state_purity, state_tangle, state_visibility, _ = _figures(
+            generate(SourceConfig(alpha, noise=noise)).matrix)
+        assert abs(family_purity(alpha, dephasing, depolarizing) - state_purity) <= 1e-12
+        assert abs(family_tangle(alpha, dephasing, depolarizing) - state_tangle) <= 1e-12
+        assert abs(family_visibility(alpha, dephasing, depolarizing) - state_visibility) <= 1e-12
 
 
 def test_visibility_squared_equals_tangle_on_family():
