@@ -2,14 +2,13 @@
 
 Subcommands: generate, simulate, reconstruct, metrics, sweep, paper-fixtures.
 Exit codes: 0 success, 1 a paper-fixtures check failed, 2 configuration
-error, 3 data error, 4 reconstruction did not converge. The BELLMIX_SEED
-environment variable overrides any configured or flagged seed.
+error, 3 data error, 4 reconstruction did not converge. A seed comes only
+from --seed, else from the sweep spec or the subcommand's default.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -22,7 +21,7 @@ from .counting import (
     write_counts_csv,
     write_counts_json,
 )
-from .errors import ConfigError, DataError, InvalidConfig
+from .errors import ConfigError, DataError
 from .fileio import write_json
 from .linalg import read_state_json, write_state_json
 from .metrics import report_for
@@ -36,18 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-def _effective_seed(flag_seed, config_seed: int) -> int:
-    env = os.environ.get("BELLMIX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidConfig(f"BELLMIX_SEED must be an integer, got {env!r}") from exc
-    if flag_seed is not None:
-        return int(flag_seed)
-    return int(config_seed)
 
 
 def _load_source_config(path) -> SourceConfig:
@@ -68,7 +55,7 @@ def _cmd_simulate(args) -> int:
     acq = AcquisitionConfig(
         pairs_per_setting=args.pairs,
         accidental_rate=args.accidentals,
-        seed=_effective_seed(args.seed, 0),
+        seed=args.seed,
     )
     pset = standard_projector_set()
     counts = simulate_counts(generate(config), pset, acq)
@@ -107,16 +94,15 @@ def _cmd_reconstruct(args) -> int:
     # The bootstrap's acquisition comes first, so a bad seed exits before the fit.
     acq = AcquisitionConfig(  # an exact int sum: int64 would wrap above 2**63
         pairs_per_setting=max(1.0, sum(counts.reshape(-1).tolist()) / len(counts)),
-        seed=_effective_seed(args.seed, 0),
+        seed=args.seed,
     ) if args.resamples >= 2 else None
     result = mle_reconstruct(
         counts,
         pset,
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
-        dilution=args.dilution,
         target=target,
-        target_description=description or "self",
+        target_description=description,
     )
     if acq is not None:
         result.metric_errors = bootstrap_errors(
@@ -140,7 +126,8 @@ def _cmd_sweep(args) -> int:
     acq = spec.acquisition
     if args.pairs is not None:
         acq = replace(acq, pairs_per_setting=args.pairs)
-    acq = replace(acq, seed=_effective_seed(args.seed, acq.seed))
+    if args.seed is not None:
+        acq = replace(acq, seed=args.seed)
     spec = replace(
         spec,
         acquisition=acq,
@@ -153,8 +140,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_paper_fixtures(args) -> int:
-    seed = _effective_seed(args.seed, 7)
-    checks = fixtures.run_fixture_checks(pairs_per_setting=args.pairs, seed=seed)
+    checks = fixtures.run_fixture_checks(pairs_per_setting=args.pairs, seed=args.seed)
     for check in checks:
         print(check.describe())
     return EXIT_OK if all(check.passed for check in checks) else 1
@@ -180,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="source config JSON")
     p.add_argument("--pairs", type=float, default=1e5, help="mean detected pairs per setting")
     p.add_argument("--accidentals", type=float, default=0.0, help="flat accidental mean per outcome")
-    p.add_argument("--seed", type=int, default=None, help="simulation seed")
+    p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--out", help="counts file (.csv or .json; stdout CSV if omitted)")
     p.add_argument("--projectors-out", help="also write the projector set JSON here")
     p.set_defaults(func=_cmd_simulate)
@@ -193,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--alpha", type=float, help="target the duty-cycle mixture at this alpha")
     p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
     p.add_argument("--tolerance", type=float, default=TOLERANCE)
-    p.add_argument("--dilution", type=float, default=1.0)
     p.add_argument("--resamples", type=int, default=0,
                    help="bootstrap resamples (0 disables, else >= 2)")
-    p.add_argument("--seed", type=int, default=None, help="bootstrap seed")
+    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     p.add_argument("--out", help="result JSON path (stdout if omitted)")
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -219,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-fixtures", help="check the bundled reference fixtures")
     p.add_argument("--pairs", type=float, default=1e5, help="pairs per setting for the band check")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_paper_fixtures)
 
     return parser

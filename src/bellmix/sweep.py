@@ -186,10 +186,10 @@ def _run_and_write(spec: SweepSpec, points: list) -> list:
 
 
 def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
-    """Run and write each share points[i::shares] in a forked child, then take its points back.
+    """Run and write each share points[i::shares] in a forked child, then fill in its points.
 
-    A child pickles its points, or the exception it raised, to a pipe. Every
-    child is reaped, after a SIGKILL if this process raised first.
+    A child pickles the state, counts and result of its points, or its exception,
+    to a pipe. Every child is reaped, after a SIGKILL if this process raised first.
     """
     children, payloads, statuses = [], [], []
     try:
@@ -199,7 +199,8 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
             if pid == 0:  # the child never returns into the caller's code
                 try:
                     try:
-                        payload = pickle.dumps(_run_and_write(spec, points[share::shares]))
+                        payload = pickle.dumps([(point.state, point.counts, point.result) for point
+                                                in _run_and_write(spec, points[share::shares])])
                     except BaseException as exc:  # the parent raises it
                         try:
                             payload = pickle.dumps(exc)
@@ -224,7 +225,8 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
             f"sweep share {share} reported nothing; exit status {status}")
         if isinstance(outcome, BaseException):
             raise outcome
-        points[share::shares] = outcome
+        for point, (state, counts, result) in zip(points[share::shares], outcome):
+            point.state, point.counts, point.result = state, counts, result
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:

@@ -5,24 +5,24 @@ count-weighted projectors, the update
 
     rho <- N[(1 + eps R) rho (1 + eps R)]
 
-never leaves the physical cone, fixes exactly the likelihood maximizers, and
-with dilution (halving eps whenever a step would lower the likelihood) is
+never leaves the physical cone, fixes exactly the likelihood maximizers, and,
+from eps = 1 with eps halved whenever a step would lower the likelihood, is
 monotone. The per-setting count totals are treated as fixed normalizations,
 so only the within-setting Born probabilities enter the likelihood.
 
 One routine runs the iteration on a batch of count vectors at once, each with
-its own dilution, likelihood, trace and stop. A sweep reconstructs all its
+its own eps, likelihood, trace and stop. A sweep reconstructs all its
 points as one batch, and a single reconstruction is a batch of one. Every
 kernel is elementwise or a stacked matmul, so each sample of a batch comes out
 bit for bit as it would alone.
 
-Error bars are parametric bootstrap: resimulate counts from the estimate,
-reconstruct the resamples as one batch, check and evaluate the stack of
-estimates in one pass, and take the sample standard deviation of each metric
-over the resamples. The resamples of several points share a stack of at most
-_STACK_SAMPLES, so the per-iteration cost is spread without the memory
-growing with the grid. Every resample has a derived seed, so the result is
-deterministic and independent of any parallel schedule or stacking.
+Error bars are parametric bootstrap: resimulate counts from the estimate, fit
+the resamples as one batch just as the estimate was fitted, check and evaluate
+the stack of estimates in one pass, and take the sample standard deviation of
+each metric over the resamples. The resamples of several points share a stack
+of at most _STACK_SAMPLES, so the per-iteration cost is spread without the
+memory growing with the grid. Every resample has a derived seed, so the result
+is deterministic and independent of any parallel schedule or stacking.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def _count_vector(counts, pset: ProjectorSet) -> np.ndarray:
     bad = vector[~(np.isfinite(vector) & (vector >= 0.0))]
     if bad.size:
         raise DataParse(f"counts must be finite and >= 0, got {float(bad[0])!r}")
+    total = sum(vector.tolist())  # a Python sum overflows to inf without a numpy warning
+    if not total <= 1e300:  # with p floored at 1e-15, each n log p >= -34.6 n: log L is finite
+        raise DataParse(f"counts must total at most 1e300, got {total!r}")
     return vector
 
 
@@ -138,26 +141,24 @@ def _mle_batch(
     *,
     max_iterations: int,
     tolerance: float,
-    dilution: float,
     traces: bool = False,
 ) -> tuple:
     """Diluted RρR on every row of counts (B, n_outcomes) at once.
 
     All samples start from the completely mixed state (full rank, so every
-    probability is positive at the first step). Each iterates until its
-    relative likelihood gain per accepted step drops below `tolerance`, its
-    dilution stalls, or `max_iterations` is exhausted; the last is reported
-    as converged=False, never silently. A stopped sample leaves the working
-    arrays, which are compacted only on iterations where one stopped.
+    probability is positive at the first step) at eps = 1. Each iterates until
+    its relative likelihood gain per accepted step drops below `tolerance`,
+    its dilution stalls, or `max_iterations` is exhausted; the last is
+    reported as converged=False, never silently. A stopped sample leaves the
+    working arrays, which are compacted only on iterations where one stopped.
 
     Returns, in batch order, the final states (B, 4, 4), each exactly
     Hermitian, log-likelihoods, iteration counts, convergence flags and
     floored-outcome counts, and, if `traces`, each sample's likelihood trace
     (else None): its start value and its value at every step it accepted.
     """
-    for name, value in (("dilution", dilution), ("tolerance", tolerance)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise OutOfRange(f"{name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
     if max_iterations < 0:
         raise OutOfRange(f"max_iterations must be >= 0, got {max_iterations!r}")
     n = len(counts)
@@ -170,7 +171,7 @@ def _mle_batch(
     probs = _probabilities(flat, rho)
     groups = _nonzero_groups(counts)
     ll = _log_likelihoods(groups, probs)
-    eps = np.full((n, 1, 1), float(dilution))
+    eps = np.ones((n, 1, 1))
 
     # Working arrays hold the active samples; rows maps them to the batch.
     rows = np.arange(n)
@@ -237,13 +238,12 @@ def _reconstruct_batch(
     *,
     max_iterations: int = MAX_ITERATIONS,
     tolerance: float = TOLERANCE,
-    dilution: float = 1.0,
 ) -> list:
     """mle_reconstruct of every count table, with its target and description, as one batch."""
     counts = np.stack([_count_vector(table, pset) for table in count_tables])
     rho, ll, iterations, converged, floored, traces = _mle_batch(
         counts, pset.flattened(),
-        max_iterations=max_iterations, tolerance=tolerance, dilution=dilution, traces=True,
+        max_iterations=max_iterations, tolerance=tolerance, traces=True,
     )
     rho_hats = [DensityMatrix(m) for m in rho]
     # Fidelity is to the target, else to the estimate itself.
@@ -271,7 +271,6 @@ def mle_reconstruct(
     *,
     max_iterations: int = MAX_ITERATIONS,
     tolerance: float = TOLERANCE,
-    dilution: float = 1.0,
     target: DensityMatrix | None = None,
     target_description: str | None = None,
 ) -> ReconstructionResult:
@@ -281,7 +280,7 @@ def mle_reconstruct(
     """
     return _reconstruct_batch(
         [counts], pset, [target], [target_description],
-        max_iterations=max_iterations, tolerance=tolerance, dilution=dilution,
+        max_iterations=max_iterations, tolerance=tolerance,
     )[0]
 
 
@@ -314,7 +313,7 @@ def _bootstrap_batch(
         estimates = np.stack([result.rho_hat.matrix for result in stack])
         counts = _simulate(np.repeat(estimates, resamples, axis=0), pset, acq, resample_seeds)
         counts = counts.reshape(len(counts), -1).astype(float)
-        rho = _mle_batch(counts, pset.flattened(), dilution=1.0,
+        rho = _mle_batch(counts, pset.flattened(),
                          max_iterations=max_iterations, tolerance=tolerance)[0]
         check_density(rho)
         targets = [(result.rho_hat if result.target is None else result.target).matrix

@@ -189,14 +189,22 @@ def test_fits_reject_non_finite_and_negative_counts(bad):
         log_likelihood(mix_duty_cycle(0.25), counts, PSET)
 
 
-def test_mle_dilutes_a_step_that_overflows():
-    counts = simulate_counts(
-        mix_duty_cycle(0.25), PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=3)
-    )
-    result = mle_reconstruct(counts, PSET, dilution=1e200)
+@pytest.mark.parametrize("entry, total", [(1e307, "inf"), (1e299, "3.6")],
+                         ids=["total_overflows", "total_above_1e300"])
+def test_fits_reject_a_count_total_above_1e300(entry, total):
+    # Under filterwarnings = error, a numpy overflow warning on the way would fail this too.
+    counts = np.full((9, 4), entry)
+    with pytest.raises(DataParse, match=f"counts must total at most 1e300, got {total}"):
+        mle_reconstruct(counts, PSET)
+    with pytest.raises(DataParse, match=f"counts must total at most 1e300, got {total}"):
+        log_likelihood(mix_duty_cycle(0.25), counts, PSET)
+
+
+def test_mle_fits_a_count_total_just_below_1e300():
+    result = mle_reconstruct(np.full((9, 4), 2.7e298), PSET)  # total 9.72e299
     assert result.converged
-    assert len(result.ll_trace) - 1 < result.iterations  # some steps were rejected and diluted
-    assert np.all(np.diff(result.ll_trace) >= 0.0)
+    assert np.isfinite(result.log_likelihood)
+    assert result.log_likelihood == log_likelihood(result.rho_hat, np.full((9, 4), 2.7e298), PSET)
 
 
 def test_mle_consistency_across_duty_cycles():
