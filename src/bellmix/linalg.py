@@ -107,7 +107,7 @@ def check_density(m: np.ndarray) -> None:
         raise InvalidState(f"eigenvalue {smallest:.3e} {why}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """4x4 Hermitian, unit-trace, positive-semidefinite operator in the HV(x)HV basis.
 

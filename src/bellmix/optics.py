@@ -117,7 +117,7 @@ def _born(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (flat @ rho.swapaxes(1, 2).reshape(-1, 16, 1)).real[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """Nine analyzer settings and their 36 labeled rank-1 projectors.
 

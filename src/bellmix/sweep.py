@@ -135,7 +135,7 @@ class SweepSpec:
         return cls.from_json_dict(read_json(path, "sweep spec", ConfigParse))
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepPoint:
     """One sweep point as SweepSpec.points() fixes it and, once _run, its data and result."""
 

@@ -17,12 +17,12 @@ kernel is elementwise or a stacked matmul, so each sample of a batch comes out
 bit for bit as it would alone.
 
 Error bars are parametric bootstrap: resimulate counts from the estimate, fit
-the resamples as one batch just as the estimate was fitted, check and evaluate
-the stack of estimates in one pass, and take the sample standard deviation of
-each metric over the resamples. The resamples of several points share a stack
-of at most _STACK_SAMPLES, so the per-iteration cost is spread without the
-memory growing with the grid. Every resample has a derived seed, so the result
-is deterministic and independent of any parallel schedule or stacking.
+the resamples just as the estimate was fitted, and take the sample standard
+deviation of each metric over a point's resamples; a point with a resample
+that did not converge is not converged. All points' resamples, in order, are
+fitted in stacks of at most _STACK_SAMPLES that may split a point, so memory
+stays bounded for any grid and resample count. Every resample has a derived
+seed, so the result is independent of any parallel schedule or stacking.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ PROBABILITY_FLOOR = 1e-15
 MAX_ITERATIONS = 10000
 TOLERANCE = 1e-10
 
-# Most bootstrap resamples reconstructed in one stack; a point's resamples are never split.
+# Most bootstrap resamples reconstructed in one stack, of one point or of consecutive points.
 _STACK_SAMPLES = 200
 
 # The keys of metric_errors, in recon.json order, which is _figures order.
 _ERROR_NAMES = ("purity", "tangle", "visibility", "fidelity")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReconstructionResult:
     """Estimate, convergence diagnostics, figures of merit, and error bars.
 
@@ -300,30 +300,29 @@ def _bootstrap_batch(
     max_iterations: int = MAX_ITERATIONS,
     tolerance: float = TOLERANCE,
 ) -> list:
-    """bootstrap_errors of every result with acq at its own seed, in stacks of whole points."""
+    """bootstrap_errors of every result with acq at its own seed, in stacks of _STACK_SAMPLES."""
     if resamples < 2:
         raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
-    per_stack = max(1, _STACK_SAMPLES // resamples)
+    # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
     keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]
-    errors = []
-    for start in range(0, len(results), per_stack):
-        stack = results[start:start + per_stack]
-        # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
-        resample_seeds = _philox_keys(seeds[start:start + per_stack], keys)[..., 0].ravel()
-        estimates = np.stack([result.rho_hat.matrix for result in stack])
-        counts = _simulate(np.repeat(estimates, resamples, axis=0), pset, acq, resample_seeds)
-        counts = counts.reshape(len(counts), -1).astype(float)
-        rho = _mle_batch(counts, pset.flattened(),
-                         max_iterations=max_iterations, tolerance=tolerance)[0]
+    sample_seeds = _philox_keys(seeds, keys)[..., 0].ravel()
+    point = np.arange(len(sample_seeds)) // resamples
+    rho_hats, targets = np.array([(result.rho_hat.matrix, (result.target or result.rho_hat).matrix)
+                                  for result in results]).swapaxes(0, 1)
+    figures, converged = np.empty((len(_ERROR_NAMES), len(point))), np.empty(len(point), bool)
+    for first in range(0, len(point), _STACK_SAMPLES):
+        rows = slice(first, first + _STACK_SAMPLES)
+        counts = _simulate(rho_hats[point[rows]], pset, acq, sample_seeds[rows])
+        rho, _, _, converged[rows], _, _ = _mle_batch(
+            counts.reshape(len(counts), -1).astype(float), pset.flattened(),
+            max_iterations=max_iterations, tolerance=tolerance)
         check_density(rho)
-        targets = [(result.rho_hat if result.target is None else result.target).matrix
-                   for result in stack]
-        figures = _figures(rho, np.repeat(np.stack(targets), resamples, axis=0))
-        check_ranges(*figures)
-        errors += [{name: float(np.std(values[first:first + resamples], ddof=1))
-                    for name, values in zip(_ERROR_NAMES, figures)}
-                   for first in range(0, len(rho), resamples)]
-    return errors
+        figures[:, rows] = _figures(rho, targets[point[rows]])
+    check_ranges(*figures)
+    for result, all_converged in zip(results, converged.reshape(-1, resamples).all(axis=1)):
+        result.converged = result.converged and bool(all_converged)
+    errors = np.std(figures.reshape(len(_ERROR_NAMES), -1, resamples), axis=2, ddof=1)
+    return [dict(zip(_ERROR_NAMES, point_errors)) for point_errors in errors.T.tolist()]
 
 
 def bootstrap_errors(
@@ -337,10 +336,10 @@ def bootstrap_errors(
 ) -> dict:
     """Parametric-bootstrap standard deviations of the four metrics.
 
-    Counts are resimulated from result.rho_hat with per-resample derived
-    seeds, reconstructed as one batch, checked as a single result would be,
-    and the metrics recomputed against the original target (rho_hat itself
-    when no target was supplied). A batch of one point.
+    Counts are resimulated from result.rho_hat with per-resample derived seeds,
+    fitted and checked as the estimate was (a resample that hits max_iterations
+    clears result.converged), and scored against the original target (else
+    rho_hat itself). A batch of one point.
     """
     return _bootstrap_batch(
         [result], pset, acq, [acq.seed], resamples,

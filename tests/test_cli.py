@@ -26,10 +26,11 @@ from bellmix.counting import (
     simulate_counts,
     write_counts_csv,
 )
-from bellmix.linalg import matrix_from_json_dict, matrix_to_json_dict
+from bellmix.linalg import DensityMatrix, matrix_from_json_dict, matrix_to_json_dict
 from bellmix.optics import (
     CALIBRATION_IDLER,
     analyzer_ports,
+    projector_set_from_json_dict,
     projector_set_to_json_dict,
     standard_projector_set,
 )
@@ -138,6 +139,18 @@ def test_reconstruct_non_convergence_exit_code(tmp_path):
     counts = tmp_path / "counts.csv"
     assert main(["simulate", "--pairs", "1e5", "--seed", "9", "--out", str(counts)]) == 0
     assert main(["reconstruct", str(counts), "--max-iterations", "2"]) == 4
+
+
+def test_reconstruct_exits_4_when_a_resample_hits_the_iteration_cap(tmp_path):
+    # The estimate converges in 87 iterations; most of its resamples need more.
+    counts, recon = tmp_path / "counts.csv", tmp_path / "recon.json"
+    assert main(["simulate", "--pairs", "1e3", "--seed", "31", "--out", str(counts)]) == 0
+    capped = ["reconstruct", str(counts), "--max-iterations", "87", "--out", str(recon)]
+    assert main(capped) == 0
+    assert main([*capped, "--resamples", "20", "--seed", "5"]) == 4
+    result = json.loads(recon.read_text(encoding="utf-8"))
+    assert result["iterations"] == 87 and result["converged"] is False
+    assert result["metric_errors"]["fidelity"] > 0.0
 
 
 def test_reconstruct_json_counts_and_bootstrap(tmp_path):
@@ -336,6 +349,22 @@ def test_pooled_run_sweep_returns_the_serial_points(tmp_path, parallel):
     for mine, theirs in zip(pooled, serial):
         for name in (f.name for f in fields(sweep.SweepPoint)):
             assert _same(getattr(mine, name), getattr(theirs, name)), (mine.index, name)
+
+
+def test_array_holding_records_compare_by_identity(tmp_path):
+    pset = standard_projector_set()
+    counts = simulate_counts(mix_duty_cycle(0.25), pset, AcquisitionConfig(1e3, seed=3))
+    spec = SweepSpec(alphas=(0.0, 0.5), outputs=str(tmp_path / "out"))
+    pairs = [
+        (mix_duty_cycle(0.25), DensityMatrix(mix_duty_cycle(0.25).matrix)),
+        (pset, projector_set_from_json_dict(projector_set_to_json_dict(pset))),
+        (mle_reconstruct(counts, pset), mle_reconstruct(counts, pset)),
+        (spec.points()[0], spec.points()[0]),
+    ]
+    for value, twin in pairs:
+        assert (value == value) is True and (value != value) is False
+        assert (value == twin) is False and (value != twin) is True
+    assert spec.points() != spec.points()
 
 
 @pytest.mark.parametrize("parallel", [0, 2])

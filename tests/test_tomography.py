@@ -15,9 +15,11 @@ from bellmix.linalg import DensityMatrix, nearest_physical
 from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
+from bellmix import tomography
 from bellmix.tomography import (
     _bootstrap_batch,
     _count_vector,
+    _mle_batch,
     _STACK_SAMPLES,
     _reconstruct_batch,
     bootstrap_errors,
@@ -473,17 +475,59 @@ def test_reconstruct_batch_equals_single_reconstructions():
 
 
 def test_bootstrap_batch_equals_single_bootstraps():
-    resamples = 50
     points = []
     for index, alpha in enumerate((0.0, 0.3, 0.5, 0.8, 1.0)):
         acq = AcquisitionConfig(pairs_per_setting=1e3, seed=500 + index)
         target = mix_duty_cycle(alpha) if index != 2 else None
         points.append((mle_reconstruct(simulate_counts(mix_duty_cycle(alpha), PSET, acq), PSET,
                                        target=target), acq))
-    assert len(points) * resamples > _STACK_SAMPLES  # more than one stack
-    batch = _bootstrap_batch([result for result, _ in points], PSET, AcquisitionConfig(1e3),
-                             [acq.seed for _, acq in points], resamples)
-    assert batch == [bootstrap_errors(result, PSET, acq, resamples) for result, acq in points]
+    # At 70 and 230 resamples a stack of _STACK_SAMPLES splits points; at 230 one
+    # point's resamples span two stacks.
+    for resamples in (50, 70, 230):
+        assert len(points) * resamples > _STACK_SAMPLES  # more than one stack
+        batch = _bootstrap_batch([result for result, _ in points], PSET, AcquisitionConfig(1e3),
+                                 [acq.seed for _, acq in points], resamples)
+        assert batch == [bootstrap_errors(result, PSET, acq, resamples) for result, acq in points]
+
+
+def test_bootstrap_stacks_hold_at_most_stack_samples(monkeypatch):
+    sizes = []
+
+    def recording_mle_batch(counts, *args, **kwargs):
+        sizes.append(len(counts))
+        return _mle_batch(counts, *args, **kwargs)
+
+    acqs = [AcquisitionConfig(pairs_per_setting=1e3, seed=600 + index) for index in range(3)]
+    results = [mle_reconstruct(simulate_counts(mix_duty_cycle(0.3), PSET, acq), PSET)
+               for acq in acqs]
+    monkeypatch.setattr(tomography, "_mle_batch", recording_mle_batch)
+    _bootstrap_batch(results, PSET, AcquisitionConfig(1e3), [acq.seed for acq in acqs], 230)
+    assert sum(sizes) == 3 * 230
+    assert max(sizes) <= _STACK_SAMPLES
+    assert all(result.converged for result in results)
+
+
+def test_capped_resamples_mark_only_their_point_not_converged():
+    # Measured: the alpha=0 resamples stop within 89 iterations, the alpha=0.25 ones after 157.
+    acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
+    results = [mle_reconstruct(simulate_counts(mix_duty_cycle(alpha), PSET, acq), PSET)
+               for alpha in (0.0, 0.25)]
+    assert all(result.converged for result in results)
+    _bootstrap_batch(results, PSET, acq, [acq.seed, acq.seed], 4, max_iterations=100)
+    assert [result.converged for result in results] == [True, False]
+
+
+def test_bootstrap_errors_of_a_point_across_two_stacks_are_pinned():
+    # Recorded when a point's 230 resamples were fitted as one stack.
+    truth = mix_duty_cycle(0.25)
+    acq = AcquisitionConfig(pairs_per_setting=1e3, seed=230)
+    result = mle_reconstruct(simulate_counts(truth, PSET, acq), PSET, target=truth)
+    assert bootstrap_errors(result, PSET, acq, 230) == {
+        "purity": 0.011077342861525634,
+        "tangle": 0.0221090672316874,
+        "visibility": 0.025360669701941643,
+        "fidelity": 0.0004216216262410538,
+    }
 
 
 # ---------------------------------------------------------------------------
