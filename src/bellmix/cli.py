@@ -104,11 +104,9 @@ def _cmd_reconstruct(args) -> int:
         target=target,
         target_description=description,
     )
-    if acq is not None:
-        result.metric_errors = bootstrap_errors(
-            result, pset, acq, args.resamples,
-            max_iterations=args.max_iterations, tolerance=args.tolerance,
-        )
+    if acq is not None:  # stores result.metric_errors
+        bootstrap_errors(result, pset, acq, args.resamples,
+                         max_iterations=args.max_iterations, tolerance=args.tolerance)
     write_result_json(args.out, result)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -116,7 +114,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_metrics(args) -> int:
     rho = read_state_json(args.state)
     target, description = _resolve_target(args)
-    report = report_for(rho, target=target, target_description=description or "self")
+    report = report_for(rho, target=target, target_description=description)
     write_json(args.out, report.to_json_dict())
     return EXIT_OK
 

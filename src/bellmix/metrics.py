@@ -150,11 +150,16 @@ class MetricsReport:
             return cls(*figures, typed(description, str, "metrics JSON field 'target_description'"))
 
 
+def _described(target, description: str | None) -> str:
+    """A report's target_description: description, else "target", or "self" without a target."""
+    return description or ("self" if target is None else "target")
+
+
 def report_for(
     rho: DensityMatrix,
     target: DensityMatrix | None = None,
-    target_description: str = "self",
+    target_description: str | None = None,
 ) -> MetricsReport:
     """Evaluate all four metrics; fidelity is against target, or rho itself if none."""
     figures = _figures(rho.matrix, None if target is None else target.matrix)
-    return MetricsReport(*(float(value) for value in figures), target_description)
+    return MetricsReport(*map(float, figures), _described(target, target_description))

@@ -4,14 +4,14 @@ A sweep writes one directory per point (state.json, counts.csv, recon.json)
 plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
 bootstrap error bars, and the closed-form theory columns.
 
-Each point is generated, all are simulated in one draw, reconstructed as one
-batch and bootstrapped in stacks of whole points, then written. With workers,
-the grid splits into interleaved shares (point i goes to share i % workers),
-each run and written this way by its own forked child. The coordinator makes
-every point directory first and writes sweep.csv last, from the points the
-children send back. Every point derives its seed from (master seed, point
-index) and every sample of a batch comes out as it would alone, so output
-bytes do not depend on batching or on the workers.
+Each point is generated, all are simulated in one draw and reconstructed as
+one batch, their resamples are fitted in stacks that may split a point, and
+each point is written. With workers, the grid splits into interleaved shares
+(point i goes to share i % workers), each run and written this way by its own
+forked child. The coordinator makes every point directory first and writes
+sweep.csv last, from the points the children send back. Every point derives its
+seed from (master seed, point index) and every sample of a batch comes out as
+it would alone, so output bytes do not depend on batching or on the workers.
 
 A sweep that fails on a data error is rerun one point at a time, computing
 only, to name the first point in grid order that fails: a batch fails exactly
@@ -35,8 +35,8 @@ from .counting import (
     _POISSON_MAX,
     _SWEEP_STREAM,
     AcquisitionConfig,
+    _philox_keys,
     _simulate,
-    derive_seed,
     write_counts_csv,
 )
 from .errors import ConfigParse, DataError, InvalidConfig, OutOfRange
@@ -161,15 +161,14 @@ def _run(spec: SweepSpec, points: list) -> list:
     pset = standard_projector_set()
     for point in points:
         point.state = generate(point.config)
-    seeds = [derive_seed(spec.acquisition.seed, _SWEEP_STREAM, point.index) for point in points]
+    keys = [(_SWEEP_STREAM, point.index) for point in points]  # derive_seed(master, *key) each
+    seeds = _philox_keys([spec.acquisition.seed], keys)[0, :, 0]
     states = np.stack([point.state.matrix for point in points])
     tables = _simulate(states, pset, spec.acquisition, seeds)
     results = _reconstruct_batch(list(tables), pset, [point.make_target() for point in points],
                                  [point.description for point in points])
     if spec.resamples:
-        all_errors = _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
-        for result, errors in zip(results, all_errors):
-            result.metric_errors = errors
+        _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
     for point, counts, result in zip(points, tables, results):
         point.counts, point.result = counts, result
     return points

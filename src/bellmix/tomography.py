@@ -17,9 +17,9 @@ kernel is elementwise or a stacked matmul, so each sample of a batch comes out
 bit for bit as it would alone.
 
 Error bars are parametric bootstrap: resimulate counts from the estimate, fit
-the resamples just as the estimate was fitted, and take the sample standard
-deviation of each metric over a point's resamples; a point with a resample
-that did not converge is not converged. All points' resamples, in order, are
+the resamples as the estimate was, and store each metric's sample standard
+deviation over them as the result's metric_errors; a resample that did not
+converge makes its result not converged. All points' resamples, in order, are
 fitted in stacks of at most _STACK_SAMPLES that may split a point, so memory
 stays bounded for any grid and resample count. Every resample has a derived
 seed, so the result is independent of any parallel schedule or stacking.
@@ -42,7 +42,7 @@ from .linalg import (
     matrix_from_json_dict,
     matrix_to_json_dict,
 )
-from .metrics import MetricsReport, _figures, check_ranges
+from .metrics import MetricsReport, _described, _figures, check_ranges
 from .optics import ProjectorSet, _born
 
 PROBABILITY_FLOOR = 1e-15
@@ -149,13 +149,14 @@ def _mle_batch(
     probability is positive at the first step) at eps = 1. Each iterates until
     its relative likelihood gain per accepted step drops below `tolerance`,
     its dilution stalls, or `max_iterations` is exhausted; the last is
-    reported as converged=False, never silently. A stopped sample leaves the
-    working arrays, which are compacted only on iterations where one stopped.
+    reported as converged=False, never silently. A sample leaves the working
+    arrays at the end of the iteration that stopped it; the samples still
+    running at the cap are written once, after the loop.
 
     Returns, in batch order, the final states (B, 4, 4), each exactly
-    Hermitian, log-likelihoods, iteration counts, convergence flags and
-    floored-outcome counts, and, if `traces`, each sample's likelihood trace
-    (else None): its start value and its value at every step it accepted.
+    Hermitian, log-likelihoods, iteration counts and convergence flags, and,
+    if `traces`, each sample's likelihood trace (else None): its start value
+    and its value at every step it accepted.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
@@ -165,7 +166,6 @@ def _mle_batch(
     totals = counts.sum(axis=1)[:, None]
     if not (totals > 0).all():
         raise NoCounts("all counts are zero; nothing to reconstruct")
-    all_counts = counts
     eye = np.eye(4, dtype=complex)
     rho = np.repeat((eye / 4.0)[None], n, axis=0)
     probs = _probabilities(flat, rho)
@@ -173,33 +173,13 @@ def _mle_batch(
     ll = _log_likelihoods(groups, probs)
     eps = np.ones((n, 1, 1))
 
-    # Working arrays hold the active samples; rows maps them to the batch.
+    # Working arrays hold the running samples; rows maps them to the batch.
     rows = np.arange(n)
     trace = [[value] for value in ll.tolist()] if traces else None
-    final_rho, final_ll, final_probs = np.empty_like(rho), np.empty_like(ll), np.empty_like(probs)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    stop = np.zeros(n, dtype=bool)
-    it = 0
+    final_rho, final_ll = np.empty_like(rho), np.empty_like(ll)
+    iterations, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            capped = it >= max_iterations
-            if capped or np.count_nonzero(stop):
-                converged[rows[stop]] = True
-                if capped:
-                    stop[:] = True
-                done = rows[stop]
-                final_rho[done], final_ll[done], final_probs[done] = rho[stop], ll[stop], probs[stop]
-                iterations[done] = it
-                keep = ~stop
-                if not keep.any():
-                    break
-                rows, rho, probs, ll, eps, counts, totals = (
-                    a[keep] for a in (rows, rho, probs, ll, eps, counts, totals)
-                )
-                groups = _nonzero_groups(counts)
-            it += 1
-
+        for it in range(1, max_iterations + 1):
             weights = counts / (totals * probs)
             r_op = (weights[:, None, :] @ flat).reshape(-1, 4, 4)
             step = eye + eps * r_op
@@ -225,9 +205,19 @@ def _mle_batch(
                 for row, value, rejected in zip(rows.tolist(), ll.tolist(), downhill.tolist()):
                     if not rejected:
                         trace[row].append(value)
-
-    floored = ((all_counts > 0) & (final_probs <= PROBABILITY_FLOOR)).sum(axis=1)
-    return final_rho, final_ll, iterations, converged, floored, trace
+            if np.count_nonzero(stop):  # the stopped samples leave the working arrays
+                done = rows[stop]
+                final_rho[done], final_ll[done], iterations[done], converged[done] = (
+                    rho[stop], ll[stop], it, True)
+                keep = ~stop
+                if not keep.any():
+                    break
+                rows, rho, probs, ll, eps, counts, totals = (a[keep] for a in (
+                    rows, rho, probs, ll, eps, counts, totals))
+                groups = _nonzero_groups(counts)
+        else:  # reached only if the loop ran max_iterations times, so the cap fits in int64
+            final_rho[rows], final_ll[rows], iterations[rows] = rho, ll, max_iterations
+    return final_rho, final_ll, iterations, converged, trace
 
 
 def _reconstruct_batch(
@@ -241,28 +231,26 @@ def _reconstruct_batch(
 ) -> list:
     """mle_reconstruct of every count table, with its target and description, as one batch."""
     counts = np.stack([_count_vector(table, pset) for table in count_tables])
-    rho, ll, iterations, converged, floored, traces = _mle_batch(
-        counts, pset.flattened(),
-        max_iterations=max_iterations, tolerance=tolerance, traces=True,
+    flat = pset.flattened()
+    rho, ll, iterations, converged, traces = _mle_batch(
+        counts, flat, max_iterations=max_iterations, tolerance=tolerance, traces=True,
     )
+    floored = ((counts > 0) & (_probabilities(flat, rho) <= PROBABILITY_FLOOR)).sum(axis=1)
     rho_hats = [DensityMatrix(m) for m in rho]
     # Fidelity is to the target, else to the estimate itself.
     sigma = np.stack([m if target is None else target.matrix for m, target in zip(rho, targets)])
     figures = [values.tolist() for values in _figures(rho, sigma)]
-    results = []
-    for b, (target, description) in enumerate(zip(targets, descriptions)):
-        description = description or ("target" if target is not None else "self")
-        results.append(ReconstructionResult(
-            rho_hat=rho_hats[b],
-            log_likelihood=float(ll[b]),
-            ll_trace=traces[b],
-            iterations=int(iterations[b]),
-            converged=bool(converged[b]),
-            metrics=MetricsReport(*(values[b] for values in figures), description),
-            target=target,
-            floored_outcomes=int(floored[b]),
-        ))
-    return results
+    return [ReconstructionResult(
+        rho_hat=rho_hats[b],
+        log_likelihood=float(ll[b]),
+        ll_trace=traces[b],
+        iterations=int(iterations[b]),
+        converged=bool(converged[b]),
+        metrics=MetricsReport(*(values[b] for values in figures),
+                              _described(target, descriptions[b])),
+        target=target,
+        floored_outcomes=int(floored[b]),
+    ) for b, target in enumerate(targets)]
 
 
 def mle_reconstruct(
@@ -299,10 +287,10 @@ def _bootstrap_batch(
     *,
     max_iterations: int = MAX_ITERATIONS,
     tolerance: float = TOLERANCE,
-) -> list:
+) -> None:
     """bootstrap_errors of every result with acq at its own seed, in stacks of _STACK_SAMPLES."""
     if resamples < 2:
-        raise NoCounts(f"bootstrap needs at least 2 resamples, got {resamples}")
+        raise OutOfRange(f"bootstrap needs at least 2 resamples, got {resamples}")
     # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
     keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]
     sample_seeds = _philox_keys(seeds, keys)[..., 0].ravel()
@@ -313,16 +301,17 @@ def _bootstrap_batch(
     for first in range(0, len(point), _STACK_SAMPLES):
         rows = slice(first, first + _STACK_SAMPLES)
         counts = _simulate(rho_hats[point[rows]], pset, acq, sample_seeds[rows])
-        rho, _, _, converged[rows], _, _ = _mle_batch(
+        rho, _, _, converged[rows], _ = _mle_batch(
             counts.reshape(len(counts), -1).astype(float), pset.flattened(),
             max_iterations=max_iterations, tolerance=tolerance)
         check_density(rho)
         figures[:, rows] = _figures(rho, targets[point[rows]])
     check_ranges(*figures)
-    for result, all_converged in zip(results, converged.reshape(-1, resamples).all(axis=1)):
-        result.converged = result.converged and bool(all_converged)
     errors = np.std(figures.reshape(len(_ERROR_NAMES), -1, resamples), axis=2, ddof=1)
-    return [dict(zip(_ERROR_NAMES, point_errors)) for point_errors in errors.T.tolist()]
+    for result, all_converged, point_errors in zip(
+            results, converged.reshape(-1, resamples).all(axis=1), errors.T.tolist()):
+        result.converged = result.converged and bool(all_converged)
+        result.metric_errors = dict(zip(_ERROR_NAMES, point_errors))
 
 
 def bootstrap_errors(
@@ -334,17 +323,16 @@ def bootstrap_errors(
     max_iterations: int = MAX_ITERATIONS,
     tolerance: float = TOLERANCE,
 ) -> dict:
-    """Parametric-bootstrap standard deviations of the four metrics.
+    """Parametric-bootstrap standard deviations of the four metrics, stored as result.metric_errors.
 
     Counts are resimulated from result.rho_hat with per-resample derived seeds,
     fitted and checked as the estimate was (a resample that hits max_iterations
     clears result.converged), and scored against the original target (else
-    rho_hat itself). A batch of one point.
+    rho_hat itself). A batch of one point; resamples must be at least 2.
     """
-    return _bootstrap_batch(
-        [result], pset, acq, [acq.seed], resamples,
-        max_iterations=max_iterations, tolerance=tolerance,
-    )[0]
+    _bootstrap_batch([result], pset, acq, [acq.seed], resamples,
+                     max_iterations=max_iterations, tolerance=tolerance)
+    return result.metric_errors
 
 
 def result_to_json_dict(result: ReconstructionResult) -> dict:

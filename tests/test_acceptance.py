@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from bellmix.counting import AcquisitionConfig, simulate_counts
 from bellmix.fixtures import (
@@ -202,6 +203,7 @@ def test_criterion_7_mle_oracle_equivalence():
     )
 
 
+@pytest.mark.forks
 def test_criterion_8_sweep_determinism(tmp_path):
     from bellmix.cli import main
 

@@ -22,6 +22,7 @@ from bellmix.cli import main
 from bellmix.counting import (
     AcquisitionConfig,
     counts_to_json_dict,
+    derive_seed,
     read_counts_csv,
     simulate_counts,
     write_counts_csv,
@@ -34,7 +35,7 @@ from bellmix.optics import (
     projector_set_to_json_dict,
     standard_projector_set,
 )
-from bellmix.states import NoiseParams, bell_state, mix_duty_cycle
+from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
 from bellmix.errors import NoCounts, OutOfRange
 from bellmix import sweep
 from bellmix.sweep import SweepSpec, run_sweep
@@ -279,6 +280,7 @@ def _tree_bytes(root):
     return out
 
 
+@pytest.mark.forks
 def test_sweep_outputs_and_determinism(tmp_path):
     spec = _sweep_spec(tmp_path, tmp_path / "out1")
     assert main(["sweep", "--spec", str(spec)]) == 0
@@ -310,6 +312,7 @@ def test_sweep_outputs_and_determinism(tmp_path):
     ([0.0, 0.2, 0.5, 0.8], 3),
     ([0.3], 4),  # two points, so two of four workers would get an empty share
 ])
+@pytest.mark.forks
 def test_pooled_shares_write_the_serial_tree(tmp_path, alphas, parallel):
     spec = tmp_path / "spec.json"
     write_json(spec, {"alphas": alphas, "acquisition": {"pairs_per_setting": 1e3, "seed": 9},
@@ -320,6 +323,33 @@ def test_pooled_shares_write_the_serial_tree(tmp_path, alphas, parallel):
     serial = _tree_bytes(tmp_path / "serial")
     assert len(serial) == 1 + 3 * (len(alphas) + 1)
     assert _tree_bytes(tmp_path / "pooled") == serial
+
+
+@pytest.mark.forks
+@pytest.mark.parametrize("parallel", ["0", "2"], ids=["serial", "pooled"])
+def test_serial_and_pooled_sweeps_draw_counts_at_each_point_seed(tmp_path, parallel):
+    # Point i of a sweep with master seed s draws its counts at derive_seed(s, 303, i).
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.1, 0.6, 0.9], "resamples": 0,
+                      "acquisition": {"pairs_per_setting": 1e3, "seed": 41}})
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                 "--parallel", parallel]) == 0
+    for index, alpha in enumerate((0.1, 0.6, 0.9)):
+        acq = AcquisitionConfig(pairs_per_setting=1e3, seed=derive_seed(41, 303, index))
+        expected = tmp_path / f"expected_{index}.csv"
+        write_counts_csv(expected, simulate_counts(generate(SourceConfig(alpha=alpha)),
+                                                   standard_projector_set(), acq))
+        written = tmp_path / "out" / f"alpha_{alpha:g}" / "counts.csv"
+        assert written.read_bytes() == expected.read_bytes()
+
+
+def test_reconstruct_takes_a_cap_above_int64(tmp_path):
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e3", "--seed", "8", "--out", str(counts)]) == 0
+    for name, cap in (("default", []), ("huge", ["--max-iterations", str(10**20)])):
+        assert main(["reconstruct", str(counts), "--resamples", "3", *cap,
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert (tmp_path / "huge.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 def _same(a, b):
@@ -338,6 +368,7 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
+@pytest.mark.forks
 @pytest.mark.parametrize("parallel", [2, 3])
 def test_pooled_run_sweep_returns_the_serial_points(tmp_path, parallel):
     spec = SweepSpec(alphas=(0.0, 0.2, 0.5, 0.8), noise=NoiseParams(dephasing=0.1),
@@ -367,6 +398,7 @@ def test_array_holding_records_compare_by_identity(tmp_path):
     assert spec.points() != spec.points()
 
 
+@pytest.mark.forks
 @pytest.mark.parametrize("parallel", [0, 2])
 @pytest.mark.parametrize("pairs, seed, first", [
     (1e-9, 1, "alpha=0 (pump_vpr)"),  # no point has counts
@@ -395,6 +427,7 @@ def _raise(exc):
     raise exc
 
 
+@pytest.mark.forks
 @pytest.mark.parametrize("misbehave, message", [
     (lambda: _raise(RuntimeError("share blew up")), r"^share blew up$"),
     # An exception holding a lock cannot be pickled, so its repr comes back instead.
@@ -417,6 +450,7 @@ def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, mis
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.forks
 def test_a_pooled_sweep_leaves_no_child(tmp_path):
     spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
     run_sweep(spec, parallel=3)
@@ -426,6 +460,7 @@ def test_a_pooled_sweep_leaves_no_child(tmp_path):
     _assert_no_child_left()
 
 
+@pytest.mark.forks
 def test_an_interrupted_pooled_sweep_kills_its_children(tmp_path, monkeypatch):
     parent, real_run = os.getpid(), sweep._run
 
@@ -489,6 +524,7 @@ def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):
         assert row["fidelity_err"] is not None and row["fidelity_err"] >= 0.0
 
 
+@pytest.mark.forks
 @pytest.mark.parametrize("parallel", ["0", "2"])
 def test_noisy_serial_and_pooled_sweeps_give_noisy_theory_columns(tmp_path, parallel):
     from bellmix.metrics import family_purity, family_tangle, family_visibility
@@ -695,6 +731,7 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
 
 
+@pytest.mark.forks
 @pytest.mark.parametrize("parallel", ["0", "2"])
 def test_unwritable_outputs_exit_2_before_any_compute(tmp_path, capsys, parallel):
     # With counts this low every point raises NoCounts once computed, which exits 3.
@@ -707,6 +744,7 @@ def test_unwritable_outputs_exit_2_before_any_compute(tmp_path, capsys, parallel
     assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
 
 
+@pytest.mark.forks
 @pytest.mark.parametrize("parallel, runs", [("0", [3]), ("2", [])], ids=["serial", "pooled"])
 def test_unwritable_outputs_of_a_point_exit_2_without_recomputing(tmp_path, capsys, monkeypatch,
                                                                    parallel, runs):

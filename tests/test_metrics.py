@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellmix.counting import AcquisitionConfig, simulate_counts
 from bellmix.errors import DegenerateDenominator, InvalidState
 from bellmix.fixtures import reference_quarter_dc
 from bellmix.linalg import DensityMatrix
@@ -16,6 +17,7 @@ from bellmix.metrics import (
     tangle,
     visibility,
 )
+from bellmix.optics import standard_projector_set
 from bellmix.states import (
     NoiseParams,
     SourceConfig,
@@ -24,6 +26,7 @@ from bellmix.states import (
     generate,
     mix_duty_cycle,
 )
+from bellmix.tomography import mle_reconstruct
 from helpers import random_density_matrix, random_local_unitary, rotate_state
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 101)
@@ -130,6 +133,16 @@ def test_report_for_and_serialization():
     assert report.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
     back = MetricsReport.from_json_dict(report.to_json_dict())
     assert back == report
+
+
+def test_report_for_labels_its_target_as_a_reconstruction_does():
+    rho = mix_duty_cycle(0.3)
+    counts = simulate_counts(rho, standard_projector_set(), AcquisitionConfig(1e3, seed=3))
+    for target, label in ((mix_duty_cycle(0.25), "target"), (None, "self")):
+        assert report_for(rho, target=target).target_description == label
+        fit = mle_reconstruct(counts, standard_projector_set(), target=target)
+        assert fit.metrics.target_description == label
+        assert report_for(rho, target, "named").target_description == "named"
 
 
 def test_report_rejects_out_of_range_values():

@@ -285,8 +285,9 @@ def test_bootstrap_requires_two_resamples():
     acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
     counts = simulate_counts(truth, PSET, acq)
     result = mle_reconstruct(counts, PSET)
-    with pytest.raises(NoCounts):
-        bootstrap_errors(result, PSET, acq, 1)
+    for resamples in (1, 0, -1):
+        with pytest.raises(OutOfRange, match=f"at least 2 resamples, got {resamples}$"):
+            bootstrap_errors(result, PSET, acq, resamples)
 
 
 
@@ -485,8 +486,10 @@ def test_bootstrap_batch_equals_single_bootstraps():
     # point's resamples span two stacks.
     for resamples in (50, 70, 230):
         assert len(points) * resamples > _STACK_SAMPLES  # more than one stack
-        batch = _bootstrap_batch([result for result, _ in points], PSET, AcquisitionConfig(1e3),
-                                 [acq.seed for _, acq in points], resamples)
+        results = [result for result, _ in points]
+        _bootstrap_batch(results, PSET, AcquisitionConfig(1e3), [acq.seed for _, acq in points],
+                         resamples)
+        batch = [result.metric_errors for result in results]
         assert batch == [bootstrap_errors(result, PSET, acq, resamples) for result, acq in points]
 
 
@@ -540,7 +543,7 @@ def test_result_json_round_trip():
     acq = AcquisitionConfig(pairs_per_setting=1e4, seed=21)
     counts = simulate_counts(truth, PSET, acq)
     result = mle_reconstruct(counts, PSET, target=truth, target_description="alpha=0.25")
-    result.metric_errors = bootstrap_errors(result, PSET, acq, 5)
+    assert bootstrap_errors(result, PSET, acq, 5) is result.metric_errors
     back = result_from_json_dict(result_to_json_dict(result))
     assert np.array_equal(back.rho_hat.matrix, result.rho_hat.matrix)
     assert back.log_likelihood == result.log_likelihood
