@@ -91,11 +91,11 @@ def _cmd_reconstruct(args) -> int:
         else standard_projector_set()
     )
     target, description = _resolve_target(args)
-    # The bootstrap's acquisition comes first, so a bad seed exits before the fit.
+    # The bootstrap's acquisition comes first, so a bad seed exits before the fit, bootstrap or not.
     acq = AcquisitionConfig(  # an exact int sum: int64 would wrap above 2**63
         pairs_per_setting=max(1.0, sum(counts.reshape(-1).tolist()) / len(counts)),
         seed=args.seed,
-    ) if args.resamples >= 2 else None
+    )
     result = mle_reconstruct(
         counts,
         pset,
@@ -104,7 +104,7 @@ def _cmd_reconstruct(args) -> int:
         target=target,
         target_description=description,
     )
-    if acq is not None:  # stores result.metric_errors
+    if args.resamples:  # stores result.metric_errors
         bootstrap_errors(result, pset, acq, args.resamples,
                          max_iterations=args.max_iterations, tolerance=args.tolerance)
     write_result_json(args.out, result)

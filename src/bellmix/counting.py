@@ -80,7 +80,7 @@ class AcquisitionConfig:
             raise OutOfRange(
                 f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        if not (is_kind(self.seed, int) and 0 <= self.seed < 2**64):
             raise OutOfRange(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @classmethod

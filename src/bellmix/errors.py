@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: four kinds under two exit codes.
 
-Every concrete error is either a ConfigError (the command line exits with 2)
-or a DataError (it exits with 3).
+Exit 2, a ConfigError: OutOfRange (a parameter value) or InvalidConfig (a config
+file, or an output that cannot be written). Exit 3, a DataError: DataParse (a
+data file or count table) or InvalidState (a matrix, or a figure computed from it).
 """
 
 
@@ -17,45 +18,17 @@ class DataError(BellmixError):
     """A data file, or a matrix or state computed from one, is invalid."""
 
 
-class NonHermitianInput(DataError):
-    """A matrix expected to be Hermitian is not, beyond tolerance."""
-
-
-class InvalidState(DataError):
-    """A matrix is too far from a physical density matrix to be rounding error."""
-
-
-class ZeroTrace(DataError):
-    """Every eigenvalue was clipped to zero; nothing left to normalize."""
-
-
-class NotNormalized(ConfigError):
-    """The pump amplitudes beta and gamma do not have unit norm."""
-
-
 class OutOfRange(ConfigError):
-    """A scalar parameter lies outside its documented range."""
-
-
-class DegenerateDenominator(DataError):
-    """Both coincidence rates vanish; the visibility quotient is undefined."""
-
-
-class MismatchedData(DataError):
-    """A count table and a projector set disagree."""
-
-
-class NoCounts(DataError):
-    """Reconstruction requested with zero total counts."""
-
-
-class ConfigParse(ConfigError):
-    """A configuration file could not be parsed."""
+    """A parameter value is outside its documented range, or not of its type."""
 
 
 class InvalidConfig(ConfigError):
-    """A configuration file parsed but contains invalid fields, or an output cannot be written."""
+    """A config file or sweep spec cannot be read or used, or an output cannot be written."""
 
 
 class DataParse(DataError):
-    """A data file (counts, state, projectors, results) could not be parsed."""
+    """A data file or count table is unreadable, malformed or empty, or misfits its projectors."""
+
+
+class InvalidState(DataError):
+    """A matrix is not Hermitian or physical, or a figure computed from it is undefined."""

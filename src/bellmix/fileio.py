@@ -2,7 +2,7 @@
 
 Every file bellmix reads goes through read_text, so an unreadable or non-UTF-8
 file, or text that is not JSON, ends in one one-line error: DataParse for data
-files, ConfigParse for sweep specs and source configs. Every file it writes
+files, InvalidConfig for sweep specs and source configs. Every file it writes
 goes through write_text, where a path of None means stdout, and a path that
 cannot be written ends in InvalidConfig("cannot write <path>: <reason>").
 """
@@ -10,12 +10,15 @@ cannot be written ends in InvalidConfig("cannot write <path>: <reason>").
 from __future__ import annotations
 
 import json
+import numbers
 import reprlib
 import sys
 from contextlib import contextmanager
 
 from .errors import DataParse, InvalidConfig
 
+# The builtin types first, so a JSON value skips the slower abstract check.
+_WIDE = {int: (int, numbers.Integral), float: (float, int, numbers.Integral)}
 _KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
           list: "a list", dict: "an object"}
 
@@ -71,9 +74,8 @@ def parsing(what: str, error=DataParse):
 
 
 def is_kind(value, kind) -> bool:
-    """Whether a JSON value is of kind; a number is an int or a float, never a bool."""
-    if kind is float:
-        kind = (int, float)
+    """Whether value is of kind; an int is any integer, a number an int or a float, never a bool."""
+    kind = _WIDE.get(kind, kind)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .counting import AcquisitionConfig, simulate_counts
 from .linalg import DensityMatrix, nearest_physical
-from .metrics import fidelity, purity, tangle
+from .metrics import report_for
 from .optics import standard_projector_set
 from .states import NoiseParams, SourceConfig, completely_mixed, generate, mix_duty_cycle
 from .tomography import mle_reconstruct
@@ -69,43 +69,29 @@ class FixtureCheck:
         )
 
 
-def run_fixture_checks(
-    pairs_per_setting: float = 1e5, seed: int = 7
-) -> list[FixtureCheck]:
+def run_fixture_checks(pairs_per_setting: float = 1e5, seed: int = 7) -> list[FixtureCheck]:
     """Evaluate every bundled fixture and band check."""
-    checks = []
-    reference = reference_quarter_dc()
-
-    value, (target, tol) = purity(reference), REFERENCE_EXPECTATIONS["purity"]
-    checks.append(FixtureCheck("reference_purity", value, target - tol, target + tol))
-
-    value, (target, tol) = tangle(reference), REFERENCE_EXPECTATIONS["tangle"]
-    checks.append(FixtureCheck("reference_tangle", value, target - tol, target + tol))
-
-    value = fidelity(reference, mix_duty_cycle(0.25))
-    target, tol = REFERENCE_EXPECTATIONS["fidelity"]
-    checks.append(
-        FixtureCheck("reference_fidelity_vs_quarter_mix", value, target - tol, target + tol)
-    )
-
+    reference = report_for(reference_quarter_dc(), target=mix_duty_cycle(0.25))
     mixed = completely_mixed()
-    checks.append(
-        FixtureCheck("mixed_target_self_fidelity", fidelity(mixed, mixed), 1 - 1e-9, 1 + 1e-9)
-    )
 
     # Noise-matched two-rotator run: generate, acquire, reconstruct, then
     # compare the reconstructed purity against the measured band.
-    config = SourceConfig(
-        alpha=0.5,
-        signal_dc=0.5,
-        noise=NoiseParams(dephasing=CALIBRATED_DEPHASING),
-    )
+    config = SourceConfig(alpha=0.5, signal_dc=0.5,
+                          noise=NoiseParams(dephasing=CALIBRATED_DEPHASING))
     acq = AcquisitionConfig(pairs_per_setting=pairs_per_setting, seed=seed)
     pset = standard_projector_set()
     counts = simulate_counts(generate(config), pset, acq)
-    result = mle_reconstruct(counts, pset, target=mixed, target_description="identity/4")
-    low, high = COMPLETELY_MIXED_PURITY_BAND
-    checks.append(FixtureCheck("simulated_mixed_purity", result.metrics.purity, low, high))
-    checks.append(FixtureCheck("simulated_mixed_tangle", result.metrics.tangle, 0.0, 0.01))
+    simulated = mle_reconstruct(counts, pset, target=mixed, target_description="identity/4").metrics
 
-    return checks
+    bands = {name: (target - tol, target + tol)
+             for name, (target, tol) in REFERENCE_EXPECTATIONS.items()}
+    return [
+        FixtureCheck("reference_purity", reference.purity, *bands["purity"]),
+        FixtureCheck("reference_tangle", reference.tangle, *bands["tangle"]),
+        FixtureCheck("reference_fidelity_vs_quarter_mix", reference.fidelity_to_target,
+                     *bands["fidelity"]),
+        FixtureCheck("mixed_target_self_fidelity", report_for(mixed).fidelity_to_target,
+                     1 - 1e-9, 1 + 1e-9),
+        FixtureCheck("simulated_mixed_purity", simulated.purity, *COMPLETELY_MIXED_PURITY_BAND),
+        FixtureCheck("simulated_mixed_tangle", simulated.tangle, 0.0, 0.01),
+    ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParse, InvalidState, NonHermitianInput, ZeroTrace
+from .errors import DataParse, InvalidState
 from .fileio import is_kind, parsing, read_json, write_json
 
 HERMITIAN_TOL = 1e-10
@@ -42,11 +42,11 @@ def _require_summable(m: np.ndarray) -> None:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    """Raise NonHermitianInput if any matrix of a (..., n, n) stack is not Hermitian to tol."""
+    """Raise InvalidState if any matrix of a (..., n, n) stack is not Hermitian to tol."""
     _require_summable(m)
     defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
     if not defect <= tol:  # also NaN
-        raise NonHermitianInput(
+        raise InvalidState(
             f"matrix deviates from Hermitian symmetry by {defect:.3e} (tolerance {tol:.1e})"
         )
 
@@ -67,7 +67,7 @@ def zero_clip(eigenvalues: np.ndarray) -> np.ndarray:
 def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of Hermitian matrices.
 
-    Raises NonHermitianInput if a symmetry defect exceeds the tolerance.
+    Raises InvalidState if a symmetry defect exceeds the tolerance.
     """
     m = np.asarray(m, dtype=complex)
     require_hermitian(m)
@@ -92,7 +92,7 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def check_density(m: np.ndarray) -> None:
-    """Raise a DataError unless each matrix of a stack is finite, Hermitian, of trace 1 and PSD."""
+    """Raise InvalidState unless each matrix of a stack is finite, Hermitian, of trace 1 and PSD."""
     if not np.all(np.isfinite(m)):
         raise InvalidState("density matrix contains non-finite entries")
     require_hermitian(m, tol=1e-12)
@@ -131,8 +131,8 @@ def nearest_physical(m: np.ndarray) -> DensityMatrix:
 
     Symmetrizes, clips negative eigenvalues at zero, and renormalizes the
     trace. This is the sanitizer for rounded or reconstructed matrices, so it
-    accepts arbitrarily negative eigenvalues; it raises ZeroTrace only when
-    nothing positive survives the clip.
+    accepts arbitrarily negative eigenvalues. It raises InvalidState on an entry
+    that is not finite or above 1e300, or if nothing positive survives the clip.
     """
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -142,7 +142,7 @@ def nearest_physical(m: np.ndarray) -> DensityMatrix:
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if total <= 0.0:
-        raise ZeroTrace("all eigenvalues clipped to zero")
+        raise InvalidState("all eigenvalues clipped to zero")
     w /= total
     out = (v * w) @ v.conj().T
     out = hermitize(out)

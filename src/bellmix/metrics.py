@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidState
+from .errors import InvalidState
 from .fileio import parsing, typed
 from .linalg import DensityMatrix, hermitian_eigen, matrix_sqrt, zero_clip
 from .optics import _calibration_projector
@@ -54,7 +54,7 @@ def _visibility(m: np.ndarray) -> np.ndarray:
     n_minus = np.maximum(0.0, np.trace(m @ _calibration_projector(-22.5), axis1=-2, axis2=-1).real)
     denominator = n_plus + n_minus
     if (denominator < 1e-15).any():
-        raise DegenerateDenominator("both +-45 degree coincidence rates vanish")
+        raise InvalidState("both +-45 degree coincidence rates vanish")
     return np.abs(n_plus - n_minus) / denominator
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigParse, InvalidConfig, NotNormalized, OutOfRange
-from .fileio import checked, read_json
+from .errors import InvalidConfig, OutOfRange
+from .fileio import checked, parsing, read_json
 from .linalg import DensityMatrix, hermitize
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -70,7 +70,7 @@ class SourceConfig:
         except OverflowError:  # an amplitude too large to square
             total = math.inf
         if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
-            raise NotNormalized(f"|beta|^2 + |gamma|^2 = {total!r}, not 1 within 1e-12")
+            raise OutOfRange(f"|beta|^2 + |gamma|^2 = {total!r}, not 1 within 1e-12")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
@@ -80,7 +80,7 @@ class SourceConfig:
                     "gamma_re": d.gamma.real, "gamma_im": d.gamma.imag, "signal_dc": d.signal_dc,
                     "dephasing": d.noise.dephasing, "depolarizing": d.noise.depolarizing}
         checked(data, "config", dict.fromkeys(defaults, float))
-        try:
+        with parsing("config", InvalidConfig):
             num = {key: float(value) for key, value in {**defaults, **data}.items()}
             return cls(
                 alpha=num["alpha"],
@@ -90,12 +90,10 @@ class SourceConfig:
                 signal_dc=num["signal_dc"],
                 noise=NoiseParams(dephasing=num["dephasing"], depolarizing=num["depolarizing"]),
             )
-        except (OverflowError, OutOfRange, NotNormalized) as exc:
-            raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path) -> "SourceConfig":
-        return cls.from_json_dict(read_json(path, "config", ConfigParse))
+        return cls.from_json_dict(read_json(path, "config", InvalidConfig))
 
 
 def bell_state(kind: str) -> DensityMatrix:

@@ -39,7 +39,7 @@ from .counting import (
     _simulate,
     write_counts_csv,
 )
-from .errors import ConfigParse, DataError, InvalidConfig, OutOfRange
+from .errors import DataError, InvalidConfig, OutOfRange
 from .fileio import checked, is_kind, parsing, read_json, write_text, writing
 from .linalg import DensityMatrix, write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
@@ -132,7 +132,7 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        return cls.from_json_dict(read_json(path, "sweep spec", ConfigParse))
+        return cls.from_json_dict(read_json(path, "sweep spec", InvalidConfig))
 
 
 @dataclass(eq=False)
@@ -230,7 +230,7 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     """Run the sweep (on `parallel` workers if > 1), write it to spec.outputs, return the points."""
-    if parallel < 0:
+    if not is_kind(parallel, int) or parallel < 0:
         raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel}")
     points = spec.points()
     for point in points:  # an unwritable outputs fails before any compute

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import _BOOTSTRAP_STREAM, AcquisitionConfig, _count, _philox_keys, _simulate
-from .errors import DataParse, MismatchedData, NoCounts, OutOfRange
-from .fileio import parsing, read_json, typed, write_json
+from .errors import DataParse, OutOfRange
+from .fileio import is_kind, parsing, read_json, typed, write_json
 from .linalg import (
     DensityMatrix,
     check_density,
@@ -82,8 +82,8 @@ def _count_vector(counts, pset: ProjectorSet) -> np.ndarray:
     """A count table (n_settings, 4) of pset as a flat float vector in projector order."""
     counts = np.asarray(counts)
     if counts.shape != (pset.n_settings, 4):
-        raise MismatchedData(f"counts of shape {counts.shape} do not match the projector "
-                             f"set's ({pset.n_settings}, 4)")
+        raise DataParse(f"counts of shape {counts.shape} do not match the projector "
+                        f"set's ({pset.n_settings}, 4)")
     vector = counts.reshape(-1).astype(float)
     bad = vector[~(np.isfinite(vector) & (vector >= 0.0))]
     if bad.size:
@@ -160,12 +160,12 @@ def _mle_batch(
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
-    if max_iterations < 0:
+    if not is_kind(max_iterations, int) or max_iterations < 0:
         raise OutOfRange(f"max_iterations must be >= 0, got {max_iterations!r}")
     n = len(counts)
     totals = counts.sum(axis=1)[:, None]
     if not (totals > 0).all():
-        raise NoCounts("all counts are zero; nothing to reconstruct")
+        raise DataParse("all counts are zero; nothing to reconstruct")
     eye = np.eye(4, dtype=complex)
     rho = np.repeat((eye / 4.0)[None], n, axis=0)
     probs = _probabilities(flat, rho)
@@ -273,8 +273,8 @@ def mle_reconstruct(
 
 
 def check_resamples(resamples: int) -> None:
-    """A configured bootstrap size is 0 (no error bars) or at least 2."""
-    if resamples < 0 or resamples == 1:
+    """A configured bootstrap size is an integer, 0 (no error bars) or at least 2."""
+    if not is_kind(resamples, int) or resamples < 0 or resamples == 1:
         raise OutOfRange(f"resamples must be 0 (no error bars) or >= 2, got {resamples}")
 
 
@@ -289,7 +289,7 @@ def _bootstrap_batch(
     tolerance: float = TOLERANCE,
 ) -> None:
     """bootstrap_errors of every result with acq at its own seed, in stacks of _STACK_SAMPLES."""
-    if resamples < 2:
+    if not is_kind(resamples, int) or resamples < 2:
         raise OutOfRange(f"bootstrap needs at least 2 resamples, got {resamples}")
     # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
     keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]

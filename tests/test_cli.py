@@ -1,8 +1,10 @@
 import copy
 import csv
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -36,7 +38,8 @@ from bellmix.optics import (
     standard_projector_set,
 )
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
-from bellmix.errors import NoCounts, OutOfRange
+from bellmix.errors import DataParse, OutOfRange
+import bellmix.errors
 from bellmix import sweep
 from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import bootstrap_errors, mle_reconstruct
@@ -49,6 +52,31 @@ def write_json(path, data):
 
 def read_matrix(path):
     return matrix_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def test_errors_are_four_kinds_under_two_exit_codes(monkeypatch, capsys):
+    errors = bellmix.errors
+
+    def classes(module):
+        return {name for name, value in vars(module).items() if isinstance(value, type)
+                and issubclass(value, BaseException) and value.__module__ == module.__name__}
+
+    kinds = {errors.OutOfRange: 2, errors.InvalidConfig: 2, errors.DataParse: 3,
+             errors.InvalidState: 3}
+    assert classes(errors) == {"BellmixError", "ConfigError", "DataError",
+                               *(kind.__name__ for kind in kinds)}
+    for info in pkgutil.iter_modules(bellmix.__path__):
+        module = importlib.import_module(f"bellmix.{info.name}")
+        assert module is errors or not classes(module), f"{module.__name__} defines an error"
+    for kind, code in kinds.items():
+        assert issubclass(kind, errors.ConfigError) != issubclass(kind, errors.DataError)
+
+        def fail(args, kind=kind):
+            raise kind("one line")
+
+        monkeypatch.setattr("bellmix.cli._cmd_generate", fail)
+        assert main(["generate"]) == code
+        assert capsys.readouterr().err == "error: one line\n"
 
 
 def test_generate_defaults_is_phi_minus(tmp_path, capsys):
@@ -243,7 +271,8 @@ def test_seed_and_fit_settings_come_only_from_flags(tmp_path, capsys, monkeypatc
     assert "--dilution" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-4"]], ids=["negative_seed"])
+@pytest.mark.parametrize("flags", [["--seed", "-4"], ["--seed", "-1", "--resamples", "0"]],
+                         ids=["negative_seed", "negative_seed_without_bootstrap"])
 def test_reconstruct_rejects_its_bootstrap_seed_before_the_fit(tmp_path, capsys, monkeypatch,
                                                                flags):
     def fit(*args, **kwargs):
@@ -414,7 +443,7 @@ def test_sweep_error_names_the_first_failing_point(tmp_path, capsys, parallel, p
                       "outputs": str(tmp_path / "out")})
     assert main(["sweep", "--spec", str(spec), "--parallel", str(parallel)]) == 3
     assert capsys.readouterr().err.startswith(f"error: sweep point {first}: all counts are zero")
-    with pytest.raises(NoCounts, match=rf"^sweep point {re.escape(first)}: "):
+    with pytest.raises(DataParse, match=rf"^sweep point {re.escape(first)}: all counts are zero"):
         run_sweep(SweepSpec.from_file(spec), parallel=parallel)
 
 
@@ -455,7 +484,7 @@ def test_a_pooled_sweep_leaves_no_child(tmp_path):
     spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
     run_sweep(spec, parallel=3)
     _assert_no_child_left()
-    with pytest.raises(NoCounts):  # no point has counts
+    with pytest.raises(DataParse, match="all counts are zero"):  # no point has counts
         run_sweep(replace(spec, acquisition=AcquisitionConfig(pairs_per_setting=1e-9)), parallel=3)
     _assert_no_child_left()
 
@@ -683,6 +712,26 @@ def test_paper_fixtures_exits_1_when_a_check_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _fixture_lines(simulated_purity):
+    return [
+        "PASS reference_purity: value=0.627434 expected in [0.624500, 0.634500]",
+        "PASS reference_tangle: value=0.242970 expected in [0.237600, 0.257600]",
+        "PASS reference_fidelity_vs_quarter_mix: value=0.980626 expected in [0.961400, 1.001400]",
+        "PASS mixed_target_self_fidelity: value=1.000000 expected in [1.000000, 1.000000]",
+        f"{simulated_purity} expected in [0.250000, 0.270000]",
+        "PASS simulated_mixed_tangle: value=0.000000 expected in [0.000000, 0.010000]",
+    ]
+
+
+@pytest.mark.parametrize("flags, code, simulated_purity", [
+    ([], 0, "PASS simulated_mixed_purity: value=0.250009"),
+    (["--pairs", "10"], 1, "FAIL simulated_mixed_purity: value=0.339037"),
+], ids=["defaults", "pairs_10"])
+def test_paper_fixtures_stdout_is_pinned(capsys, flags, code, simulated_purity):
+    assert main(["paper-fixtures", *flags]) == code
+    assert capsys.readouterr().out.splitlines() == _fixture_lines(simulated_purity)
+
+
 @pytest.mark.parametrize("pairs, code", [("1e300", 2), ("1e19", 0)])
 def test_simulate_rejects_a_mean_numpy_cannot_draw(capsys, pairs, code):
     # At 1e19 pairs the largest mean is 5e18, below numpy's limit of about 9.2e18.
@@ -700,6 +749,21 @@ def test_reconstruct_rejects_stop_settings_that_cannot_stop_right(tmp_path, caps
     assert main(["reconstruct", str(counts), flag, value]) == 2
     assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
     assert main(["reconstruct", str(counts), "--max-iterations", "0"]) == 4
+
+
+@pytest.mark.parametrize("resamples, parallel, message", [
+    (2.5, 0, r"^resamples must be 0 \(no error bars\) or >= 2, got 2.5$"),
+    (True, 0, r"^resamples must be 0 \(no error bars\) or >= 2, got True$"),
+    (0, 2.5, r"^parallel must be >= 0 \(0 and 1 run serially\), got 2.5$"),
+    (0, None, r"^parallel must be >= 0 \(0 and 1 run serially\), got None$"),
+])
+def test_sweep_rejects_settings_that_are_not_integers(tmp_path, resamples, parallel, message):
+    # Three points, so a pool of 2.5 workers is not cut down to a whole number of points.
+    out = tmp_path / "out"
+    with pytest.raises(OutOfRange, match=message):
+        run_sweep(SweepSpec(alphas=(0.2, 0.5, 0.8), acquisition=AcquisitionConfig(1e3, seed=3),
+                            outputs=str(out), resamples=resamples), parallel=parallel)
+    assert not out.exists()
 
 
 def test_sweep_rejects_a_negative_worker_count(tmp_path, capsys):
@@ -734,7 +798,7 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
 @pytest.mark.forks
 @pytest.mark.parametrize("parallel", ["0", "2"])
 def test_unwritable_outputs_exit_2_before_any_compute(tmp_path, capsys, parallel):
-    # With counts this low every point raises NoCounts once computed, which exits 3.
+    # With counts this low every point raises DataParse once computed, which exits 3.
     blocker = tmp_path / "file"
     blocker.write_text("a regular file, not a directory", encoding="utf-8")
     spec = tmp_path / "spec.json"
@@ -900,10 +964,25 @@ _EXAMPLES = [
         [(setting, [250] * 4) for setting in (*range(8), 9)],
         [(setting, [250] * 4) for setting in (*range(9), 3)],
         [(setting, [250] * (3 if setting == 3 else 4)) for setting in range(9)])),
-    ("state", _dark_state(), 3),
     ("state", _overflowing_state(), 3),
     ("state", b"[" * 100000, 3),  # nested past the recursion limit
     ("config", b'{"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308}', 2),  # |beta|^2 overflows
+]
+
+# (kind, content, exit code, its error line with the file as {file}) of failures each of the
+# four error kinds covers.
+_ERROR_LINES = [
+    ("state", _dark_state(), 3, "both +-45 degree coincidence rates vanish"),
+    ("counts_csv", _counts_csv(range(9)).replace(",250", ",0").encode(), 3,
+     "all counts are zero; nothing to reconstruct"),
+    ("projectors", json.dumps({"settings": _VALID["projectors"]["settings"][:8]}).encode(), 3,
+     "counts of shape (9, 4) do not match the projector set's (8, 4)"),
+    ("config", b'{"beta_re": 0.9, "gamma_re": 0.9}', 2,
+     "|beta|^2 + |gamma|^2 = 1.62, not 1 within 1e-12"),
+    ("config", b"{not json", 2, "config {file} is not valid JSON: Expecting property name "
+                                "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("spec", b"{not json", 2, "sweep spec {file} is not valid JSON: Expecting property name "
+                              "enclosed in double quotes: line 1 column 2 (char 1)"),
 ]
 
 _JSON_VALUES = st.recursive(
@@ -922,8 +1001,8 @@ def file_dir(tmp_path_factory):
 
 
 def _with_examples(test):
-    for kind, content, code in _EXAMPLES:
-        test = example(kind=kind, content=content, code=code)(test)
+    for kind, content, code, line in [*(entry + (None,) for entry in _EXAMPLES), *_ERROR_LINES]:
+        test = example(kind=kind, content=content, code=code, line=line)(test)
     return test
 
 
@@ -933,12 +1012,14 @@ def _with_examples(test):
     kind=st.sampled_from(sorted(_FILE_INPUTS)),
     content=st.binary(max_size=200) | _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     code=st.none(),
+    line=st.none(),
 )
 @_with_examples
-def test_any_file_content_exits_with_a_documented_code(file_dir, capsys, kind, content, code):
+def test_any_file_content_exits_with_a_documented_code(file_dir, capsys, kind, content, code,
+                                                        line):
     """Whatever a file holds, the CLI exits 0, 2, 3 or 4 with at most a one-line error.
 
-    The explicit examples also name the exit code they must reach.
+    The explicit examples also name the exit code they must reach, and some the error line.
     """
     name, _, argv = _FILE_INPUTS[kind]
     path = file_dir / name
@@ -949,3 +1030,4 @@ def test_any_file_content_exits_with_a_documented_code(file_dir, capsys, kind, c
     if returned in (2, 3):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert line is None or err == f"error: {line.format(file=path)}\n"

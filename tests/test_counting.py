@@ -28,7 +28,7 @@ from bellmix.counting import (
     stream,
     visibility_scan,
 )
-from bellmix.errors import DataParse, MismatchedData, OutOfRange
+from bellmix.errors import DataParse, OutOfRange
 from bellmix.optics import (
     CALIBRATION_IDLER,
     WaveplateSetting,
@@ -203,9 +203,18 @@ def test_acquisition_validation():
             AcquisitionConfig(pairs_per_setting=bad)
         with pytest.raises(OutOfRange):
             AcquisitionConfig(accidental_rate=bad)
-    for seed in (-1, 2**64):
+    # int(seed) would draw the counts of another seed under a non-integer's name.
+    for seed in (-1, 2**64, 1.5, 1.0, -0.5, True, np.float64(2.0), "3"):
         with pytest.raises(OutOfRange, match="64-bit unsigned"):
             AcquisitionConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5)], ids=["uint64", "int64"])
+def test_a_numpy_integer_seed_draws_that_seeds_counts(seed):
+    def draw(seed):
+        return simulate_counts(mix_duty_cycle(0.3), PSET, AcquisitionConfig(1e3, seed=seed))
+
+    assert_same_table(draw(seed), draw(int(seed)))
 
 
 def test_counts_csv_round_trip():
@@ -259,7 +268,7 @@ def test_counts_csv_rejects_malformed():
 
 def test_count_table_must_match_the_projector_set_shape():
     for shape in ((1, 4), (10, 4), (9, 3), (36,), (9, 4, 1)):
-        with pytest.raises(MismatchedData, match="projector set"):
+        with pytest.raises(DataParse, match="projector set"):
             _count_vector(np.ones(shape, dtype=np.int64), PSET)
     assert _count_vector(np.arange(36).reshape(9, 4), PSET).tolist() == list(range(36))
 

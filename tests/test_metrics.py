@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellmix.counting import AcquisitionConfig, simulate_counts
-from bellmix.errors import DegenerateDenominator, InvalidState
+from bellmix.errors import InvalidState
 from bellmix.fixtures import reference_quarter_dc
 from bellmix.linalg import DensityMatrix
 from bellmix.metrics import (
@@ -64,7 +64,7 @@ def test_visibility_degenerate_denominator():
     # Idler polarized along D is orthogonal to both analysis states, so both
     # +-45 degree transmitted-transmitted rates vanish.
     ket = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    with pytest.raises(DegenerateDenominator):
+    with pytest.raises(InvalidState, match=r"both \+-45 degree coincidence rates vanish"):
         visibility(DensityMatrix(np.outer(ket, ket.conj())))
 
 

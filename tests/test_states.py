@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bellmix.errors import InvalidConfig, NotNormalized, OutOfRange
+from bellmix.errors import InvalidConfig, OutOfRange
 from bellmix.linalg import DensityMatrix
 from bellmix.metrics import visibility
 from bellmix.states import (
@@ -149,10 +149,10 @@ def test_source_config_range_checks():
         SourceConfig(alpha=1.5)
     with pytest.raises(OutOfRange):
         SourceConfig(signal_dc=-0.2)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(OutOfRange, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = 2"):
         SourceConfig(beta=1.0, gamma=1.0)
     for beta in (1e200, complex(1e308, 1e308)):  # too large to square
-        with pytest.raises(NotNormalized, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
+        with pytest.raises(OutOfRange, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
             SourceConfig(beta=beta, gamma=0.0)
 
 
@@ -187,7 +187,7 @@ def test_source_config_json_rejects_bad_fields():
         SourceConfig.from_json_dict({"alpha": "big"})
     with pytest.raises(InvalidConfig):
         SourceConfig.from_json_dict({"alfa": 0.2})
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(OutOfRange, match=r"alpha must lie in \[0, 1\], got 1.5"):
         SourceConfig.from_json_dict({"alpha": 1.5})
-    with pytest.raises(InvalidConfig, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
+    with pytest.raises(OutOfRange, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
         SourceConfig.from_json_dict({"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308})

@@ -10,7 +10,7 @@ from bellmix.counting import (
     derive_seed,
     simulate_counts,
 )
-from bellmix.errors import DataParse, MismatchedData, NoCounts, OutOfRange
+from bellmix.errors import DataParse, OutOfRange
 from bellmix.linalg import DensityMatrix, nearest_physical
 from bellmix.metrics import fidelity
 from bellmix.optics import standard_projector_set
@@ -110,7 +110,7 @@ def test_log_likelihood_gibbs_inequality():
 
 
 def test_log_likelihood_mismatched_records():
-    with pytest.raises(MismatchedData):
+    with pytest.raises(DataParse, match="do not match the projector set"):
         log_likelihood(mix_duty_cycle(0.3), np.ones((5, 4)), PSET)
 
 
@@ -173,9 +173,9 @@ def test_mle_non_convergence_is_flagged():
 
 
 def test_mle_rejects_empty_and_mismatched():
-    with pytest.raises(NoCounts):
+    with pytest.raises(DataParse, match="all counts are zero"):
         mle_reconstruct(np.zeros((9, 4)), PSET)
-    with pytest.raises(MismatchedData):
+    with pytest.raises(DataParse, match="do not match the projector set"):
         mle_reconstruct(np.ones((3, 4)), PSET)
 
 
@@ -285,16 +285,20 @@ def test_bootstrap_requires_two_resamples():
     acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
     counts = simulate_counts(truth, PSET, acq)
     result = mle_reconstruct(counts, PSET)
-    for resamples in (1, 0, -1):
+    for resamples in (1, 0, -1, 2.5, True):  # range(2.5) would fail only after the fits
         with pytest.raises(OutOfRange, match=f"at least 2 resamples, got {resamples}$"):
             bootstrap_errors(result, PSET, acq, resamples)
+    numpy_int = bootstrap_errors(result, PSET, acq, np.int64(2))
+    assert numpy_int == bootstrap_errors(result, PSET, acq, 2)
 
 
 
 @pytest.mark.parametrize("stop", [
     {"tolerance": float("inf")}, {"tolerance": float("nan")}, {"tolerance": 0.0},
-    {"tolerance": -1.0}, {"max_iterations": -5},
-], ids=["tolerance-inf", "tolerance-nan", "tolerance-0", "tolerance-neg", "max_iterations-neg"])
+    {"tolerance": -1.0}, {"max_iterations": -5}, {"max_iterations": 2.5},
+    {"max_iterations": None}, {"max_iterations": True},
+], ids=["tolerance-inf", "tolerance-nan", "tolerance-0", "tolerance-neg", "max_iterations-neg",
+        "max_iterations-float", "max_iterations-None", "max_iterations-bool"])
 def test_fits_reject_stop_settings_that_cannot_stop_right(stop):
     acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
     counts = simulate_counts(mix_duty_cycle(0.5), PSET, acq)
@@ -303,7 +307,8 @@ def test_fits_reject_stop_settings_that_cannot_stop_right(stop):
     result = mle_reconstruct(counts, PSET)
     with pytest.raises(OutOfRange, match=next(iter(stop))):
         bootstrap_errors(result, PSET, acq, 3, **stop)
-    assert mle_reconstruct(counts, PSET, max_iterations=0).iterations == 0
+    for cap in (0, np.int64(0)):
+        assert mle_reconstruct(counts, PSET, max_iterations=cap).iterations == 0
 
 # ---------------------------------------------------------------------------
 # Batched reconstruction equals one-at-a-time reconstruction, bit for bit
