@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParse, InvalidConfig, OutOfRange
-from .fileio import by_index, checked, is_kind, parsing, read_json, read_text, write_json, write_text
+from .errors import DataParse, OutOfRange
+from .fileio import by_index, check_fields, is_kind, parsing, read_json, read_text
+from .fileio import write_json, write_text
 from .linalg import DensityMatrix
 from .optics import OUTCOME_LABELS, ProjectorSet, _born, _calibration_projector
 
@@ -72,24 +73,15 @@ class AcquisitionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not (math.isfinite(self.pairs_per_setting) and self.pairs_per_setting > 0.0):
-            raise OutOfRange(
-                f"pairs_per_setting must be finite and > 0, got {self.pairs_per_setting!r}"
-            )
+            raise OutOfRange("pairs_per_setting must be finite and > 0, "
+                             f"got {self.pairs_per_setting!r}")
         if not (math.isfinite(self.accidental_rate) and self.accidental_rate >= 0.0):
-            raise OutOfRange(
-                f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}"
-            )
+            raise OutOfRange("accidental_rate must be finite and >= 0, "
+                             f"got {self.accidental_rate!r}")
         if not (is_kind(self.seed, int) and 0 <= self.seed < 2**64):
             raise OutOfRange(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AcquisitionConfig":
-        """The fields present in data; an absent field keeps its default."""
-        kinds = {"pairs_per_setting": float, "accidental_rate": float, "seed": int}
-        checked(data, "acquisition", kinds)
-        with parsing("acquisition", InvalidConfig):
-            return cls(**{key: kinds[key](value) for key, value in data.items()})
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -260,10 +252,11 @@ def visibility_scan(
     QWPs stay at zero and the idler HWP is parked at -22.5 degrees; the
     noiseless means follow A + B cos(4 theta + theta0).
     """
-    angles = [float(angle) for angle in hwp_angles]
-    non_finite = [angle for angle in angles if not math.isfinite(angle)]
+    angles = list(hwp_angles)
+    non_finite = [angle for angle in angles if not (is_kind(angle, float) and math.isfinite(angle))]
     if non_finite:
         raise OutOfRange(f"HWP angles must be finite, got {non_finite}")
+    angles = [float(angle) for angle in angles]
     flat = np.array([_calibration_projector(angle) for angle in angles]).reshape(-1, 16)
     keys = [(_SCAN_STREAM, angle_index) for angle_index in range(len(angles))]
     counts = _poisson(_means(flat, rho.matrix[None], acq), [acq.seed], keys)

@@ -1,10 +1,11 @@
-"""File plumbing shared by every reader and writer, and the strict JSON field check.
+"""File plumbing shared by every reader and writer, and the config field checks.
 
 Every file bellmix reads goes through read_text, so an unreadable or non-UTF-8
 file, or text that is not JSON, ends in one one-line error: DataParse for data
 files, InvalidConfig for sweep specs and source configs. Every file it writes
 goes through write_text, where a path of None means stdout, and a path that
 cannot be written ends in InvalidConfig("cannot write <path>: <reason>").
+A config's JSON reader checks its keys; its constructor checks its values.
 """
 
 from __future__ import annotations
@@ -14,13 +15,17 @@ import numbers
 import reprlib
 import sys
 from contextlib import contextmanager
+from dataclasses import is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
-from .errors import DataParse, InvalidConfig
+from .errors import DataParse, InvalidConfig, OutOfRange
 
 # The builtin types first, so a JSON value skips the slower abstract check.
-_WIDE = {int: (int, numbers.Integral), float: (float, int, numbers.Integral)}
+_WIDE = {int: (int, numbers.Integral), float: (float, int, numbers.Real), complex: numbers.Complex}
 _KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
-          list: "a list", dict: "an object"}
+          list: "a list", dict: "an object", tuple: "a tuple", complex: "a number"}
+_field_kinds = cache(get_type_hints)  # a config class's field kinds: its resolved annotations
 
 
 def read_text(path, what: str, error=DataParse) -> str:
@@ -74,7 +79,7 @@ def parsing(what: str, error=DataParse):
 
 
 def is_kind(value, kind) -> bool:
-    """Whether value is of kind; an int is any integer, a number an int or a float, never a bool."""
+    """Whether value is of kind: int any integer, float any real, complex any number; no bool."""
     kind = _WIDE.get(kind, kind)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
@@ -82,7 +87,7 @@ def is_kind(value, kind) -> bool:
 def typed(value, kind, what: str, error=DataParse):
     """value, if it is a JSON value of kind; else error("<what> must be <kind>, got <value>")."""
     if not is_kind(value, kind):
-        raise error(f"{what} must be {_KINDS[kind]}, got {value!r}")
+        raise error(f"{what} must be {_KINDS.get(kind, kind.__name__)}, got {value!r}")
     return value
 
 
@@ -95,12 +100,34 @@ def by_index(rows: list, what: str) -> list:
 
 
 def checked(data, what: str, kinds: dict) -> dict:
-    """data, if it is a JSON object whose every key is in kinds with a value of that kind."""
+    """data, if it is a JSON object whose every key is in kinds, with a value of its kind if set."""
     if not isinstance(data, dict):
         raise InvalidConfig(f"{what} must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(kinds)
     if unknown:
         raise InvalidConfig(f"unknown {what} fields: {sorted(unknown)}")
     for key, value in data.items():
-        typed(value, kinds[key], f"{what} field {key!r}", InvalidConfig)
+        if kinds[key]:
+            typed(value, kinds[key], f"{what} field {key!r}", InvalidConfig)
     return data
+
+
+def check_fields(config) -> None:
+    """OutOfRange("<field> must be <kind>, got <value>") unless each field is its annotated kind."""
+    for name, kind in _field_kinds(type(config)).items():
+        value = getattr(config, name)
+        if get_origin(kind) is tuple:  # tuple[kind, ...]: a tuple of values of that kind
+            for entry in typed(value, tuple, name, OutOfRange):
+                typed(entry, get_args(kind)[0], f"each of {name}", OutOfRange)
+        elif kind is not int:  # an int field is checked by its class, with its range
+            typed(value, kind, name, OutOfRange)
+
+
+def from_json(cls, data, what: str):
+    """cls from the JSON object data of its fields; a nested config's object is read alike."""
+    kinds = _field_kinds(cls)
+    checked(data, what, dict.fromkeys(kinds))
+    with parsing(what, InvalidConfig):  # a required field absent, or an int too large for a float
+        return cls(**{key: from_json(kinds[key], value, key) if is_dataclass(kinds[key])
+                      else tuple(value) if isinstance(value, list) else value  # JSON has no tuple
+                      for key, value in data.items()})

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, OutOfRange
-from .fileio import checked, parsing, read_json
+from .fileio import check_fields, checked, is_kind, parsing, read_json
 from .linalg import DensityMatrix, hermitize
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -41,6 +41,7 @@ class NoiseParams:
     depolarizing: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("dephasing", "depolarizing"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -59,6 +60,7 @@ class SourceConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise OutOfRange(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not 0.0 <= self.signal_dc <= 1.0:
@@ -82,14 +84,10 @@ class SourceConfig:
         checked(data, "config", dict.fromkeys(defaults, float))
         with parsing("config", InvalidConfig):
             num = {key: float(value) for key, value in {**defaults, **data}.items()}
-            return cls(
-                alpha=num["alpha"],
-                phi=num["phi"],
-                beta=complex(num["beta_re"], num["beta_im"]),
-                gamma=complex(num["gamma_re"], num["gamma_im"]),
-                signal_dc=num["signal_dc"],
-                noise=NoiseParams(dephasing=num["dephasing"], depolarizing=num["depolarizing"]),
-            )
+            return cls(alpha=num["alpha"], phi=num["phi"], signal_dc=num["signal_dc"],
+                       beta=complex(num["beta_re"], num["beta_im"]),
+                       gamma=complex(num["gamma_re"], num["gamma_im"]),
+                       noise=NoiseParams(num["dephasing"], num["depolarizing"]))
 
     @classmethod
     def from_file(cls, path) -> "SourceConfig":
@@ -98,11 +96,9 @@ class SourceConfig:
 
 def bell_state(kind: str) -> DensityMatrix:
     """One of the four maximally entangled states: 'phi+', 'phi-', 'psi+', 'psi-'."""
-    try:
-        amps = _BELL_AMPLITUDES[kind.lower()]
-    except KeyError:
+    if not (is_kind(kind, str) and kind.lower() in _BELL_AMPLITUDES):
         raise OutOfRange(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_AMPLITUDES)}")
-    ket = np.array(amps, dtype=complex)
+    ket = np.array(_BELL_AMPLITUDES[kind.lower()], dtype=complex)
     return DensityMatrix(np.outer(ket, ket.conj()))
 
 
@@ -119,7 +115,7 @@ def mix_duty_cycle(alpha: float) -> DensityMatrix:
     alpha = 0 gives phi-, alpha = 1 gives phi+; the HH/VV coherence is
     alpha - 1/2 and the diagonal stays (1/2, 0, 0, 1/2) throughout.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not (is_kind(alpha, float) and 0.0 <= alpha <= 1.0):
         raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5

@@ -40,7 +40,7 @@ from .counting import (
     write_counts_csv,
 )
 from .errors import DataError, InvalidConfig, OutOfRange
-from .fileio import checked, is_kind, parsing, read_json, write_text, writing
+from .fileio import check_fields, from_json, is_kind, read_json, write_text, writing
 from .linalg import DensityMatrix, write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
@@ -67,7 +67,7 @@ class SweepSpec:
     resamples is the bootstrap size: 0 for no error bars, else at least 2.
     """
 
-    alphas: tuple
+    alphas: tuple[float, ...]
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
     noise: NoiseParams = field(default_factory=NoiseParams)
     outputs: str = "sweep_out"
@@ -75,6 +75,7 @@ class SweepSpec:
     resamples: int = 25
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.alphas:
             raise OutOfRange("sweep needs at least one alpha value")
         for alpha in self.alphas:
@@ -110,25 +111,7 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
-        checked(data, "sweep spec", {
-            "alphas": list, "acquisition": dict, "noise": dict, "outputs": str,
-            "include_completely_mixed": bool, "resamples": int,
-        })
-        if "alphas" not in data or not all(is_kind(a, float) for a in data["alphas"]):
-            raise InvalidConfig("sweep spec needs 'alphas' as a JSON list of numbers")
-        noise_data = checked(
-            data.get("noise", {}), "noise", {"dephasing": float, "depolarizing": float}
-        )
-        # Absent fields, here and in noise and acquisition, keep their dataclass defaults.
-        options = {key: data[key] for key in ("outputs", "include_completely_mixed", "resamples")
-                   if key in data}
-        with parsing("sweep spec", InvalidConfig):
-            return cls(
-                alphas=tuple(float(a) for a in data["alphas"]),
-                acquisition=AcquisitionConfig.from_json_dict(data.get("acquisition", {})),
-                noise=NoiseParams(**{key: float(value) for key, value in noise_data.items()}),
-                **options,
-            )
+        return from_json(cls, data, "sweep spec")
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":

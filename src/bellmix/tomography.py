@@ -158,7 +158,7 @@ def _mle_batch(
     if `traces`, each sample's likelihood trace (else None): its start value
     and its value at every step it accepted.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
+    if not (is_kind(tolerance, float) and math.isfinite(tolerance) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
     if not is_kind(max_iterations, int) or max_iterations < 0:
         raise OutOfRange(f"max_iterations must be >= 0, got {max_iterations!r}")
@@ -275,7 +275,7 @@ def mle_reconstruct(
 def check_resamples(resamples: int) -> None:
     """A configured bootstrap size is an integer, 0 (no error bars) or at least 2."""
     if not is_kind(resamples, int) or resamples < 0 or resamples == 1:
-        raise OutOfRange(f"resamples must be 0 (no error bars) or >= 2, got {resamples}")
+        raise OutOfRange(f"resamples must be 0 (no error bars) or >= 2, got {resamples!r}")
 
 
 def _bootstrap_batch(
@@ -290,7 +290,7 @@ def _bootstrap_batch(
 ) -> None:
     """bootstrap_errors of every result with acq at its own seed, in stacks of _STACK_SAMPLES."""
     if not is_kind(resamples, int) or resamples < 2:
-        raise OutOfRange(f"bootstrap needs at least 2 resamples, got {resamples}")
+        raise OutOfRange(f"bootstrap needs at least 2 resamples, got {resamples!r}")
     # Resample i of a point is seeded with derive_seed(seed, _BOOTSTRAP_STREAM, i).
     keys = [(_BOOTSTRAP_STREAM, index) for index in range(resamples)]
     sample_seeds = _philox_keys(seeds, keys)[..., 0].ravel()

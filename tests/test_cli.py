@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import typing
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from bellmix.cli import main
 from bellmix.counting import (
     AcquisitionConfig,
+    counts_from_json_dict,
     counts_to_json_dict,
     derive_seed,
     read_counts_csv,
@@ -516,19 +518,32 @@ def test_an_interrupted_pooled_sweep_kills_its_children(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+# The sweep spec printed in README.md, but for its outputs.
+_README_SPEC = {
+    "alphas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+    "acquisition": {"pairs_per_setting": 1e6, "accidental_rate": 0.0, "seed": 2026},
+    "noise": {"dephasing": 0.0, "depolarizing": 0.0},
+    "include_completely_mixed": True, "resamples": 50,
+}
+
+
 def test_readme_sweep_csv_is_pinned(tmp_path):
-    # The sweep spec printed in README.md, serial; the digest is that of the
-    # benchmark's golden sweep.csv for master seed 2026.
+    # Serial; the digest is that of the benchmark's golden sweep.csv for master seed 2026.
     spec = tmp_path / "spec.json"
-    write_json(spec, {
-        "alphas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
-        "acquisition": {"pairs_per_setting": 1e6, "accidental_rate": 0.0, "seed": 2026},
-        "noise": {"dephasing": 0.0, "depolarizing": 0.0},
-        "outputs": str(tmp_path / "out"), "include_completely_mixed": True, "resamples": 50,
-    })
+    write_json(spec, {**_README_SPEC, "outputs": str(tmp_path / "out")})
     assert main(["sweep", "--spec", str(spec)]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
     assert digest == "f0ca74f49fc056f1946c0f98f61e3734813cd0a192a359922c1baca604babbb0"
+
+
+def test_readme_json_examples_read():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config, spec, counts = map(json.loads, re.findall(r"```json\n(.*?)```", readme, re.DOTALL))
+    assert SourceConfig.from_json_dict(config) == SourceConfig(alpha=0.25)
+    assert SweepSpec.from_json_dict(spec) == SweepSpec.from_json_dict(
+        {**_README_SPEC, "outputs": "sweep_out"})
+    assert {key: value for key, value in spec.items() if key != "outputs"} == _README_SPEC
+    assert counts_from_json_dict(counts).tolist() == [[24871, 3, 2, 25102]]
 
 
 def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):
@@ -623,7 +638,8 @@ def test_sweep_bad_spec(tmp_path):
 
 def test_sweep_spec_absent_fields_take_dataclass_defaults():
     assert SweepSpec.from_json_dict({"alphas": [0.5]}) == SweepSpec(alphas=(0.5,))
-    assert AcquisitionConfig.from_json_dict({}) == AcquisitionConfig()
+    nested = SweepSpec.from_json_dict({"alphas": [0.5], "acquisition": {}, "noise": {}})
+    assert nested == SweepSpec(alphas=(0.5,))
     spec = SweepSpec.from_json_dict(
         {"alphas": [0.5], "noise": {"depolarizing": 0.1}, "acquisition": {"seed": 9}}
     )
@@ -635,6 +651,62 @@ def test_import_cli_leaves_process_pool_unloaded():
     code = "import sys, bellmix.cli; assert 'concurrent.futures' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+_CONFIGS = (AcquisitionConfig, NoiseParams, SourceConfig, SweepSpec)
+
+# (class, field, a value of the wrong kind, other fields): a string, None or a bool where a
+# number goes, a string where a bool goes, an int where a string goes, None for a nested config.
+_WRONG_KINDS = [
+    (AcquisitionConfig, "pairs_per_setting", "1e5", {}),
+    (AcquisitionConfig, "pairs_per_setting", True, {}),
+    (AcquisitionConfig, "accidental_rate", None, {}),
+    (AcquisitionConfig, "seed", "3", {}),
+    (NoiseParams, "dephasing", None, {}),
+    (NoiseParams, "dephasing", True, {}),
+    (NoiseParams, "depolarizing", "0.1", {}),
+    (SourceConfig, "alpha", "0.5", {}),
+    (SourceConfig, "alpha", True, {}),  # not alpha = 1
+    (SourceConfig, "phi", None, {}),
+    (SourceConfig, "beta", True, {"gamma": 0.0}),
+    (SourceConfig, "gamma", "0.7", {}),
+    (SourceConfig, "signal_dc", False, {}),
+    (SourceConfig, "noise", None, {}),
+    (SweepSpec, "alphas", ("0.5",), {}),
+    (SweepSpec, "alphas", (True,), {}),
+    (SweepSpec, "alphas", None, {}),
+    (SweepSpec, "acquisition", None, {}),
+    (SweepSpec, "noise", None, {}),
+    (SweepSpec, "outputs", 5, {}),
+    (SweepSpec, "include_completely_mixed", "no", {}),  # truthy, yet not True
+    (SweepSpec, "resamples", "3", {}),
+]
+
+
+@pytest.mark.parametrize("cls, field, value, others", _WRONG_KINDS,
+                         ids=[f"{cls.__name__}.{field}={value!r}"
+                              for cls, field, value, _ in _WRONG_KINDS])
+def test_config_fields_of_the_wrong_kind_are_out_of_range(tmp_path, cls, field, value, others):
+    if cls is SweepSpec:  # run on 1e3 pairs without error bars if it were built
+        others = {"alphas": (0.5,), "acquisition": AcquisitionConfig(1e3, seed=3), "resamples": 0,
+                  "outputs": str(tmp_path / "out")}
+    with pytest.raises(OutOfRange, match=rf"^(each of )?{field} must be"):
+        config = cls(**{**others, field: value})
+        if cls is SweepSpec:
+            run_sweep(config)
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_config_field_has_its_kind_checked():
+    # A float, complex, bool or str field, or a tuple of one, is checked by its annotation;
+    # an int field by its own range check; a nested config as an instance of its class.
+    for cls in _CONFIGS:
+        for name, kind in typing.get_type_hints(cls).items():
+            entry = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
+            checked = entry in (float, complex, bool, str) or kind in _CONFIGS
+            assert checked or (kind, name) in ((int, "seed"), (int, "resamples")), (cls, name)
+    cases = {(cls, field) for cls, field, _, _ in _WRONG_KINDS}
+    assert cases == {(cls, f.name) for cls in _CONFIGS for f in fields(cls)}
 
 
 @pytest.mark.parametrize(

@@ -325,10 +325,11 @@ def test_visibility_scan_is_pinned():
     assert visibility_scan(mix_duty_cycle(0.25), [], acq) == []
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "1.5", True, None])
 def test_visibility_scan_rejects_non_finite_angles(bad):
+    # A string or a bool is no angle, though float() reads "1.5" and True as 1.5 and 1 degree.
     acq = AcquisitionConfig(pairs_per_setting=1e5, accidental_rate=2.0, seed=1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="^HWP angles must be finite, got "):
         visibility_scan(mix_duty_cycle(0.25), [0.0, bad], acq)
 
 

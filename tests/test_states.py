@@ -63,6 +63,18 @@ def test_mix_duty_cycle_rejects_out_of_range():
         mix_duty_cycle(-0.1)
 
 
+@pytest.mark.parametrize("make, value, message", [
+    (mix_duty_cycle, True, r"^alpha must lie in \[0, 1\], got True$"),  # not alpha = 1, phi+
+    (mix_duty_cycle, "0.5", r"^alpha must lie in \[0, 1\], got '0.5'$"),
+    (mix_duty_cycle, None, r"^alpha must lie in \[0, 1\], got None$"),
+    (bell_state, 5, r"^unknown Bell state 5; expected one of"),
+    (bell_state, None, r"^unknown Bell state None; expected one of"),
+], ids=["mix-bool", "mix-str", "mix-None", "bell-int", "bell-None"])
+def test_state_factories_reject_arguments_of_the_wrong_kind(make, value, message):
+    with pytest.raises(OutOfRange, match=message):
+        make(value)
+
+
 def test_mix_phase_flip_relation():
     # mix(alpha) and mix(1 - alpha) differ by a sign flip on VV.
     flip = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)

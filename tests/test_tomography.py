@@ -297,8 +297,10 @@ def test_bootstrap_requires_two_resamples():
     {"tolerance": float("inf")}, {"tolerance": float("nan")}, {"tolerance": 0.0},
     {"tolerance": -1.0}, {"max_iterations": -5}, {"max_iterations": 2.5},
     {"max_iterations": None}, {"max_iterations": True},
+    {"tolerance": True}, {"tolerance": "1e-10"}, {"tolerance": None},
 ], ids=["tolerance-inf", "tolerance-nan", "tolerance-0", "tolerance-neg", "max_iterations-neg",
-        "max_iterations-float", "max_iterations-None", "max_iterations-bool"])
+        "max_iterations-float", "max_iterations-None", "max_iterations-bool", "tolerance-bool",
+        "tolerance-str", "tolerance-None"])
 def test_fits_reject_stop_settings_that_cannot_stop_right(stop):
     acq = AcquisitionConfig(pairs_per_setting=1e3, seed=1)
     counts = simulate_counts(mix_duty_cycle(0.5), PSET, acq)
