@@ -13,14 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import fixtures
-from .counting import (
-    AcquisitionConfig,
-    read_counts_csv,
-    read_counts_json,
-    simulate_counts,
-    write_counts_csv,
-    write_counts_json,
-)
+from .counting import AcquisitionConfig, read_counts_csv, simulate_counts, write_counts_csv
 from .errors import ConfigError, DataError
 from .fileio import write_json
 from .linalg import read_state_json, write_state_json
@@ -59,19 +52,10 @@ def _cmd_simulate(args) -> int:
     )
     pset = standard_projector_set()
     counts = simulate_counts(generate(config), pset, acq)
-    if args.out is not None and args.out.endswith(".json"):
-        write_counts_json(args.out, counts)
-    else:
-        write_counts_csv(args.out, counts)  # stdout if no --out
+    write_counts_csv(args.out, counts)  # stdout if no --out
     if args.projectors_out is not None:
         write_projector_set_json(args.projectors_out, pset)
     return EXIT_OK
-
-
-def _read_counts(path):
-    if str(path).endswith(".json"):
-        return read_counts_json(path)
-    return read_counts_csv(path)
 
 
 def _resolve_target(args):
@@ -84,7 +68,7 @@ def _resolve_target(args):
 
 def _cmd_reconstruct(args) -> int:
     check_resamples(args.resamples)
-    counts = _read_counts(args.counts)
+    counts = read_counts_csv(args.counts)
     pset = (
         read_projector_set_json(args.projectors)
         if args.projectors is not None
@@ -165,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=float, default=1e5, help="mean detected pairs per setting")
     p.add_argument("--accidentals", type=float, default=0.0, help="flat accidental mean per outcome")
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument("--out", help="counts file (.csv or .json; stdout CSV if omitted)")
+    p.add_argument("--out", help="counts CSV path (stdout if omitted)")
     p.add_argument("--projectors-out", help="also write the projector set JSON here")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="maximum-likelihood reconstruction from counts")
-    p.add_argument("counts", help="counts file (.csv or .json)")
+    p.add_argument("counts", help="counts CSV file")
     p.add_argument("--projectors", help="projector set JSON (bundled standard set if omitted)")
     target = p.add_mutually_exclusive_group()  # giving both exits 2
     target.add_argument("--target", help="target state JSON for the fidelity metric")

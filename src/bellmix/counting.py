@@ -1,4 +1,4 @@
-"""Seeded Poisson coincidence-count simulation and the count-table file formats.
+"""Seeded Poisson coincidence-count simulation and the count-table CSV format.
 
 Counts are independent Poisson draws per outcome (pairs arrive in a fixed time
 window; nothing constrains the per-setting total), with an optional flat
@@ -14,7 +14,8 @@ would draw.
 
 A count table is an int64 (n_settings, 4) array: row s holds the counts of
 setting s's outcomes TT, TR, RT, RR. It is drawn, written, read and fitted in
-that form; the CSV and JSON readers here accept settings 0..n-1, each once.
+that form. Its one file format is CSV, one outcome per line; the reader takes
+the lines in any order but needs settings 0..n-1, each once, with four counts each.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataParse, OutOfRange
-from .fileio import by_index, check_fields, is_kind, parsing, read_json, read_text
-from .fileio import write_json, write_text
+from .fileio import by_index, check_fields, is_kind, read_text, write_text
 from .linalg import DensityMatrix
 from .optics import OUTCOME_LABELS, ProjectorSet, _born, _calibration_projector
 
@@ -280,18 +280,6 @@ def _count(value, where: str) -> int:
     return value
 
 
-def _count_table(rows: list, what: str) -> np.ndarray:
-    """(setting index, counts) rows, in any order, as an int64 (n_settings, 4) array.
-
-    The settings must be exactly 0..n-1, each once, with n >= 1, and each needs four counts.
-    """
-    table = by_index(rows, what)
-    for setting, counts in enumerate(table):
-        if len(counts) != len(OUTCOME_LABELS):
-            raise DataParse(f"{what}: setting {setting} has {len(counts)} counts, expected 4")
-    return np.array(table, dtype=np.int64)
-
-
 def counts_from_csv(text: str) -> np.ndarray:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != COUNTS_CSV_HEADER:
@@ -316,25 +304,11 @@ def counts_from_csv(text: str) -> np.ndarray:
         if label in slot:
             raise DataParse(f"counts CSV line {lineno}: duplicate ({setting_index}, {label})")
         slot[label] = count
-    return _count_table([(setting_index, [slot[label] for label in OUTCOME_LABELS if label in slot])
-                         for setting_index, slot in per_setting.items()], "counts CSV")
-
-
-def counts_to_json_dict(counts) -> dict:
-    return {
-        "records": [
-            {"setting_index": setting_index, "outcome_counts": [int(c) for c in row]}
-            for setting_index, row in enumerate(counts)
-        ]
-    }
-
-
-def counts_from_json_dict(data: dict) -> np.ndarray:
-    with parsing("counts JSON"):
-        rows = [(_count(entry["setting_index"], "counts JSON setting_index"),
-                 [_count(c, "counts JSON count") for c in entry["outcome_counts"]])
-                for entry in data["records"]]
-    return _count_table(rows, "counts JSON")
+    table = by_index(list(per_setting.items()), "counts CSV")
+    for setting, slot in enumerate(table):
+        if len(slot) != len(OUTCOME_LABELS):
+            raise DataParse(f"counts CSV: setting {setting} has {len(slot)} counts, expected 4")
+    return np.array([[slot[label] for label in OUTCOME_LABELS] for slot in table], dtype=np.int64)
 
 
 def write_counts_csv(path, counts) -> None:
@@ -343,11 +317,3 @@ def write_counts_csv(path, counts) -> None:
 
 def read_counts_csv(path) -> np.ndarray:
     return counts_from_csv(read_text(path, "counts file"))
-
-
-def write_counts_json(path, counts) -> None:
-    write_json(path, counts_to_json_dict(counts))
-
-
-def read_counts_json(path) -> np.ndarray:
-    return counts_from_json_dict(read_json(path, "counts file"))

@@ -79,9 +79,19 @@ def parsing(what: str, error=DataParse):
 
 
 def is_kind(value, kind) -> bool:
-    """Whether value is of kind: int any integer, float any real, complex any number; no bool."""
-    kind = _WIDE.get(kind, kind)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    """Whether value is of kind: int any integer, float any real, complex any number; no bool.
+
+    A real or complex value must also convert to a float or complex: an int above 1.8e308 does not.
+    """
+    wide = _WIDE.get(kind, kind)
+    if not isinstance(value, wide) or (wide is not bool and isinstance(value, bool)):
+        return False
+    if kind in (float, complex):
+        try:
+            kind(value)
+        except OverflowError:
+            return False
+    return True
 
 
 def typed(value, kind, what: str, error=DataParse):
@@ -127,7 +137,7 @@ def from_json(cls, data, what: str):
     """cls from the JSON object data of its fields; a nested config's object is read alike."""
     kinds = _field_kinds(cls)
     checked(data, what, dict.fromkeys(kinds))
-    with parsing(what, InvalidConfig):  # a required field absent, or an int too large for a float
+    with parsing(what, InvalidConfig):  # a required field absent
         return cls(**{key: from_json(kinds[key], value, key) if is_dataclass(kinds[key])
                       else tuple(value) if isinstance(value, list) else value  # JSON has no tuple
                       for key, value in data.items()})

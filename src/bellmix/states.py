@@ -68,7 +68,7 @@ class SourceConfig:
         if not math.isfinite(self.phi):
             raise OutOfRange(f"phi must be finite, got {self.phi!r}")
         try:
-            total = abs(self.beta) ** 2 + abs(self.gamma) ** 2
+            total = float(abs(self.beta) ** 2 + abs(self.gamma) ** 2)
         except OverflowError:  # an amplitude too large to square
             total = math.inf
         if not abs(total - 1.0) <= 1e-12:  # also rejects NaN

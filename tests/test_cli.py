@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 from bellmix.cli import main
 from bellmix.counting import (
     AcquisitionConfig,
-    counts_from_json_dict,
-    counts_to_json_dict,
     derive_seed,
     read_counts_csv,
     simulate_counts,
+    visibility_scan,
     write_counts_csv,
 )
 from bellmix.linalg import DensityMatrix, matrix_from_json_dict, matrix_to_json_dict
@@ -184,8 +183,8 @@ def test_reconstruct_exits_4_when_a_resample_hits_the_iteration_cap(tmp_path):
     assert result["metric_errors"]["fidelity"] > 0.0
 
 
-def test_reconstruct_json_counts_and_bootstrap(tmp_path):
-    counts = tmp_path / "counts.json"
+def test_reconstruct_with_bootstrap_error_bars(tmp_path):
+    counts = tmp_path / "counts.csv"
     recon = tmp_path / "recon.json"
     assert main(["simulate", "--pairs", "2e4", "--seed", "12", "--out", str(counts)]) == 0
     code = main(
@@ -199,6 +198,48 @@ def test_reconstruct_json_counts_and_bootstrap(tmp_path):
     errors = result["metric_errors"]
     assert set(errors) == {"purity", "tangle", "visibility", "fidelity"}
     assert all(v >= 0.0 for v in errors.values())
+
+
+def test_a_counts_file_is_csv_whatever_its_suffix(tmp_path, capsys):
+    counts, recon = tmp_path / "counts.json", tmp_path / "recon.json"
+    assert main(["simulate", "--pairs", "1e4", "--seed", "5", "--out", str(counts)]) == 0
+    assert counts.read_text(encoding="utf-8").startswith("setting_index,outcome_label,count\n")
+    assert main(["reconstruct", str(counts), "--alpha", "0", "--out", str(recon)]) == 0
+    # The counts JSON that earlier versions wrote is a malformed counts CSV.
+    old = tmp_path / "old.json"
+    write_json(old, {"records": [{"setting_index": setting, "outcome_counts": [250] * 4}
+                                 for setting in range(9)]})
+    capsys.readouterr()
+    assert main(["reconstruct", str(old)]) == 3
+    assert capsys.readouterr().err == (
+        "error: counts CSV must start with header 'setting_index,outcome_label,count'\n")
+
+
+# A lone fit's fields that the benchmark's cli_reconstruct gate reads, for 1e5-pair counts at
+# seed 7000 (its golden entries "alpha=0,seed=7000" and "alpha=0.25,seed=7000"): log-likelihood,
+# iterations, converged and the four metrics. At alpha = 0 many of the counts are zero.
+_PINNED_FITS = {
+    "0": (-1038897.8177683121, 87, True,
+          {"purity": 0.9999999968681659, "tangle": 0.999997452853709,
+           "visibility": 0.9999930754282031, "fidelity_to_target": 0.9999984281420646}),
+    "0.25": (-1151090.6875741647, 155, True,
+             {"purity": 0.6248681241523197, "tangle": 0.2497365979233842,
+              "visibility": 0.4989071517505234, "fidelity_to_target": 0.9999957024976862}),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_PINNED_FITS))
+def test_reconstruct_pins_a_lone_fit(tmp_path, alpha):
+    counts, recon = tmp_path / "counts.csv", tmp_path / "recon.json"
+    rho = generate(SourceConfig(alpha=float(alpha)))
+    write_counts_csv(counts, simulate_counts(rho, standard_projector_set(),
+                                             AcquisitionConfig(1e5, seed=7000)))
+    assert main(["reconstruct", str(counts), "--alpha", alpha, "--out", str(recon)]) == 0
+    result = json.loads(recon.read_text(encoding="utf-8"))
+    log_likelihood, iterations, converged, metrics = _PINNED_FITS[alpha]
+    assert result["log_likelihood"] == log_likelihood
+    assert result["iterations"] == iterations and result["converged"] is converged
+    assert {name: result["metrics"][name] for name in metrics} == metrics
 
 
 def test_reconstruct_fits_resamples_with_the_estimate_settings(tmp_path):
@@ -538,12 +579,11 @@ def test_readme_sweep_csv_is_pinned(tmp_path):
 
 def test_readme_json_examples_read():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    config, spec, counts = map(json.loads, re.findall(r"```json\n(.*?)```", readme, re.DOTALL))
+    config, spec = map(json.loads, re.findall(r"```json\n(.*?)```", readme, re.DOTALL))
     assert SourceConfig.from_json_dict(config) == SourceConfig(alpha=0.25)
     assert SweepSpec.from_json_dict(spec) == SweepSpec.from_json_dict(
         {**_README_SPEC, "outputs": "sweep_out"})
     assert {key: value for key, value in spec.items() if key != "outputs"} == _README_SPEC
-    assert counts_from_json_dict(counts).tolist() == [[24871, 3, 2, 25102]]
 
 
 def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):
@@ -695,6 +735,28 @@ def test_config_fields_of_the_wrong_kind_are_out_of_range(tmp_path, cls, field, 
         if cls is SweepSpec:
             run_sweep(config)
     assert os.listdir(tmp_path) == []
+
+
+# Calls given an int above 1.8e308, which no float holds, and the name their error gives.
+_HUGE_INTS = [
+    pytest.param(lambda: AcquisitionConfig(pairs_per_setting=10**400), "pairs_per_setting",
+                 id="AcquisitionConfig.pairs_per_setting"),
+    pytest.param(lambda: AcquisitionConfig(accidental_rate=10**400), "accidental_rate",
+                 id="AcquisitionConfig.accidental_rate"),
+    pytest.param(lambda: SourceConfig(phi=10**400), "phi", id="SourceConfig.phi"),
+    pytest.param(lambda: SourceConfig(beta=10**200, gamma=0), "|beta|^2",  # |beta|^2 = 10**400
+                 id="SourceConfig.beta"),
+    pytest.param(lambda: visibility_scan(mix_duty_cycle(0.25), [10**400], AcquisitionConfig()),
+                 "HWP angles", id="visibility_scan"),
+    pytest.param(lambda: mle_reconstruct(np.full((9, 4), 250), standard_projector_set(),
+                                         tolerance=10**400), "tolerance", id="mle_reconstruct"),
+]
+
+
+@pytest.mark.parametrize("call, name", _HUGE_INTS)
+def test_ints_no_float_holds_are_out_of_range(call, name):
+    with pytest.raises(OutOfRange, match=re.escape(name)):
+        call()
 
 
 def test_every_config_field_has_its_kind_checked():
@@ -856,7 +918,7 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
     runs = [
         ["reconstruct", str(counts), "--out", str(blocker / "r.json")],
         ["generate", "--out", str(blocker / "state.json")],
-        ["simulate", "--pairs", "1e3", "--out", str(blocker / "counts.json")],
+        ["simulate", "--pairs", "1e3", "--out", str(blocker / "counts.csv")],
         ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker / "out")), "--resamples", "0"],
         ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker)), "--resamples", "0"],
     ]
@@ -915,7 +977,6 @@ def test_sweep_exit_code_ignores_stale_points(tmp_path):
 # one, and the command line, where {dir} is a scratch directory.
 _FILE_INPUTS = {
     "counts_csv": ("counts.csv", 3, ["reconstruct", "{file}"]),
-    "counts_json": ("counts.json", 3, ["reconstruct", "{file}"]),
     "projectors": ("projectors.json", 3,
                    ["reconstruct", "{dir}/uniform.csv", "--projectors", "{file}"]),
     "state": ("state.json", 3, ["metrics", "--state", "{file}"]),
@@ -927,7 +988,6 @@ _FILE_INPUTS = {
 
 _UNIFORM = np.full((9, 4), 250)
 _VALID = {
-    "counts_json": counts_to_json_dict(_UNIFORM),
     "projectors": projector_set_to_json_dict(standard_projector_set()),
     "state": matrix_to_json_dict(np.eye(4) / 4.0),
     "spec": {"alphas": [0.5], "acquisition": {"pairs_per_setting": 1e3, "accidental_rate": 0.0,
@@ -994,17 +1054,15 @@ def _counts_csv(settings):
         f"{setting},{label},250\n" for setting in settings for label in ("TT", "TR", "RT", "RR"))
 
 
-def _counts_json(records):
-    return json.dumps({"records": [{"setting_index": setting, "outcome_counts": counts}
-                                   for setting, counts in records]})
-
-
 # (kind, content, exit code) for the explicit examples.
 _EXAMPLES = [
     *((kind, b"\xff\xfe{\x80", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
     *((kind, b"[1, 2]", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
     *((kind, _with_literal(doc, path, "1e400"), _FILE_INPUTS[kind][1])
       for kind, doc in _VALID.items() for path in _numeric_paths(doc)),
+    # An int no float holds; a spec's resamples takes any such int, and --resamples 0 wins.
+    *((kind, _with_literal(doc, path, str(10**400)), _FILE_INPUTS[kind][1])
+      for kind, doc in _VALID.items() for path in _numeric_paths(doc) if path != ("resamples",)),
     # A projector set places its settings by index: integers 0..n-1, each once, in any order.
     *(("projectors", _with_literal(_VALID["projectors"], ("settings", 3, field), literal), 3)
       for field, literal in (("index", "8"), ("index", "9"), ("index", "true"), ("index", '"3"'),
@@ -1020,9 +1078,6 @@ _EXAMPLES = [
       for path, literal in ((("dim",), "4.7"), (("dim",), "true"), (("dim",), '"4"'),
                             (("re", 0, 0), '"0.25"'), (("im", 1, 2), "true"),
                             (("re", 3), "[0.25, 0, 0]"), (("im",), "0"))),
-    *(("counts_json", _with_literal(_VALID["counts_json"], ("records", 0, "outcome_counts", 0),
-                                    literal), 3)
-      for literal in ("-50", "100.7", "true", str(10**400))),
     ("counts_csv", b"setting_index,outcome_label,count\n0,TT,1e400\n", 3),
     ("counts_csv", b"setting_index,outcome_label,count\n0,TT,-50\n", 3),
     ("counts_csv", ("setting_index,outcome_label,count\n0,TT,%d\n" % 10**400).encode(), 3),
@@ -1032,10 +1087,7 @@ _EXAMPLES = [
     # A count table needs settings 0..n-1, each once, with four counts each.
     ("counts_csv", _counts_csv([*range(8), 9]).encode(), 3),
     ("counts_csv", b"setting_index,outcome_label,count\n9223372036854775806,TT,1\n", 3),
-    *(("counts_json", _counts_json(records).encode(), 3) for records in (
-        [(setting, [250] * 4) for setting in (*range(8), 9)],
-        [(setting, [250] * 4) for setting in (*range(9), 3)],
-        [(setting, [250] * (3 if setting == 3 else 4)) for setting in range(9)])),
+    ("counts_csv", _counts_csv(range(9)).replace("3,RR,250\n", "").encode(), 3),
     ("state", _overflowing_state(), 3),
     ("state", b"[" * 100000, 3),  # nested past the recursion limit
     ("config", b'{"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308}', 2),  # |beta|^2 overflows

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -10,20 +9,17 @@ from hypothesis import strategies as st
 from bellmix.counting import (
     _BOOTSTRAP_STREAM,
     _SCAN_STREAM,
+    COUNTS_CSV_HEADER,
     AcquisitionConfig,
     counts_from_csv,
-    counts_from_json_dict,
     counts_to_csv,
-    counts_to_json_dict,
     _philox_block,
     _philox_keys,
     _POISSON_MAX,
-    _count_table,
     _multiplication,
     _poisson,
     _ptrs,
     derive_seed,
-    read_counts_json,
     simulate_counts,
     stream,
     visibility_scan,
@@ -31,6 +27,7 @@ from bellmix.counting import (
 from bellmix.errors import DataParse, OutOfRange
 from bellmix.optics import (
     CALIBRATION_IDLER,
+    OUTCOME_LABELS,
     WaveplateSetting,
     _born,
     analyzer_projectors,
@@ -221,31 +218,10 @@ def test_counts_csv_round_trip():
     counts = simulate_counts(
         mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
     )
-    assert_same_table(counts_from_csv(counts_to_csv(counts)), counts)
-
-
-def test_counts_json_round_trip():
-    counts = simulate_counts(
-        mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
-    )
-    data = counts_to_json_dict(counts)
-    assert all(set(entry) == {"setting_index", "outcome_counts"} for entry in data["records"])
-    assert [entry["setting_index"] for entry in data["records"]] == list(range(9))
-    assert_same_table(counts_from_json_dict(data), counts)
-    data["records"].reverse()  # the reader puts each setting in its row
-    assert_same_table(counts_from_json_dict(data), counts)
-
-
-def test_counts_json_ignores_old_duration_tag(tmp_path):
-    counts = simulate_counts(
-        mix_duty_cycle(0.3), PSET, AcquisitionConfig(pairs_per_setting=1e3, seed=8)
-    )
-    data = counts_to_json_dict(counts)
-    for entry in data["records"]:
-        entry["duration_tag"] = "pairs=1000"
-    path = tmp_path / "counts.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert_same_table(read_counts_json(path), counts)
+    text = counts_to_csv(counts)
+    assert_same_table(counts_from_csv(text), counts)
+    header, *lines = text.splitlines()  # the reader puts each line in its setting's row
+    assert_same_table(counts_from_csv("\n".join([header, *lines[::-1]])), counts)
 
 
 def test_counts_csv_rejects_malformed():
@@ -276,13 +252,16 @@ def test_count_table_must_match_the_projector_set_shape():
 @pytest.mark.parametrize("rows, message", [
     ([], r"settings must be 0\.\.n-1, each once, got \[\]"),
     ([(0, [1, 2, 3, 4]), (2, [1, 2, 3, 4])], r"got \[0, 2\]"),
-    ([(0, [1, 2, 3, 4]), (0, [1, 2, 3, 4])], r"got \[0, 0\]"),
+    ([(0, [1, 2, 3, 4]), (0, [1, 2, 3, 4])], r"duplicate \(0, TT\)"),  # a repeated line
     ([(2**63 - 1, [1, 2, 3, 4])], r"got \[9223372036854775807\]"),
     ([(1, [1, 2, 3, 4]), (0, [1, 2, 3])], "setting 0 has 3 counts, expected 4"),
 ])
 def test_count_tables_need_each_setting_0_to_n_once(rows, message):
+    text = COUNTS_CSV_HEADER + "\n" + "".join(
+        f"{setting},{label},{count}\n" for setting, counts in rows
+        for label, count in zip(OUTCOME_LABELS, counts))
     with pytest.raises(DataParse, match=message):
-        _count_table(rows, "counts")
+        counts_from_csv(text)
 
 
 def test_derive_seed_is_stable_and_distinct():

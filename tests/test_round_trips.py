@@ -6,12 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bellmix.counting import (
-    read_counts_csv,
-    read_counts_json,
-    write_counts_csv,
-    write_counts_json,
-)
+from bellmix.counting import read_counts_csv, write_counts_csv
 from bellmix.linalg import read_state_json, write_state_json
 from bellmix.metrics import report_for
 from bellmix.optics import (
@@ -52,13 +47,6 @@ def scratch(tmp_path_factory):
 def test_counts_csv_round_trip(scratch, counts):
     write_counts_csv(scratch / "counts.csv", counts)
     assert_same_table(read_counts_csv(scratch / "counts.csv"), counts)
-
-
-@round_trip
-@given(counts=_TABLES)
-def test_counts_json_round_trip(scratch, counts):
-    write_counts_json(scratch / "counts.json", counts)
-    assert_same_table(read_counts_json(scratch / "counts.json"), counts)
 
 
 @round_trip
