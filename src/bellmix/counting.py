@@ -74,20 +74,35 @@ class AcquisitionConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not (math.isfinite(self.pairs_per_setting) and self.pairs_per_setting > 0.0):
-            raise OutOfRange("pairs_per_setting must be finite and > 0, "
-                             f"got {self.pairs_per_setting!r}")
-        if not (math.isfinite(self.accidental_rate) and self.accidental_rate >= 0.0):
-            raise OutOfRange("accidental_rate must be finite and >= 0, "
-                             f"got {self.accidental_rate!r}")
-        if not (is_kind(self.seed, int) and 0 <= self.seed < 2**64):
-            raise OutOfRange(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not self.pairs_per_setting > 0.0:
+            raise OutOfRange(f"pairs_per_setting must be > 0, got {self.pairs_per_setting!r}")
+        if not self.accidental_rate >= 0.0:
+            raise OutOfRange(f"accidental_rate must be >= 0, got {self.accidental_rate!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """A seed is an integer in [0, 2**64), Python's or numpy's, never a bool; else OutOfRange."""
+    if not (is_kind(seed, int) and 0 <= seed < 2**64):
+        raise OutOfRange(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def _check_keys(keys) -> None:
+    """Every word of every stream key is an integer in [0, 2**32), never a bool; else OutOfRange."""
+    if not all(is_kind(word, int) and 0 <= word < 2**32 for key in keys for word in key):
+        raise OutOfRange(f"stream key words must be integers in [0, 2**32), got {keys!r}")
+
+
+def _seed_sequence(seed, key: tuple) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, key...), if seed and key follow the seed and key-word rules."""
+    _check_seed(seed)
+    _check_keys([key])
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic counter-based generator for one (seed, key...) slot."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -96,8 +111,7 @@ def derive_seed(seed: int, *key: int) -> int:
     The reference definition: for a two-word key it is _philox_keys([seed], [key])[0, 0, 0],
     which derives the seeds of many (seed, key) pairs in one pass.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def _hashmix(value, steps, init: int, mult: int):
@@ -123,8 +137,7 @@ def _philox_keys(seeds, keys) -> np.ndarray:
     np.uint64): numpy's hash of the words [lo, hi, 0, 0, *key] (padded to the pool
     size because a spawn key follows), step for step, on uint32 arrays.
     """
-    if any(not 0 <= word < 2**32 for key in keys for word in key):
-        raise OutOfRange(f"stream key words must be integers in [0, 2**32), got {keys!r}")
+    _check_keys(keys)
     entropy = [[seed & 0xFFFFFFFF, seed >> 32, 0, 0] for seed in map(int, seeds)]
     words = np.array(entropy, dtype=np.uint32).reshape(-1, 4).T[..., None]  # (4, B, 1)
     pool = _hashmix(words, range(4), _INIT_A, _MULT_A)
@@ -253,7 +266,7 @@ def visibility_scan(
     noiseless means follow A + B cos(4 theta + theta0).
     """
     angles = list(hwp_angles)
-    non_finite = [angle for angle in angles if not (is_kind(angle, float) and math.isfinite(angle))]
+    non_finite = [angle for angle in angles if not is_kind(angle, float)]
     if non_finite:
         raise OutOfRange(f"HWP angles must be finite, got {non_finite}")
     angles = [float(angle) for angle in angles]

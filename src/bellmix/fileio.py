@@ -10,6 +10,7 @@ A config's JSON reader checks its keys; its constructor checks its values.
 
 from __future__ import annotations
 
+import cmath
 import json
 import numbers
 import reprlib
@@ -23,8 +24,8 @@ from .errors import DataParse, InvalidConfig, OutOfRange
 
 # The builtin types first, so a JSON value skips the slower abstract check.
 _WIDE = {int: (int, numbers.Integral), float: (float, int, numbers.Real), complex: numbers.Complex}
-_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
-          list: "a list", dict: "an object", tuple: "a tuple", complex: "a number"}
+_KINDS = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false",
+          list: "a list", dict: "an object", tuple: "a tuple", complex: "a finite number"}
 _field_kinds = cache(get_type_hints)  # a config class's field kinds: its resolved annotations
 
 
@@ -81,14 +82,14 @@ def parsing(what: str, error=DataParse):
 def is_kind(value, kind) -> bool:
     """Whether value is of kind: int any integer, float any real, complex any number; no bool.
 
-    A real or complex value must also convert to a float or complex: an int above 1.8e308 does not.
+    A real or complex value must also be finite: not NaN, inf or an int above 1.8e308.
     """
     wide = _WIDE.get(kind, kind)
     if not isinstance(value, wide) or (wide is not bool and isinstance(value, bool)):
         return False
     if kind in (float, complex):
         try:
-            kind(value)
+            return cmath.isfinite(kind(value))
         except OverflowError:
             return False
     return True

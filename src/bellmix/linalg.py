@@ -163,7 +163,7 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 
 
 def _is_square(value, dim: int) -> bool:
-    """Whether a JSON value is a dim x dim nested list of numbers."""
+    """Whether a JSON value is a dim x dim nested list of finite numbers."""
     return is_kind(value, list) and len(value) == dim and all(
         is_kind(row, list) and len(row) == dim and all(is_kind(x, float) for x in row)
         for row in value
@@ -175,14 +175,9 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
         dim, re, im = data["dim"], data["re"], data["im"]
         if not (is_kind(dim, int) and dim in (2, 4) and _is_square(re, dim)
                 and _is_square(im, dim)):
-            raise DataParse(
-                f"matrix JSON needs dim 2 or 4 and dim x dim lists of numbers re and im, "
-                f"got dim={dim!r}"
-            )
-        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise DataParse("matrix JSON contains non-finite entries")
-    return re + 1j * im
+            raise DataParse("matrix JSON needs dim 2 or 4 and dim x dim lists of finite numbers "
+                            f"re and im, got dim={dim!r}")
+        return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import InvalidState, OutOfRange
 from .fileio import parsing, typed
 from .linalg import DensityMatrix, hermitian_eigen, matrix_sqrt, zero_clip
 from .optics import _calibration_projector
+from .states import NoiseParams, SourceConfig
 
 # (sigma_y tensor sigma_y); real in the HV basis.
 _SPIN_FLIP = np.array(
@@ -96,6 +97,7 @@ def family_purity(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.
     With depolarizing p, dephasing d and v = (1 - p)(1 - d), it is
     2 (v (alpha - 1/2))^2 + 2 (((1 - p)/2 + p/4)^2 + (p/4)^2); zero noise keeps the bits.
     """
+    SourceConfig(alpha, noise=NoiseParams(dephasing, depolarizing))  # checks the three ranges
     v = (1.0 - depolarizing) * (1.0 - dephasing)
     diagonal = ((1.0 - depolarizing) / 2.0 + depolarizing / 4.0) ** 2 + (depolarizing / 4.0) ** 2
     return 2.0 * (v * (alpha - 0.5)) ** 2 + 2.0 * diagonal
@@ -108,6 +110,7 @@ def family_tangle(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.
 
 def family_visibility(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.0) -> float:
     """Closed-form +-45 degree visibility of the duty-cycle mixture, (1 - p)(1 - d)|1 - 2 alpha|."""
+    SourceConfig(alpha, noise=NoiseParams(dephasing, depolarizing))  # checks the three ranges
     return (1.0 - depolarizing) * (1.0 - dephasing) * abs(1.0 - 2.0 * alpha)
 
 
@@ -152,6 +155,8 @@ class MetricsReport:
 
 def _described(target, description: str | None) -> str:
     """A report's target_description: description, else "target", or "self" without a target."""
+    if description is not None:
+        typed(description, str, "target_description", OutOfRange)
     return description or ("self" if target is None else "target")
 
 

@@ -15,7 +15,6 @@ the fit's likelihood and the visibility scan take their probabilities.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -189,7 +188,7 @@ def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
 def _waveplates(angles: dict) -> WaveplateSetting:
     """One arm's waveplate angles, if both are finite JSON numbers."""
     values = [angles[field.name] for field in fields(WaveplateSetting)]
-    if not all(is_kind(a, float) and math.isfinite(a) for a in values):
+    if not all(is_kind(a, float) for a in values):
         got = ", ".join(map(repr, values))
         raise DataParse(f"waveplate angles must be finite numbers, got {got}")
     return WaveplateSetting(*map(float, values))

@@ -65,8 +65,6 @@ class SourceConfig:
             raise OutOfRange(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not 0.0 <= self.signal_dc <= 1.0:
             raise OutOfRange(f"signal_dc must lie in [0, 1], got {self.signal_dc!r}")
-        if not math.isfinite(self.phi):
-            raise OutOfRange(f"phi must be finite, got {self.phi!r}")
         try:
             total = float(abs(self.beta) ** 2 + abs(self.gamma) ** 2)
         except OverflowError:  # an amplitude too large to square

@@ -78,9 +78,6 @@ class SweepSpec:
         check_fields(self)
         if not self.alphas:
             raise OutOfRange("sweep needs at least one alpha value")
-        for alpha in self.alphas:
-            if not 0.0 <= alpha <= 1.0:
-                raise OutOfRange(f"sweep alpha {alpha!r} outside [0, 1]")
         check_resamples(self.resamples)
         if not self.outputs:
             raise InvalidConfig("sweep outputs must name a directory, got ''")

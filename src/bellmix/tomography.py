@@ -27,7 +27,6 @@ seed, so the result is independent of any parallel schedule or stacking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +157,7 @@ def _mle_batch(
     if `traces`, each sample's likelihood trace (else None): its start value
     and its value at every step it accepted.
     """
-    if not (is_kind(tolerance, float) and math.isfinite(tolerance) and tolerance > 0.0):
+    if not (is_kind(tolerance, float) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
     if not is_kind(max_iterations, int) or max_iterations < 0:
         raise OutOfRange(f"max_iterations must be >= 0, got {max_iterations!r}")
@@ -355,14 +354,6 @@ def result_to_json_dict(result: ReconstructionResult) -> dict:
     }
 
 
-def _finite(value, what: str) -> float:
-    """value as a float, if it is a finite JSON number; else DataParse."""
-    value = float(typed(value, float, what))
-    if not math.isfinite(value):
-        raise DataParse(f"{what} must be finite, got {value!r}")
-    return value
-
-
 def result_from_json_dict(data: dict) -> ReconstructionResult:
     """The result in data, every field of its JSON kind; floored_outcomes may be absent.
 
@@ -374,15 +365,15 @@ def result_from_json_dict(data: dict) -> ReconstructionResult:
         trace = typed(data["ll_trace"], list, f"{what} 'll_trace'")
         target, errors = data.get("target"), data.get("metric_errors")
         if errors is not None:
-            errors = {key: _finite(value, f"{what} 'metric_errors' entry")
+            errors = {key: float(typed(value, float, f"{what} 'metric_errors' entry"))
                       for key, value in typed(errors, dict, f"{what} 'metric_errors'").items()}
             if set(errors) != set(_ERROR_NAMES) or min(errors.values()) < 0.0:
                 raise DataParse(f"{what} 'metric_errors' must hold an error >= 0 for each of "
                                 f"{list(_ERROR_NAMES)} and nothing else, got {errors}")
         return ReconstructionResult(
             rho_hat=DensityMatrix(matrix_from_json_dict(data["rho_hat"])),
-            log_likelihood=_finite(data["log_likelihood"], f"{what} 'log_likelihood'"),
-            ll_trace=[_finite(x, f"{what} 'll_trace' entry") for x in trace],
+            log_likelihood=float(typed(data["log_likelihood"], float, f"{what} 'log_likelihood'")),
+            ll_trace=[float(typed(x, float, f"{what} 'll_trace' entry")) for x in trace],
             iterations=_count(data["iterations"], f"{what} 'iterations'"),
             converged=typed(data["converged"], bool, f"{what} 'converged'"),
             metrics=MetricsReport.from_json_dict(data["metrics"]),

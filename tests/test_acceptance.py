@@ -37,7 +37,6 @@ from bellmix.states import (
 )
 from bellmix.sweep import SweepSpec, run_sweep
 from bellmix.tomography import mle_reconstruct
-from helpers import random_density_matrix  # noqa: F401  (kept importable for parity)
 from test_tomography import _expected_counts, diagonal_grid_search
 
 PSET = standard_projector_set()

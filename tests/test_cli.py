@@ -1,3 +1,4 @@
+import cmath
 import copy
 import csv
 import hashlib
@@ -688,7 +689,9 @@ def test_sweep_spec_absent_fields_take_dataclass_defaults():
 
 
 def test_import_cli_leaves_process_pool_unloaded():
-    code = "import sys, bellmix.cli; assert 'concurrent.futures' not in sys.modules"
+    # numpy imports numpy.random on first use, about 14 ms that `reconstruct` need not pay.
+    code = ("import sys, bellmix.cli; "
+            "assert not {'concurrent.futures', 'numpy.random'} & set(sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -720,6 +723,17 @@ _WRONG_KINDS = [
     (SweepSpec, "outputs", 5, {}),
     (SweepSpec, "include_completely_mixed", "no", {}),  # truthy, yet not True
     (SweepSpec, "resamples", "3", {}),
+    # NaN or an infinity where a number goes: a float or complex kind is a finite number.
+    (AcquisitionConfig, "pairs_per_setting", float("inf"), {}),
+    (AcquisitionConfig, "accidental_rate", float("nan"), {}),
+    (NoiseParams, "dephasing", float("nan"), {}),
+    (NoiseParams, "depolarizing", float("-inf"), {}),
+    (SourceConfig, "alpha", float("nan"), {}),
+    (SourceConfig, "phi", float("-inf"), {}),
+    (SourceConfig, "beta", complex(float("inf"), 0.0), {}),
+    (SourceConfig, "gamma", complex(0.0, float("nan")), {}),
+    (SourceConfig, "signal_dc", float("inf"), {}),
+    (SweepSpec, "alphas", (0.5, float("nan")), {}),
 ]
 
 
@@ -730,7 +744,10 @@ def test_config_fields_of_the_wrong_kind_are_out_of_range(tmp_path, cls, field, 
     if cls is SweepSpec:  # run on 1e3 pairs without error bars if it were built
         others = {"alphas": (0.5,), "acquisition": AcquisitionConfig(1e3, seed=3), "resamples": 0,
                   "outputs": str(tmp_path / "out")}
-    with pytest.raises(OutOfRange, match=rf"^(each of )?{field} must be"):
+    entries = value if isinstance(value, tuple) else (value,)
+    non_finite = any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in entries)
+    kind = " a finite number, got " if non_finite else ""
+    with pytest.raises(OutOfRange, match=rf"^(each of )?{field} must be{kind}"):
         config = cls(**{**others, field: value})
         if cls is SweepSpec:
             run_sweep(config)

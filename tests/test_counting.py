@@ -478,10 +478,32 @@ def test_poisson_equals_stream_on_every_branch(batch):
         assert counts[b].tolist() == _poisson(means[b], [seed], keys)[0].tolist()
 
 
-@pytest.mark.parametrize("key", [(2**32, 0), (0, 2**32), (-1, 0), (3, -1), (2**64, 1)])
+@pytest.mark.parametrize("key", [(2**32, 0), (0, 2**32), (-1, 0), (3, -1), (2**64, 1), (0, 1.5),
+                                 (False, 0)])
 def test_stream_key_words_outside_32_bits_are_rejected(key):
     with pytest.raises(OutOfRange):
         _philox_keys([1], [(0, 0), key])
+
+
+# Calls that must fail as an AcquisitionConfig seed or a _philox_keys key word does: a seed is an
+# integer in [0, 2**64) and a key word one in [0, 2**32), never a float or a bool.
+@pytest.mark.parametrize("call", [
+    lambda: derive_seed(1.5),  # would be derive_seed(1)
+    lambda: derive_seed(5, 1.5),
+    lambda: derive_seed(5, True),
+    lambda: derive_seed(-1),
+    lambda: derive_seed(2**64),
+    lambda: derive_seed(1, 2**32),
+    lambda: stream(2.7, 0, 0),  # would be stream(2, 0, 0)
+    lambda: stream(-3, 0, 0),
+    lambda: stream(np.float64(4.0), 0, 0),
+    lambda: stream(1, 0, -1),
+], ids=["derive_seed(1.5)", "derive_seed(5, 1.5)", "derive_seed(5, True)", "derive_seed(-1)",
+        "derive_seed(2**64)", "derive_seed(1, 2**32)", "stream(2.7)", "stream(-3)",
+        "stream(float64)", "stream(1, 0, -1)"])
+def test_stream_seeds_and_key_words_outside_their_ranges_are_rejected(call):
+    with pytest.raises(OutOfRange, match="^(seed must be a 64-bit|stream key words)"):
+        call()
 
 
 def test_poisson_means_above_numpys_limit_are_rejected():

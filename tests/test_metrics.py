@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellmix.counting import AcquisitionConfig, simulate_counts
-from bellmix.errors import InvalidState
+from bellmix.errors import InvalidState, OutOfRange
 from bellmix.fixtures import reference_quarter_dc
 from bellmix.linalg import DensityMatrix
 from bellmix.metrics import (
@@ -101,6 +101,19 @@ def test_noisy_closed_forms_match_generated_states(dephasing, depolarizing):
         assert abs(family_visibility(alpha, dephasing, depolarizing) - state_visibility) <= 1e-12
 
 
+@pytest.mark.parametrize("family", [family_purity, family_tangle, family_visibility])
+@pytest.mark.parametrize("args, message", [
+    ((float("nan"),), "alpha must be a finite number"),
+    ((1.5,), "alpha must lie in"),
+    ((0.25, -3.0), "dephasing must lie in"),
+    ((0.5, 0.0, 2.0), "depolarizing must lie in"),
+    ((0.5, float("inf")), "dephasing must be a finite number"),
+], ids=["alpha=nan", "alpha=1.5", "dephasing=-3", "depolarizing=2", "dephasing=inf"])
+def test_family_curves_reject_what_a_source_config_rejects(family, args, message):
+    with pytest.raises(OutOfRange, match=message):
+        family(*args)
+
+
 def test_visibility_squared_equals_tangle_on_family():
     for alpha in ALPHA_GRID:
         rho = mix_duty_cycle(float(alpha))
@@ -143,6 +156,17 @@ def test_report_for_labels_its_target_as_a_reconstruction_does():
         fit = mle_reconstruct(counts, standard_projector_set(), target=target)
         assert fit.metrics.target_description == label
         assert report_for(rho, target, "named").target_description == "named"
+
+
+@pytest.mark.parametrize("description", [5, ["x"], b"x"], ids=["int", "list", "bytes"])
+def test_a_target_description_must_be_a_string(description):
+    rho = mix_duty_cycle(0.3)
+    counts = simulate_counts(rho, standard_projector_set(), AcquisitionConfig(1e3, seed=3))
+    message = "^target_description must be a string, got "
+    with pytest.raises(OutOfRange, match=message):
+        report_for(rho, target_description=description)
+    with pytest.raises(OutOfRange, match=message):
+        mle_reconstruct(counts, standard_projector_set(), target_description=description)
 
 
 def test_report_rejects_out_of_range_values():
