@@ -154,10 +154,10 @@ class MetricsReport:
 
 
 def _described(target, description: str | None) -> str:
-    """A report's target_description: description, else "target", or "self" without a target."""
-    if description is not None:
-        typed(description, str, "target_description", OutOfRange)
-    return description or ("self" if target is None else "target")
+    """A report's target_description: as given, else "target", or "self" without a target."""
+    if description is None:
+        return "self" if target is None else "target"
+    return typed(description, str, "target_description", OutOfRange)
 
 
 def report_for(

@@ -11,7 +11,7 @@ monotone. The per-setting count totals are treated as fixed normalizations,
 so only the within-setting Born probabilities enter the likelihood.
 
 One routine runs the iteration on a batch of count vectors at once, each with
-its own eps, likelihood, trace and stop. A sweep reconstructs all its
+its own eps, likelihood and stop. A sweep reconstructs all its
 points as one batch, and a single reconstruction is a batch of one. Every
 kernel is elementwise or a stacked matmul, so each sample of a batch comes out
 bit for bit as it would alone.
@@ -68,7 +68,6 @@ class ReconstructionResult:
 
     rho_hat: DensityMatrix
     log_likelihood: float
-    ll_trace: list
     iterations: int
     converged: bool
     metrics: MetricsReport
@@ -140,7 +139,6 @@ def _mle_batch(
     *,
     max_iterations: int,
     tolerance: float,
-    traces: bool = False,
 ) -> tuple:
     """Diluted RρR on every row of counts (B, n_outcomes) at once.
 
@@ -153,9 +151,7 @@ def _mle_batch(
     running at the cap are written once, after the loop.
 
     Returns, in batch order, the final states (B, 4, 4), each exactly
-    Hermitian, log-likelihoods, iteration counts and convergence flags, and,
-    if `traces`, each sample's likelihood trace (else None): its start value
-    and its value at every step it accepted.
+    Hermitian, log-likelihoods, iteration counts and convergence flags.
     """
     if not (is_kind(tolerance, float) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
@@ -174,7 +170,6 @@ def _mle_batch(
 
     # Working arrays hold the running samples; rows maps them to the batch.
     rows = np.arange(n)
-    trace = [[value] for value in ll.tolist()] if traces else None
     final_rho, final_ll = np.empty_like(rho), np.empty_like(ll)
     iterations, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,10 +195,6 @@ def _mle_batch(
                 ll_new[downhill] = ll[downhill]
             # The accepted candidate's probabilities are the next iterate's.
             rho, probs, ll = candidate, candidate_probs, ll_new
-            if traces:
-                for row, value, rejected in zip(rows.tolist(), ll.tolist(), downhill.tolist()):
-                    if not rejected:
-                        trace[row].append(value)
             if np.count_nonzero(stop):  # the stopped samples leave the working arrays
                 done = rows[stop]
                 final_rho[done], final_ll[done], iterations[done], converged[done] = (
@@ -216,7 +207,7 @@ def _mle_batch(
                 groups = _nonzero_groups(counts)
         else:  # reached only if the loop ran max_iterations times, so the cap fits in int64
             final_rho[rows], final_ll[rows], iterations[rows] = rho, ll, max_iterations
-    return final_rho, final_ll, iterations, converged, trace
+    return final_rho, final_ll, iterations, converged
 
 
 def _reconstruct_batch(
@@ -231,9 +222,8 @@ def _reconstruct_batch(
     """mle_reconstruct of every count table, with its target and description, as one batch."""
     counts = np.stack([_count_vector(table, pset) for table in count_tables])
     flat = pset.flattened()
-    rho, ll, iterations, converged, traces = _mle_batch(
-        counts, flat, max_iterations=max_iterations, tolerance=tolerance, traces=True,
-    )
+    rho, ll, iterations, converged = _mle_batch(
+        counts, flat, max_iterations=max_iterations, tolerance=tolerance)
     floored = ((counts > 0) & (_probabilities(flat, rho) <= PROBABILITY_FLOOR)).sum(axis=1)
     rho_hats = [DensityMatrix(m) for m in rho]
     # Fidelity is to the target, else to the estimate itself.
@@ -242,7 +232,6 @@ def _reconstruct_batch(
     return [ReconstructionResult(
         rho_hat=rho_hats[b],
         log_likelihood=float(ll[b]),
-        ll_trace=traces[b],
         iterations=int(iterations[b]),
         converged=bool(converged[b]),
         metrics=MetricsReport(*(values[b] for values in figures),
@@ -300,7 +289,7 @@ def _bootstrap_batch(
     for first in range(0, len(point), _STACK_SAMPLES):
         rows = slice(first, first + _STACK_SAMPLES)
         counts = _simulate(rho_hats[point[rows]], pset, acq, sample_seeds[rows])
-        rho, _, _, converged[rows], _ = _mle_batch(
+        rho, _, _, converged[rows] = _mle_batch(
             counts.reshape(len(counts), -1).astype(float), pset.flattened(),
             max_iterations=max_iterations, tolerance=tolerance)
         check_density(rho)
@@ -338,7 +327,6 @@ def result_to_json_dict(result: ReconstructionResult) -> dict:
     return {
         "rho_hat": matrix_to_json_dict(result.rho_hat.matrix),
         "log_likelihood": float(result.log_likelihood),
-        "ll_trace": [float(x) for x in result.ll_trace],
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
         "metrics": result.metrics.to_json_dict(),
@@ -362,7 +350,6 @@ def result_from_json_dict(data: dict) -> ReconstructionResult:
     """
     what = "reconstruction JSON field"
     with parsing("reconstruction JSON"):
-        trace = typed(data["ll_trace"], list, f"{what} 'll_trace'")
         target, errors = data.get("target"), data.get("metric_errors")
         if errors is not None:
             errors = {key: float(typed(value, float, f"{what} 'metric_errors' entry"))
@@ -373,7 +360,6 @@ def result_from_json_dict(data: dict) -> ReconstructionResult:
         return ReconstructionResult(
             rho_hat=DensityMatrix(matrix_from_json_dict(data["rho_hat"])),
             log_likelihood=float(typed(data["log_likelihood"], float, f"{what} 'log_likelihood'")),
-            ll_trace=[float(typed(x, float, f"{what} 'll_trace' entry")) for x in trace],
             iterations=_count(data["iterations"], f"{what} 'iterations'"),
             converged=typed(data["converged"], bool, f"{what} 'converged'"),
             metrics=MetricsReport.from_json_dict(data["metrics"]),

@@ -155,7 +155,11 @@ def test_report_for_labels_its_target_as_a_reconstruction_does():
         assert report_for(rho, target=target).target_description == label
         fit = mle_reconstruct(counts, standard_projector_set(), target=target)
         assert fit.metrics.target_description == label
-        assert report_for(rho, target, "named").target_description == "named"
+        for name in ("named", ""):  # an empty description is kept as given
+            assert report_for(rho, target, name).target_description == name
+            fit = mle_reconstruct(counts, standard_projector_set(), target=target,
+                                  target_description=name)
+            assert fit.metrics.target_description == name
 
 
 @pytest.mark.parametrize("description", [5, ["x"], b"x"], ids=["int", "list", "bytes"])

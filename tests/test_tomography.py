@@ -157,9 +157,6 @@ def test_mle_likelihood_monotone_and_iterates_physical():
         likelihoods.append(result.log_likelihood)
     assert np.all(np.diff(likelihoods) >= 0.0)
     assert likelihoods[-1] > likelihoods[0]
-    trace = np.array(result.ll_trace)
-    assert len(trace) >= 2
-    assert np.all(np.diff(trace) >= 0.0)
     assert result.iterations <= 10000
 
 
@@ -318,7 +315,11 @@ def test_fits_reject_stop_settings_that_cannot_stop_right(stop):
 
 
 def _scalar_rrr(counts, max_iterations=10000, tolerance=1e-10):
-    """The one-sample diluted RρR loop the batched routine replaced, kept as reference."""
+    """The one-sample diluted RρR loop the batched routine replaced, kept as reference.
+
+    Returns the estimate, its log-likelihood, the iteration count, whether it
+    converged, how many steps it rejected and whether its dilution stalled.
+    """
     counts = _count_vector(counts, PSET)
     total, flat, eye = counts.sum(), PSET.flattened(), np.eye(4, dtype=complex)
     mask = counts > 0
@@ -330,7 +331,7 @@ def _scalar_rrr(counts, max_iterations=10000, tolerance=1e-10):
         return float(counts[mask] @ np.log(np.clip(probs_of(m)[mask], 1e-15, None)))
 
     rho, eps, iterations, converged = eye / 4.0, 1.0, 0, False
-    trace = [ll_of(rho)]
+    ll, rejected, stalled = ll_of(rho), 0, False
     while iterations < max_iterations:
         iterations += 1
         r_op = ((counts / (total * np.clip(probs_of(rho), 1e-15, None))) @ flat).reshape(4, 4)
@@ -339,42 +340,61 @@ def _scalar_rrr(counts, max_iterations=10000, tolerance=1e-10):
         candidate = 0.5 * (candidate + candidate.conj().T)
         candidate /= np.real(np.trace(candidate))
         ll_new = ll_of(candidate)
-        if ll_new < trace[-1]:
+        if ll_new < ll:
+            rejected += 1
             eps *= 0.5
             if eps < 1e-10:
-                converged = True
+                converged = stalled = True
                 break
             continue
-        gain = ll_new - trace[-1]
-        rho = candidate
-        trace.append(ll_new)
+        gain, rho, ll = ll_new - ll, candidate, ll_new
         if gain / max(abs(ll_new), 1.0) < tolerance:
             converged = True
             break
-    return rho, trace, iterations, converged
+    return rho, ll, iterations, converged, rejected, stalled
+
+
+# At the smallest positive tolerance only a step that leaves the likelihood
+# unchanged stops a fit, so rounding-level downhill steps are rejected and
+# diluted. Measured with _scalar_rrr: (pairs, alpha, seed) = (1e2, 0.25, 22)
+# rejects 34 steps and stalls; (1e4, 0.5, 1) rejects 12, (1e2, 0.0, 0)
+# rejects 3, and (1e4, 0.1, 1) and (1e6, 0.25, 0) reject none.
+_TINY_TOLERANCE = 5e-324
+_STALLS = (1e2, 0.25, 22)
+_REJECTS = ((1e4, 0.5, 1), (1e2, 0.0, 0))
+_REJECTS_NONE = ((1e4, 0.1, 1), (1e6, 0.25, 0))
+
+
+def _duty_cycle_counts(pairs, alpha, seed):
+    return simulate_counts(mix_duty_cycle(alpha), PSET,
+                           AcquisitionConfig(pairs_per_setting=pairs, seed=seed))
 
 
 def test_mle_matches_scalar_reference_loop():
     cases = [
-        (bell_state("phi+"), 40.0, 10000),
-        (mix_duty_cycle(0.25), 1e5, 10000),
-        (mix_duty_cycle(0.6), 1e7, 10000),
-        (bell_state("phi+"), 1e5, 30),
-    ]
-    for seed, (truth, pairs, cap) in enumerate(cases):
+        (bell_state("phi+"), 40.0, 0, 10000, 1e-10),
+        (mix_duty_cycle(0.25), 1e5, 1, 10000, 1e-10),
+        (mix_duty_cycle(0.6), 1e7, 2, 10000, 1e-10),
+        (bell_state("phi+"), 1e5, 3, 30, 1e-10),
+    ] + [(mix_duty_cycle(alpha), pairs, seed, 10000, _TINY_TOLERANCE)
+         for pairs, alpha, seed in (_STALLS, *_REJECTS, *_REJECTS_NONE)]
+    dilutions = []
+    for truth, pairs, seed, cap, tolerance in cases:
         counts = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=pairs, seed=seed))
-        rho, trace, iterations, converged = _scalar_rrr(counts, max_iterations=cap)
-        result = mle_reconstruct(counts, PSET, max_iterations=cap)
+        rho, ll, iterations, converged, *dilution = _scalar_rrr(counts, cap, tolerance)
+        result = mle_reconstruct(counts, PSET, max_iterations=cap, tolerance=tolerance)
         assert result.rho_hat.matrix.tobytes() == rho.tobytes()
-        assert result.ll_trace == trace and result.log_likelihood == trace[-1]
+        assert result.log_likelihood == ll
         assert (result.iterations, result.converged) == (iterations, converged)
+        dilutions.append(dilution)
+    rejected, stalled = zip(*dilutions)
+    assert sum(rejected) > 0 and any(stalled)  # the dilution branch ran, to a stall
 
 
-def _batch(tables, target=None, description="self", max_iterations=10000):
+def _batch(tables, target=None, description="self", **stop):
     """One result per count table, from a single batched reconstruction."""
     n = len(tables)
-    return _reconstruct_batch(tables, PSET, [target] * n, [description] * n,
-                              max_iterations=max_iterations)
+    return _reconstruct_batch(tables, PSET, [target] * n, [description] * n, **stop)
 
 
 def _resample_counts(result, acq, resamples):
@@ -390,7 +410,6 @@ def _assert_same_fit(batched, alone):
     assert batched.rho_hat.matrix.tobytes() == alone.rho_hat.matrix.tobytes()
     assert batched.iterations == alone.iterations
     assert batched.converged == alone.converged
-    assert batched.ll_trace == alone.ll_trace
     assert batched.log_likelihood == alone.log_likelihood
     assert batched.floored_outcomes == alone.floored_outcomes
     assert batched.metrics == alone.metrics
@@ -422,13 +441,24 @@ def test_batch_matches_single_fits_when_some_hit_the_cap():
         _assert_same_fit(fit, mle_reconstruct(counts, PSET, max_iterations=25))
 
 
+def test_batch_matches_single_fits_that_reject_steps_and_stall():
+    cases = [_REJECTS_NONE[0], _STALLS, *_REJECTS, _REJECTS_NONE[1]]
+    tables = [_duty_cycle_counts(*case) for case in cases]
+    dilution = [_scalar_rrr(counts, tolerance=_TINY_TOLERANCE)[4:] for counts in tables]
+    assert dilution[1] == (34, True)  # stalls while the others still run
+    assert all(rejected > 0 for rejected, _ in dilution[2:4])
+    assert dilution[0][0] == dilution[4][0] == 0
+    fits = _batch(tables, tolerance=_TINY_TOLERANCE)
+    for counts, fit in zip(tables, fits):
+        _assert_same_fit(fit, mle_reconstruct(counts, PSET, tolerance=_TINY_TOLERANCE))
+
+
 def test_public_log_likelihood_equals_reconstruction_value():
     for alpha, seed in ((0.0, 3), (0.25, 5), (0.9, 8)):
         counts = simulate_counts(mix_duty_cycle(alpha), PSET,
                                   AcquisitionConfig(pairs_per_setting=1e5, seed=seed))
         result = mle_reconstruct(counts, PSET)
         assert log_likelihood(result.rho_hat, counts, PSET) == result.log_likelihood
-        assert result.ll_trace[-1] == result.log_likelihood
 
 
 def test_bootstrap_errors_equal_one_at_a_time_resamples():
@@ -554,7 +584,6 @@ def test_result_json_round_trip():
     back = result_from_json_dict(result_to_json_dict(result))
     assert np.array_equal(back.rho_hat.matrix, result.rho_hat.matrix)
     assert back.log_likelihood == result.log_likelihood
-    assert back.ll_trace == result.ll_trace
     assert back.iterations == result.iterations
     assert back.converged == result.converged
     assert back.metrics == result.metrics
@@ -572,7 +601,7 @@ def _uniform_result_dict():
     "content",
     [b"\xff\xfe{", b"{", b"[1, 2]", {"metric_errors": [1.0]}, {"iterations": float("inf")},
      {"converged": "false"}, {"iterations": 3.7}, {"metrics": {"purity": "0.9"}},
-     {"log_likelihood": float("nan")}, {"ll_trace": [float("inf")]},
+     {"log_likelihood": float("nan")}, {"floored_outcomes": -1},
      {"metric_errors": {"purity": -1.0, "bogus": 2.0}},
      {"metric_errors": {"purity": -1.0, "tangle": 0.1, "visibility": 0.1, "fidelity": 0.1}},
      {"metric_errors": {"purity": 0.1, "tangle": 0.1, "visibility": 0.1, "fidelity": 0.1,
@@ -591,6 +620,16 @@ def test_read_result_json_rejects_bad_files(tmp_path, content):
         read_result_json(path)
     with pytest.raises(DataParse):
         read_result_json(tmp_path / "missing.json")
+
+
+def test_result_json_keys_and_an_older_file_with_a_trace(tmp_path):
+    data = _uniform_result_dict()
+    assert list(data) == ["rho_hat", "log_likelihood", "iterations", "converged", "metrics",
+                          "metric_errors", "target", "floored_outcomes"]
+    older = {"ll_trace": [data["log_likelihood"]], **data}
+    path = tmp_path / "recon.json"
+    path.write_text(json.dumps(older), encoding="utf-8")
+    assert result_to_json_dict(read_result_json(path)) == data
 
 
 def test_read_result_json_without_floored_outcomes(tmp_path):
