@@ -4,11 +4,16 @@ Subcommands: generate, simulate, reconstruct, metrics, sweep, paper-fixtures.
 Exit codes: 0 success, 1 a paper-fixtures check failed, 2 configuration
 error, 3 data error, 4 reconstruction did not converge. A seed comes only
 from --seed, else from the sweep spec or the subcommand's default.
+
+The `bellmix` command enters through run(); main(argv) is the in-process
+function, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from dataclasses import replace
 
@@ -205,5 +210,25 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """The `bellmix` process: exit with main()'s code on sys.argv.
+
+    The heap left by importing numpy and bellmix lives until exit, so it is
+    frozen out of the cyclic collector, whose collections at exit would walk it.
+    A stdout whose reader has gone exits 2 with one error line.
+    """
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # As in the "Note on SIGPIPE" of Python's signal docs: stdout goes to devnull,
+        # so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = EXIT_CONFIG
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

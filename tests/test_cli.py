@@ -1,6 +1,7 @@
 import cmath
 import copy
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -658,15 +659,24 @@ def test_sweep_artifacts_round_trip(tmp_path):
     assert (point / "recon.json").read_bytes() == copy_path.read_bytes()
 
 
-def test_sweep_pairs_flag_writes_the_tree_of_a_spec_with_those_pairs(tmp_path):
+def _assert_flag_writes_the_tree_of_the_edited_spec(tmp_path, flag, field, value):
+    """sweep with flag=value writes the tree of the spec whose acquisition field is value."""
     spec = _sweep_spec(tmp_path, tmp_path / "flag")
-    assert main(["sweep", "--spec", str(spec), "--pairs", "3e4"]) == 0
+    assert main(["sweep", "--spec", str(spec), flag, str(value)]) == 0
     document = json.loads(spec.read_text(encoding="utf-8"))
-    document["acquisition"]["pairs_per_setting"] = 3e4
+    document["acquisition"][field] = value
     document["outputs"] = str(tmp_path / "spec")
     write_json(spec, document)
     assert main(["sweep", "--spec", str(spec)]) == 0
     assert _tree_bytes(tmp_path / "flag") == _tree_bytes(tmp_path / "spec")
+
+
+def test_sweep_pairs_flag_writes_the_tree_of_a_spec_with_those_pairs(tmp_path):
+    _assert_flag_writes_the_tree_of_the_edited_spec(tmp_path, "--pairs", "pairs_per_setting", 3e4)
+
+
+def test_sweep_seed_flag_writes_the_tree_of_a_spec_with_that_seed(tmp_path):
+    _assert_flag_writes_the_tree_of_the_edited_spec(tmp_path, "--seed", "seed", 405)
 
 
 def test_sweep_bad_spec(tmp_path):
@@ -694,6 +704,67 @@ def test_import_cli_leaves_process_pool_unloaded():
             "assert not {'concurrent.futures', 'numpy.random'} & set(sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _bellmix_process(args, unbuffered=False, **kwargs):
+    """`python -m bellmix.cli args`, run to completion with its stderr captured as text."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "bellmix.cli", *args], env=env,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["reconstruct", "{counts}", "--tolerance", "0"], 2),
+    (["reconstruct", "{missing}"], 3),
+    (["reconstruct", "{counts}", "--max-iterations", "0"], 4),
+])
+def test_the_bellmix_process_exits_with_mains_code(tmp_path, args, code):
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--pairs", "1e3", "--seed", "1", "--out", str(counts)]) == 0
+    paths = {"counts": counts, "missing": tmp_path / "missing.csv"}
+    child = _bellmix_process([arg.format(**paths) for arg in args], stdout=subprocess.DEVNULL)
+    assert child.returncode == code
+    assert (child.stderr.startswith("error: ") and child.stderr.count("\n") == 1) == (code != 4)
+
+
+def test_the_bellmix_process_writes_the_default_state_to_stdout():
+    child = _bellmix_process(["generate"], stdout=subprocess.PIPE)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert np.abs(matrix_from_json_dict(json.loads(child.stdout))
+                  - bell_state("phi-").matrix).max() <= 1e-12
+
+
+def test_the_bellmix_process_runs_main_with_the_import_heap_frozen():
+    # The probe replaces main, which run() looks up when it calls it.
+    code = ("import gc, bellmix.cli; "
+            "bellmix.cli.main = lambda: print(gc.get_freeze_count()) or 0; "
+            "bellmix.cli.run()")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True)
+    assert int(child.stdout) > 0
+
+
+def test_main_leaves_the_callers_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["generate"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["generate"], ["simulate", "--pairs", "1e3"], ["paper-fixtures"]],
+                         ids=lambda args: args[0])
+def test_a_closed_stdout_exits_2_with_one_error_line(args, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails with EPIPE
+    try:
+        child = _bellmix_process(args, unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
 _CONFIGS = (AcquisitionConfig, NoiseParams, SourceConfig, SweepSpec)
@@ -1118,6 +1189,8 @@ _ERROR_LINES = [
      "all counts are zero; nothing to reconstruct"),
     ("projectors", json.dumps({"settings": _VALID["projectors"]["settings"][:8]}).encode(), 3,
      "counts of shape (9, 4) do not match the projector set's (8, 4)"),
+    ("projectors", _projector_file(np.full((9, 4, 2, 2), np.eye(2) / 2.0)), 3,
+     "projector array has shape (9, 4, 2, 2)"),
     ("config", b'{"beta_re": 0.9, "gamma_re": 0.9}', 2,
      "|beta|^2 + |gamma|^2 = 1.62, not 1 within 1e-12"),
     ("config", b"{not json", 2, "config {file} is not valid JSON: Expecting property name "
