@@ -258,14 +258,14 @@ def simulate_counts(rho: DensityMatrix, pset: ProjectorSet, acq: AcquisitionConf
 
 
 def visibility_scan(
-    rho: DensityMatrix, hwp_angles, acq: AcquisitionConfig
+    rho: DensityMatrix, angles, acq: AcquisitionConfig
 ) -> list[tuple[float, int]]:
     """Transmitted-transmitted counts versus signal HWP angle.
 
     QWPs stay at zero and the idler HWP is parked at -22.5 degrees; the
     noiseless means follow A + B cos(4 theta + theta0).
     """
-    angles = list(hwp_angles)
+    angles = list(angles)
     non_finite = [angle for angle in angles if not is_kind(angle, float)]
     if non_finite:
         raise OutOfRange(f"HWP angles must be finite, got {non_finite}")

@@ -15,13 +15,13 @@ the fit's likelihood and the visibility scan take their probabilities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataParse, InvalidState
-from .fileio import by_index, is_kind, parsing, read_json, typed, write_json
+from .errors import InvalidState
+from .fileio import by_index, parsing, read_json, typed, write_json
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 
 HWP_RETARDANCE = np.pi
@@ -39,16 +39,6 @@ class WaveplateSetting:
 
     qwp_angle: float
     hwp_angle: float
-
-
-@dataclass(frozen=True)
-class AnalyzerPair:
-    """One tomography setting: named bases plus the waveplate angles realizing them."""
-
-    signal_basis: str
-    idler_basis: str
-    signal: WaveplateSetting
-    idler: WaveplateSetting
 
 
 def waveplate_jones(angle_deg: float, retardance: float) -> np.ndarray:
@@ -118,18 +108,17 @@ def _born(flat: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """Nine analyzer settings and their 36 labeled rank-1 projectors.
+    """The four rank-1 projectors of each analyzer setting, ordered TT, TR, RT, RR.
 
     Constructing one checks, to 1e-10, that each setting's outcomes sum to the
     identity and each projector is Hermitian, idempotent and of unit trace.
     """
 
-    settings: tuple[AnalyzerPair, ...]
     projectors: np.ndarray  # shape (n_settings, 4, 4, 4)
 
     def __post_init__(self) -> None:
         arr = np.array(self.projectors, dtype=complex)
-        if arr.ndim != 4 or arr.shape[1:] != (4, 4, 4) or arr.shape[0] != len(self.settings):
+        if arr.ndim != 4 or arr.shape[1:] != (4, 4, 4):
             raise InvalidState(f"projector array has shape {arr.shape}")
         with np.errstate(all="ignore"):  # a non-finite defect fails its check
             defects = (
@@ -150,7 +139,7 @@ class ProjectorSet:
 
     @property
     def n_settings(self) -> int:
-        return len(self.settings)
+        return len(self.projectors)
 
     def flattened(self) -> np.ndarray:
         """All projectors as rows of a (4*n_settings, 16) matrix, outcome-major order."""
@@ -160,54 +149,37 @@ class ProjectorSet:
 @lru_cache(maxsize=1)
 def standard_projector_set() -> ProjectorSet:
     """All nine pairs of single-arm bases HV, DA, RL, signal basis varying slowest."""
-    settings = tuple(AnalyzerPair(signal, idler, BASIS_ANGLES[signal], BASIS_ANGLES[idler])
-                     for signal, idler in itertools.product(BASIS_ORDER, repeat=2))
-    groups = [analyzer_projectors(pair.signal, pair.idler) for pair in settings]
-    return ProjectorSet(settings=settings, projectors=np.array(groups))
+    groups = [analyzer_projectors(BASIS_ANGLES[signal], BASIS_ANGLES[idler])
+              for signal, idler in itertools.product(BASIS_ORDER, repeat=2)]
+    return ProjectorSet(np.array(groups))
 
 
 def projector_set_to_json_dict(pset: ProjectorSet) -> dict:
     entries = []
-    for index, pair in enumerate(pset.settings):
+    for index, group in enumerate(pset.projectors):
         entries.append(
             {
                 "index": index,
-                "signal_basis": pair.signal_basis,
-                "idler_basis": pair.idler_basis,
-                "signal_angles": {key: float(a) for key, a in asdict(pair.signal).items()},
-                "idler_angles": {key: float(a) for key, a in asdict(pair.idler).items()},
                 "projectors": {
-                    label: matrix_to_json_dict(pset.projectors[index, k])
-                    for k, label in enumerate(OUTCOME_LABELS)
+                    label: matrix_to_json_dict(m) for label, m in zip(OUTCOME_LABELS, group)
                 },
             }
         )
     return {"settings": entries}
 
 
-def _waveplates(angles: dict) -> WaveplateSetting:
-    """One arm's waveplate angles, if both are finite JSON numbers."""
-    values = [angles[field.name] for field in fields(WaveplateSetting)]
-    if not all(is_kind(a, float) for a in values):
-        got = ", ".join(map(repr, values))
-        raise DataParse(f"waveplate angles must be finite numbers, got {got}")
-    return WaveplateSetting(*map(float, values))
-
-
 def projector_set_from_json_dict(data: dict) -> ProjectorSet:
-    """The settings in data placed by "index", if each is a complete projective measurement."""
+    """The settings in data placed by "index", if each is a complete projective measurement.
+
+    A setting is read from its "index" and "projectors" keys; any other key is ignored.
+    """
     with parsing("projector-set JSON"):
         rows = []
         for entry in data["settings"]:
-            bases = [typed(entry[key], str, f"projector-set JSON {key!r}")
-                     for key in ("signal_basis", "idler_basis")]
-            pair = AnalyzerPair(*bases, _waveplates(entry["signal_angles"]),
-                                _waveplates(entry["idler_angles"]))
             group = [matrix_from_json_dict(entry["projectors"][label]) for label in OUTCOME_LABELS]
-            rows.append((typed(entry["index"], int, "projector-set JSON 'index'"), (pair, group)))
-        settings, groups = zip(*by_index(rows, "projector-set JSON"))
+            rows.append((typed(entry["index"], int, "projector-set JSON 'index'"), group))
         # np.array raises ValueError when 2x2 and 4x4 matrices are mixed.
-        return ProjectorSet(settings=settings, projectors=np.array(groups))
+        return ProjectorSet(np.array(by_index(rows, "projector-set JSON")))
 
 
 def write_projector_set_json(path, pset: ProjectorSet) -> None:

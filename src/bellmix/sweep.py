@@ -18,11 +18,12 @@ only, to name the first point in grid order that fails: a batch fails exactly
 when one of its points fails alone. Only data errors are rerun: a point file
 that cannot be written fails the sweep at once, without recomputing the grid.
 A failed sweep leaves its point directories and any points a share finished,
-but no sweep.csv.
+but no sweep.csv, not even an earlier run's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -217,6 +218,9 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
         point_dir = os.path.join(spec.outputs, point.directory)
         with writing(point_dir):
             os.makedirs(point_dir, exist_ok=True)
+    table = os.path.join(spec.outputs, "sweep.csv")
+    with writing(table), contextlib.suppress(FileNotFoundError):
+        os.remove(table)  # a sweep.csv found after a run is that run's
     shares = max(1, min(parallel, len(points)))
     try:
         if shares > 1:
@@ -240,5 +244,5 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
                 for name in ("visibility", "tangle", "purity", "fidelity")]
         row = [*map(_format, estimates), *bars, *map(_format, point.theory), point.source]
         rows.append(",".join(row))
-    write_text(os.path.join(spec.outputs, "sweep.csv"), "\n".join(rows) + "\n")
+    write_text(table, "\n".join(rows) + "\n")
     return points

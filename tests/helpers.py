@@ -1,8 +1,12 @@
 """Shared random-sample builders and checks for the test suite."""
 
+import itertools
+from dataclasses import asdict
+
 import numpy as np
 
 from bellmix.linalg import DensityMatrix, hermitize
+from bellmix.optics import BASIS_ANGLES, BASIS_ORDER
 
 
 def random_hermitian(rng, dim=4):
@@ -60,3 +64,19 @@ def broken_setting_zero(projectors):
     return {"projector (0,0) is not idempotent": flat,
             "projector (0,1) is not Hermitian": skew,
             "projector (0,0) does not have unit trace": traces}
+
+
+def with_old_labels(document, bases=None):
+    """A projector-set document with each setting given the labels older files carried.
+
+    Setting s is labelled with the bases (signal, idler) of bases[s], by default the
+    standard set's order HV, DA, RL, signal basis slowest, and those bases' waveplate angles.
+    """
+    bases = bases or list(itertools.product(BASIS_ORDER, repeat=2))
+    settings = []
+    for entry in document["settings"]:
+        signal, idler = bases[entry["index"]]
+        settings.append({**entry, "signal_basis": signal, "idler_basis": idler,
+                         "signal_angles": asdict(BASIS_ANGLES[signal]),
+                         "idler_angles": asdict(BASIS_ANGLES[idler])})
+    return {"settings": settings}

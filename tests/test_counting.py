@@ -26,6 +26,8 @@ from bellmix.counting import (
 )
 from bellmix.errors import DataParse, OutOfRange
 from bellmix.optics import (
+    BASIS_ANGLES,
+    BASIS_ORDER,
     CALIBRATION_IDLER,
     OUTCOME_LABELS,
     WaveplateSetting,
@@ -41,10 +43,11 @@ PSET = standard_projector_set()
 
 
 def setting_index(signal_basis, idler_basis):
-    return next(
-        i for i, s in enumerate(PSET.settings)
-        if s.signal_basis == signal_basis and s.idler_basis == idler_basis
-    )
+    """The documented order of the standard set: HV, DA, RL, signal basis slowest."""
+    index = 3 * BASIS_ORDER.index(signal_basis) + BASIS_ORDER.index(idler_basis)
+    expected = analyzer_projectors(BASIS_ANGLES[signal_basis], BASIS_ANGLES[idler_basis])
+    assert np.array_equal(PSET.projectors[index], expected)
+    return index
 
 
 def born(rho, setting):

@@ -6,6 +6,8 @@ import pytest
 
 from bellmix.errors import InvalidState
 from bellmix.optics import (
+    BASIS_ANGLES,
+    BASIS_ORDER,
     HWP_RETARDANCE,
     OUTCOME_LABELS,
     QWP_RETARDANCE,
@@ -19,7 +21,7 @@ from bellmix.optics import (
     waveplate_jones,
 )
 from bellmix.states import bell_state, mix_duty_cycle
-from helpers import broken_setting_zero, random_density_matrix
+from helpers import broken_setting_zero, random_density_matrix, with_old_labels
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 KET_D = np.array([1.0, 1.0]) * INV_SQRT2
@@ -84,10 +86,13 @@ def test_qwp_45_projects_circular_basis():
 def test_standard_set_layout():
     pset = standard_projector_set()
     assert pset.n_settings == 9
-    assert pset.settings[0].signal_basis == "HV" and pset.settings[0].idler_basis == "HV"
     hh = np.zeros((4, 4), dtype=complex)
     hh[0, 0] = 1.0
     assert np.abs(pset.projectors[0, 0] - hh).max() < 1e-12
+    for s, signal in enumerate(BASIS_ORDER):  # setting 3 s + i: signal basis slowest
+        for i, idler in enumerate(BASIS_ORDER):
+            expected = analyzer_projectors(BASIS_ANGLES[signal], BASIS_ANGLES[idler])
+            assert np.array_equal(pset.projectors[3 * s + i], expected)
 
 
 def test_standard_set_completeness():
@@ -121,16 +126,13 @@ _BROKEN = {"setting 2: outcomes do not sum to identity": _nan_entry(),
                          ids=["nan_entry", "not_idempotent", "not_hermitian", "not_unit_trace"])
 def test_a_projector_set_is_checked_when_constructed(message, projectors):
     with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
-        ProjectorSet(standard_projector_set().settings, projectors)
+        ProjectorSet(projectors)
 
 
 def test_diagonal_setting_probabilities_for_incoherent_mixture():
     # With the HH/VV coherence gone, every +-45 outcome is equally likely.
     pset = standard_projector_set()
-    da_da = next(
-        i for i, s in enumerate(pset.settings)
-        if s.signal_basis == "DA" and s.idler_basis == "DA"
-    )
+    da_da = 3 * BASIS_ORDER.index("DA") + BASIS_ORDER.index("DA")
     rho = mix_duty_cycle(0.5).matrix
     probs = [float(np.real(np.trace(rho @ pset.projectors[da_da, k]))) for k in range(4)]
     assert np.allclose(probs, 0.25, atol=1e-12)
@@ -157,8 +159,18 @@ def test_informational_completeness_gram_rank():
 def test_projector_set_json_round_trip():
     pset = standard_projector_set()
     back = projector_set_from_json_dict(projector_set_to_json_dict(pset))
-    assert back.settings == pset.settings
     assert np.array_equal(back.projectors, pset.projectors)
+    assert [list(entry) for entry in projector_set_to_json_dict(pset)["settings"]] == [
+        ["index", "projectors"]] * 9
+
+
+@pytest.mark.parametrize("bases", [None, [("RL", "RL")] * 9], ids=["labelled", "mislabelled"])
+def test_a_labelled_projector_set_reads_to_the_same_projectors(bases):
+    # Older files name each setting's bases and waveplate angles; a reader ignores them.
+    document = projector_set_to_json_dict(standard_projector_set())
+    unlabelled = projector_set_from_json_dict(document).projectors
+    labelled = projector_set_from_json_dict(with_old_labels(document, bases)).projectors
+    assert labelled.tobytes() == unlabelled.tobytes()
 
 
 def test_all_bases_pairwise_unbiased():
