@@ -125,6 +125,10 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def __setstate__(self, state: dict) -> None:  # re-locks what pickling unlocked
+        state["matrix"].setflags(write=False)
+        vars(self).update(state)
+
 
 def nearest_physical(m: np.ndarray) -> DensityMatrix:
     """Project an approximately Hermitian matrix onto the density-matrix cone.
@@ -177,7 +181,9 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
                 and _is_square(im, dim)):
             raise DataParse("matrix JSON needs dim 2 or 4 and dim x dim lists of finite numbers "
                             f"re and im, got dim={dim!r}")
-        return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        m = np.array(re, dtype=complex)
+        m.imag = im  # re + 1j * im would turn a -0.0 into +0.0
+        return m
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:

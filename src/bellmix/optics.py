@@ -137,6 +137,10 @@ class ProjectorSet:
         arr.setflags(write=False)
         object.__setattr__(self, "projectors", arr)
 
+    def __setstate__(self, state: dict) -> None:  # re-locks what pickling unlocked
+        state["projectors"].setflags(write=False)
+        vars(self).update(state)
+
     @property
     def n_settings(self) -> int:
         return len(self.projectors)

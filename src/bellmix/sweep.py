@@ -9,9 +9,9 @@ one batch, their resamples are fitted in stacks that may split a point, and
 each point is written. With workers, the grid splits into interleaved shares
 (point i goes to share i % workers), each run and written this way by its own
 forked child. The coordinator makes every point directory first and writes
-sweep.csv last, from the points the children send back. Every point derives its
-seed from (master seed, point index) and every sample of a batch comes out as
-it would alone, so output bytes do not depend on batching or on the workers.
+sweep.csv last, from the results the children send back. Every point derives
+its seed from (master seed, point index) and every sample of a batch comes out
+as it would alone, so output bytes do not depend on batching or on the workers.
 
 A sweep that fails on a data error is rerun one point at a time, computing
 only, to name the first point in grid order that fails: a batch fails exactly
@@ -42,7 +42,7 @@ from .counting import (
 )
 from .errors import DataError, InvalidConfig, OutOfRange
 from .fileio import check_fields, from_json, is_kind, read_json, write_text, writing
-from .linalg import DensityMatrix, write_state_json
+from .linalg import write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
 from .states import NoiseParams, SourceConfig, completely_mixed, generate, mix_duty_cycle
@@ -118,7 +118,7 @@ class SweepSpec:
 
 @dataclass(eq=False)
 class SweepPoint:
-    """One sweep point as SweepSpec.points() fixes it and, once _run, its data and result."""
+    """One sweep point as SweepSpec.points() fixes it and, once _run, its result."""
 
     index: int
     alpha: float
@@ -128,8 +128,6 @@ class SweepPoint:
     make_target: partial  # called where the point runs: a pool's coordinator never calls LAPACK
     description: str  # of the target
     theory: tuple  # closed-form (visibility, tangle, purity) of config's state
-    state: DensityMatrix | None = None
-    counts: np.ndarray | None = None
     result: ReconstructionResult | None = None
 
 
@@ -137,39 +135,38 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def _run(spec: SweepSpec, points: list) -> list:
-    """Generate each point, then simulate, reconstruct and bootstrap them all as batches."""
+def _run(spec: SweepSpec, points: list) -> tuple:
+    """Run the points as batches: set each one's result, return their states and count tables."""
     pset = standard_projector_set()
-    for point in points:
-        point.state = generate(point.config)
+    states = [generate(point.config) for point in points]
     keys = [(_SWEEP_STREAM, point.index) for point in points]  # derive_seed(master, *key) each
     seeds = _philox_keys([spec.acquisition.seed], keys)[0, :, 0]
-    states = np.stack([point.state.matrix for point in points])
-    tables = _simulate(states, pset, spec.acquisition, seeds)
+    tables = _simulate(np.stack([state.matrix for state in states]), pset, spec.acquisition, seeds)
     results = _reconstruct_batch(list(tables), pset, [point.make_target() for point in points],
                                  [point.description for point in points])
     if spec.resamples:
         _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
-    for point, counts, result in zip(points, tables, results):
-        point.counts, point.result = counts, result
-    return points
+    for point, result in zip(points, results):
+        point.result = result
+    return states, tables
 
 
 def _run_and_write(spec: SweepSpec, points: list) -> list:
     """_run the points, then write each one's state.json, counts.csv and recon.json."""
-    for point in _run(spec, points):
+    states, tables = _run(spec, points)
+    for point, state, counts in zip(points, states, tables):
         point_dir = os.path.join(spec.outputs, point.directory)
-        write_state_json(os.path.join(point_dir, "state.json"), point.state)
-        write_counts_csv(os.path.join(point_dir, "counts.csv"), point.counts)
+        write_state_json(os.path.join(point_dir, "state.json"), state)
+        write_counts_csv(os.path.join(point_dir, "counts.csv"), counts)
         write_result_json(os.path.join(point_dir, "recon.json"), point.result)
     return points
 
 
 def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
-    """Run and write each share points[i::shares] in a forked child, then fill in its points.
+    """Run and write each share points[i::shares] in a forked child, then set its results.
 
-    A child pickles the state, counts and result of its points, or its exception,
-    to a pipe. Every child is reaped, after a SIGKILL if this process raised first.
+    A child pickles the results of its points, or its exception, to a pipe.
+    Every child is reaped, after a SIGKILL if this process raised first.
     """
     children, payloads, statuses = [], [], []
     try:
@@ -179,7 +176,7 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
             if pid == 0:  # the child never returns into the caller's code
                 try:
                     try:
-                        payload = pickle.dumps([(point.state, point.counts, point.result) for point
+                        payload = pickle.dumps([point.result for point
                                                 in _run_and_write(spec, points[share::shares])])
                     except BaseException as exc:  # the parent raises it
                         try:
@@ -205,8 +202,8 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
             f"sweep share {share} reported nothing; exit status {status}")
         if isinstance(outcome, BaseException):
             raise outcome
-        for point, (state, counts, result) in zip(points[share::shares], outcome):
-            point.state, point.counts, point.result = state, counts, result
+        for point, result in zip(points[share::shares], outcome):
+            point.result = result
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:

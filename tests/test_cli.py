@@ -441,9 +441,13 @@ def test_reconstruct_takes_a_cap_above_int64(tmp_path):
 
 
 def _same(a, b):
-    """a and b hold the same values: arrays bit for bit, dataclasses and partials field by field."""
+    """a and b hold the same values.
+
+    Arrays match bit for bit and in their write flag, dataclasses and partials field by field.
+    """
     if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                and a.flags.writeable == b.flags.writeable)
     if is_dataclass(a):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
@@ -468,6 +472,10 @@ def test_pooled_run_sweep_returns_the_serial_points(tmp_path, parallel):
     for mine, theirs in zip(pooled, serial):
         for name in (f.name for f in fields(sweep.SweepPoint)):
             assert _same(getattr(mine, name), getattr(theirs, name)), (mine.index, name)
+        assert not (mine.result.rho_hat.matrix.flags.writeable
+                    or mine.result.target.matrix.flags.writeable)
+    # A point's state and counts go only to its files.
+    assert {"state", "counts"}.isdisjoint(f.name for f in fields(sweep.SweepPoint))
 
 
 def test_array_holding_records_compare_by_identity(tmp_path):
@@ -760,6 +768,17 @@ def test_the_bellmix_process_runs_main_with_the_import_heap_frozen():
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                            check=True)
     assert int(child.stdout) > 0
+
+
+@pytest.mark.forks
+def test_the_bellmix_process_forks_shares_that_write_the_serial_tree(tmp_path):
+    # run() freezes the import heap before main(), so the shares fork from a frozen heap.
+    spec = _sweep_spec(tmp_path, tmp_path / "serial")
+    assert main(["sweep", "--spec", str(spec)]) == 0
+    child = _bellmix_process(["sweep", "--spec", str(spec), "--out", str(tmp_path / "pooled"),
+                              "--parallel", "2"], stdout=subprocess.DEVNULL)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert _tree_bytes(tmp_path / "pooled") == _tree_bytes(tmp_path / "serial")
 
 
 def test_main_leaves_the_callers_collector_alone(capsys):

@@ -1,4 +1,6 @@
-"""Every writer/reader pair: what is written to a file reads back equal."""
+"""Every writer/reader pair: what is written to a file, or pickled, reads back equal."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bellmix.counting import read_counts_csv, write_counts_csv
+from bellmix.counting import AcquisitionConfig, read_counts_csv, simulate_counts, write_counts_csv
 from bellmix.linalg import read_state_json, write_state_json
 from bellmix.metrics import report_for
 from bellmix.optics import (
@@ -15,8 +17,10 @@ from bellmix.optics import (
     standard_projector_set,
     write_projector_set_json,
 )
+from bellmix.states import bell_state
 from bellmix.tomography import (
     ReconstructionResult,
+    mle_reconstruct,
     read_result_json,
     result_to_json_dict,
     write_result_json,
@@ -93,3 +97,32 @@ def test_result_json_round_trip(scratch, rng, log_likelihood, iterations, conver
     assert result_to_json_dict(back) == result_to_json_dict(result)
     assert back.rho_hat.matrix.tobytes() == rho_hat.matrix.tobytes()
     assert back.metrics == result.metrics
+
+
+def test_signed_zeros_read_back_bit_for_bit(scratch):
+    """The standard set, a Bell state and a fit to it keep the sign of each -0.0 entry."""
+    pset, rho = standard_projector_set(), bell_state("phi-")
+    assert np.signbit(pset.projectors.real[pset.projectors.real == 0.0]).any()
+    assert np.signbit(rho.matrix.imag[rho.matrix.imag == 0.0]).any()
+    write_projector_set_json(scratch / "standard.json", pset)
+    assert read_projector_set_json(scratch / "standard.json").projectors.tobytes() == \
+        pset.projectors.tobytes()
+    write_state_json(scratch / "phi-.json", rho)
+    assert read_state_json(scratch / "phi-.json").matrix.tobytes() == rho.matrix.tobytes()
+    result = mle_reconstruct(simulate_counts(rho, pset, AcquisitionConfig(1e3, seed=3)), pset,
+                             target=rho)
+    write_result_json(scratch / "recon.json", result)
+    back = read_result_json(scratch / "recon.json")
+    assert back.rho_hat.matrix.tobytes() == result.rho_hat.matrix.tobytes()
+    assert back.target.matrix.tobytes() == rho.matrix.tobytes()
+
+
+@pytest.mark.parametrize("value, name", [(bell_state("phi-"), "matrix"),
+                                         (standard_projector_set(), "projectors")],
+                         ids=["DensityMatrix", "ProjectorSet"])
+def test_unpickled_matrices_are_read_only_and_not_checked_again(monkeypatch, value, name):
+    monkeypatch.setattr(type(value), "__post_init__", lambda self: pytest.fail("checked again"))
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value)
+    assert getattr(back, name).tobytes() == getattr(value, name).tobytes()
+    assert not getattr(back, name).flags.writeable
