@@ -10,11 +10,13 @@ from eps = 1 with eps halved whenever a step would lower the likelihood, is
 monotone. The per-setting count totals are treated as fixed normalizations,
 so only the within-setting Born probabilities enter the likelihood.
 
-One routine runs the iteration on a batch of count vectors at once, each with
-its own eps, likelihood and stop. A sweep reconstructs all its
-points as one batch, and a single reconstruction is a batch of one. Every
-kernel is elementwise or a stacked matmul, so each sample of a batch comes out
-bit for bit as it would alone.
+One routine, _mle_batch, runs the iteration on a batch of count vectors at
+once, each with its own eps, likelihood and stop. It returns a _Fit, one record
+of per-sample arrays (states, log-likelihoods, iteration counts, convergence
+flags) that callers read by name. A sweep reconstructs all its points as one
+batch, and a single reconstruction is a batch of one. Every kernel is
+elementwise or a stacked matmul, so each sample of a batch comes out bit for
+bit as it would alone.
 
 Error bars are parametric bootstrap: resimulate counts from the estimate, fit
 the resamples as the estimate was, and store each metric's sample standard
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import _BOOTSTRAP_STREAM, AcquisitionConfig, _count, _philox_keys, _simulate
-from .errors import DataParse, OutOfRange
+from .errors import DataError, DataParse, InvalidState, OutOfRange
 from .fileio import is_kind, parsing, read_json, typed, write_json
 from .linalg import (
     DensityMatrix,
@@ -133,30 +135,47 @@ def log_likelihood(rho: DensityMatrix, counts, pset: ProjectorSet) -> float:
     return float(_log_likelihoods(_nonzero_groups(counts), probs)[0])
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """What _mle_batch returns: per-sample arrays, in batch order.
+
+    rho (B, 4, 4) holds the final states, each exactly Hermitian, and
+    log_likelihood, iterations and converged (B,) the fit of each.
+    """
+
+    rho: np.ndarray
+    log_likelihood: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
 def _mle_batch(
     counts: np.ndarray,
     flat: np.ndarray,
     *,
-    max_iterations: int,
-    tolerance: float,
-) -> tuple:
-    """Diluted RρR on every row of counts (B, n_outcomes) at once.
+    max_iterations: int = MAX_ITERATIONS,
+    tolerance: float = TOLERANCE,
+) -> _Fit:
+    """Diluted RρR on every row of counts (B, n_outcomes) at once, as a _Fit.
 
     All samples start from the completely mixed state (full rank, so every
     probability is positive at the first step) at eps = 1. Each iterates until
     its relative likelihood gain per accepted step drops below `tolerance`,
     its dilution stalls, or `max_iterations` is exhausted; the last is
-    reported as converged=False, never silently. A sample leaves the working
-    arrays at the end of the iteration that stopped it; the samples still
-    running at the cap are written once, after the loop.
-
-    Returns, in batch order, the final states (B, 4, 4), each exactly
-    Hermitian, log-likelihoods, iteration counts and convergence flags.
+    reported as converged=False, never silently. A sample is written into
+    the record, and leaves the working arrays, at the end of the iteration
+    that stopped it; the samples still running at the cap are written once,
+    after the loop. Projectors flat (n_outcomes, 16) spanning fewer than 16
+    dimensions identify no state, and raise InvalidState.
     """
     if not (is_kind(tolerance, float) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
     if not is_kind(max_iterations, int) or max_iterations < 0:
         raise OutOfRange(f"max_iterations must be >= 0, got {max_iterations!r}")
+    rank = np.linalg.matrix_rank(flat)
+    if rank < 16:
+        raise InvalidState(f"projector set spans {rank} of 16 dimensions; "
+                           "no state is identifiable")
     n = len(counts)
     totals = counts.sum(axis=1)[:, None]
     if not (totals > 0).all():
@@ -170,8 +189,8 @@ def _mle_batch(
 
     # Working arrays hold the running samples; rows maps them to the batch.
     rows = np.arange(n)
-    final_rho, final_ll = np.empty_like(rho), np.empty_like(ll)
-    iterations, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    fit = _Fit(np.empty_like(rho), np.empty_like(ll), np.zeros(n, dtype=int),
+               np.zeros(n, dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iterations + 1):
             weights = counts / (totals * probs)
@@ -197,8 +216,8 @@ def _mle_batch(
             rho, probs, ll = candidate, candidate_probs, ll_new
             if np.count_nonzero(stop):  # the stopped samples leave the working arrays
                 done = rows[stop]
-                final_rho[done], final_ll[done], iterations[done], converged[done] = (
-                    rho[stop], ll[stop], it, True)
+                fit.rho[done], fit.log_likelihood[done] = rho[stop], ll[stop]
+                fit.iterations[done], fit.converged[done] = it, True
                 keep = ~stop
                 if not keep.any():
                     break
@@ -206,24 +225,17 @@ def _mle_batch(
                     rows, rho, probs, ll, eps, counts, totals))
                 groups = _nonzero_groups(counts)
         else:  # reached only if the loop ran max_iterations times, so the cap fits in int64
-            final_rho[rows], final_ll[rows], iterations[rows] = rho, ll, max_iterations
-    return final_rho, final_ll, iterations, converged
+            fit.rho[rows], fit.log_likelihood[rows], fit.iterations[rows] = rho, ll, max_iterations
+    return fit
 
 
-def _reconstruct_batch(
-    count_tables: list,
-    pset: ProjectorSet,
-    targets: list,
-    descriptions: list,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-    tolerance: float = TOLERANCE,
-) -> list:
+def _reconstruct_batch(count_tables: list, pset: ProjectorSet, targets: list,
+                       descriptions: list, **stop) -> list:
     """mle_reconstruct of every count table, with its target and description, as one batch."""
     counts = np.stack([_count_vector(table, pset) for table in count_tables])
     flat = pset.flattened()
-    rho, ll, iterations, converged = _mle_batch(
-        counts, flat, max_iterations=max_iterations, tolerance=tolerance)
+    fit = _mle_batch(counts, flat, **stop)
+    rho = fit.rho
     floored = ((counts > 0) & (_probabilities(flat, rho) <= PROBABILITY_FLOOR)).sum(axis=1)
     rho_hats = [DensityMatrix(m) for m in rho]
     # Fidelity is to the target, else to the estimate itself.
@@ -231,9 +243,9 @@ def _reconstruct_batch(
     figures = [values.tolist() for values in _figures(rho, sigma)]
     return [ReconstructionResult(
         rho_hat=rho_hats[b],
-        log_likelihood=float(ll[b]),
-        iterations=int(iterations[b]),
-        converged=bool(converged[b]),
+        log_likelihood=float(fit.log_likelihood[b]),
+        iterations=int(fit.iterations[b]),
+        converged=bool(fit.converged[b]),
         metrics=MetricsReport(*(values[b] for values in figures),
                               _described(target, descriptions[b])),
         target=target,
@@ -266,16 +278,8 @@ def check_resamples(resamples: int) -> None:
         raise OutOfRange(f"resamples must be 0 (no error bars) or >= 2, got {resamples!r}")
 
 
-def _bootstrap_batch(
-    results: list,
-    pset: ProjectorSet,
-    acq: AcquisitionConfig,
-    seeds: list,
-    resamples: int,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-    tolerance: float = TOLERANCE,
-) -> None:
+def _bootstrap_batch(results: list, pset: ProjectorSet, acq: AcquisitionConfig, seeds: list,
+                     resamples: int, **stop) -> None:
     """bootstrap_errors of every result with acq at its own seed, in stacks of _STACK_SAMPLES."""
     if not is_kind(resamples, int) or resamples < 2:
         raise OutOfRange(f"bootstrap needs at least 2 resamples, got {resamples!r}")
@@ -286,15 +290,18 @@ def _bootstrap_batch(
     rho_hats, targets = np.array([(result.rho_hat.matrix, (result.target or result.rho_hat).matrix)
                                   for result in results]).swapaxes(0, 1)
     figures, converged = np.empty((len(_ERROR_NAMES), len(point))), np.empty(len(point), bool)
-    for first in range(0, len(point), _STACK_SAMPLES):
-        rows = slice(first, first + _STACK_SAMPLES)
-        counts = _simulate(rho_hats[point[rows]], pset, acq, sample_seeds[rows])
-        rho, _, _, converged[rows] = _mle_batch(
-            counts.reshape(len(counts), -1).astype(float), pset.flattened(),
-            max_iterations=max_iterations, tolerance=tolerance)
-        check_density(rho)
-        figures[:, rows] = _figures(rho, targets[point[rows]])
-    check_ranges(*figures)
+    try:  # a data error from a resample's fit or figures says it came from a resample
+        for first in range(0, len(point), _STACK_SAMPLES):
+            rows = slice(first, first + _STACK_SAMPLES)
+            counts = _simulate(rho_hats[point[rows]], pset, acq, sample_seeds[rows])
+            fit = _mle_batch(counts.reshape(len(counts), -1).astype(float), pset.flattened(),
+                             **stop)
+            converged[rows] = fit.converged
+            check_density(fit.rho)
+            figures[:, rows] = _figures(fit.rho, targets[point[rows]])
+        check_ranges(*figures)
+    except DataError as exc:
+        raise type(exc)(f"bootstrap resample: {exc}") from exc
     errors = np.std(figures.reshape(len(_ERROR_NAMES), -1, resamples), axis=2, ddof=1)
     for result, all_converged, point_errors in zip(
             results, converged.reshape(-1, resamples).all(axis=1), errors.T.tolist()):

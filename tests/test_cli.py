@@ -499,7 +499,8 @@ def test_array_holding_records_compare_by_identity(tmp_path):
 @pytest.mark.parametrize("pairs, seed, first", [
     (1e-9, 1, "alpha=0 (pump_vpr)"),  # no point has counts
     # Point 0 has counts but a resample without any; point 1 has none. The
-    # first point to fail is named, although its bootstrap stage runs last.
+    # first point to fail is named, although its bootstrap stage runs last,
+    # and its message says that a resample failed.
     (0.1, 7, "alpha=0 (pump_vpr)"),
     (0.1, 11, "alpha=0.5 (pump_vpr)"),  # point 0 and its resamples all have counts
 ])
@@ -508,10 +509,22 @@ def test_sweep_error_names_the_first_failing_point(tmp_path, capsys, parallel, p
     write_json(spec, {"alphas": [0.0, 0.5, 1.0, 0.25], "resamples": 3,
                       "acquisition": {"pairs_per_setting": pairs, "seed": seed},
                       "outputs": str(tmp_path / "out")})
+    cause = "bootstrap resample: " if seed == 7 else ""
+    message = f"sweep point {first}: {cause}all counts are zero"
     assert main(["sweep", "--spec", str(spec), "--parallel", str(parallel)]) == 3
-    assert capsys.readouterr().err.startswith(f"error: sweep point {first}: all counts are zero")
-    with pytest.raises(DataParse, match=rf"^sweep point {re.escape(first)}: all counts are zero"):
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    with pytest.raises(DataParse, match=f"^{re.escape(message)}"):
         run_sweep(SweepSpec.from_file(spec), parallel=parallel)
+
+
+def test_a_sweep_point_whose_resample_has_no_counts_names_the_bootstrap(tmp_path, capsys):
+    # The point draws 3 counts in all; its resamples 3 and 4 draw none.
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.5], "acquisition": {"pairs_per_setting": 0.2, "seed": 2},
+                      "resamples": 5, "outputs": str(tmp_path / "out")})
+    assert main(["sweep", "--spec", str(spec)]) == 3
+    assert capsys.readouterr().err == ("error: sweep point alpha=0.5 (pump_vpr): bootstrap "
+                                       "resample: all counts are zero; nothing to reconstruct\n")
 
 
 def _assert_no_child_left():
@@ -1248,6 +1261,10 @@ _ERROR_LINES = [
      "counts of shape (9, 4) do not match the projector set's (8, 4)"),
     ("projectors", _projector_file(np.full((9, 4, 2, 2), np.eye(2) / 2.0)), 3,
      "projector array has shape (9, 4, 2, 2)"),
+    # Nine copies of HV/HV (standard setting 0), and HV/HV alternated with DA/DA (setting 4).
+    *(("projectors", _projector_file(standard_projector_set().projectors[settings]), 3,
+       f"projector set spans {rank} of 16 dimensions; no state is identifiable")
+      for settings, rank in (([0] * 9, 4), ([0, 4] * 4 + [0], 7))),
     ("config", b'{"beta_re": 0.9, "gamma_re": 0.9}', 2,
      "|beta|^2 + |gamma|^2 = 1.62, not 1 within 1e-12"),
     ("config", b"{not json", 2, "config {file} is not valid JSON: Expecting property name "

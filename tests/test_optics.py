@@ -148,12 +148,15 @@ def test_probabilities_normalized_for_random_states():
 
 
 def test_informational_completeness_gram_rank():
-    pset = standard_projector_set()
-    flat = pset.flattened()
-    gram = flat @ flat.conj().T
-    singular = np.linalg.svd(gram, compute_uv=False)
-    assert singular[15] > 1e-6
-    assert singular[16] < 1e-10 * singular[0]
+    # The standard set spans all 16 dimensions of a 4x4 matrix. Nine copies of
+    # HV/HV (setting 0) span 4, and HV/HV alternated with DA/DA (setting 4) 7.
+    standard = standard_projector_set().projectors
+    for settings, rank in ((range(9), 16), ([0] * 9, 4), ([0, 4] * 4 + [0], 7)):
+        flat = ProjectorSet(standard[list(settings)]).flattened()
+        gram = flat @ flat.conj().T
+        singular = np.linalg.svd(gram, compute_uv=False)
+        assert singular[rank - 1] > 1e-6
+        assert singular[rank] < 1e-10 * singular[0]
 
 
 def test_projector_set_json_round_trip():

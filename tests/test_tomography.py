@@ -10,10 +10,10 @@ from bellmix.counting import (
     derive_seed,
     simulate_counts,
 )
-from bellmix.errors import DataParse, OutOfRange
+from bellmix.errors import DataParse, InvalidState, OutOfRange
 from bellmix.linalg import DensityMatrix, nearest_physical
 from bellmix.metrics import fidelity
-from bellmix.optics import standard_projector_set
+from bellmix.optics import ProjectorSet, standard_projector_set
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
 from bellmix import tomography
 from bellmix.tomography import (
@@ -29,7 +29,7 @@ from bellmix.tomography import (
     result_from_json_dict,
     result_to_json_dict,
 )
-from helpers import random_density_matrix, random_hermitian
+from helpers import random_density_matrix, random_hermitian, random_local_unitary
 
 PSET = standard_projector_set()
 
@@ -222,6 +222,27 @@ def test_mle_consistency_across_duty_cycles():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("settings, rank", [([0] * 9, 4), ([0, 4] * 4 + [0], 7)],
+                         ids=["hv_hv_nine_times", "hv_hv_and_da_da"])
+def test_a_projector_set_that_identifies_no_state_is_refused(settings, rank):
+    # Settings 0 and 4 of the standard set are HV/HV and DA/DA.
+    pset = ProjectorSet(PSET.projectors[settings])
+    counts = simulate_counts(mix_duty_cycle(0.25), pset, AcquisitionConfig(1e5, seed=3))
+    with pytest.raises(InvalidState, match=f"^projector set spans {rank} of 16 dimensions; "
+                                           "no state is identifiable$"):
+        mle_reconstruct(counts, pset)
+
+
+def test_a_locally_rotated_standard_set_still_reconstructs():
+    u = random_local_unitary(np.random.default_rng(17))
+    pset = ProjectorSet(u @ PSET.projectors @ u.conj().T)
+    truth = mix_duty_cycle(0.25)
+    counts = simulate_counts(truth, pset, AcquisitionConfig(1e5, seed=3))
+    result = mle_reconstruct(counts, pset, target=truth)
+    assert result.converged
+    assert result.metrics.fidelity_to_target >= 0.999
+
+
 def test_mle_matches_diagonal_oracle_exact_counts():
     truth = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     counts = _expected_counts(truth, 1e5)
@@ -275,6 +296,16 @@ def test_bootstrap_fidelity_error_matches_reported_magnitudes():
     assert 0.96 <= result.metrics.fidelity_to_target <= 0.99
     errors = bootstrap_errors(result, PSET, acq, 100)
     assert 1e-4 <= errors["fidelity"] <= 5e-3
+
+
+def test_a_resample_without_counts_names_the_bootstrap():
+    # The estimate's counts are not all zero, but at 0.5 pairs per setting a
+    # resample of 50 draws none.
+    acq = AcquisitionConfig(pairs_per_setting=0.5, seed=1)
+    result = mle_reconstruct(simulate_counts(mix_duty_cycle(0.25), PSET, acq), PSET)
+    with pytest.raises(DataParse, match="^bootstrap resample: all counts are zero; "
+                                        "nothing to reconstruct$"):
+        bootstrap_errors(result, PSET, acq, 50)
 
 
 def test_bootstrap_requires_two_resamples():
@@ -491,6 +522,23 @@ def test_bootstrap_errors_are_pinned():
     }
 
 
+_NOISES = ((NoiseParams(depolarizing=0.01), 5),
+           (NoiseParams(dephasing=0.027, depolarizing=0.05), 7))
+
+
+def _noisy_counts(alpha, noise, seed):
+    state = generate(SourceConfig(alpha=alpha, noise=noise))
+    return simulate_counts(state, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=seed))
+
+
+def test_a_depolarized_fit_is_pinned():
+    # Recorded with the relative-gain stop at tolerance 1e-10.
+    result = mle_reconstruct(_noisy_counts(0.0, NoiseParams(depolarizing=0.01), 5), PSET)
+    assert (result.iterations, result.converged) == (1390, True)
+    assert result.log_likelihood == -1048146.0693163219
+    assert np.linalg.eigvalsh(result.rho_hat.matrix).min() > 1e-3
+
+
 def test_reconstruct_batch_equals_single_reconstructions():
     phi = bell_state("phi+")
     zeros = simulate_counts(phi, PSET, AcquisitionConfig(pairs_per_setting=40.0, seed=3))
@@ -501,6 +549,9 @@ def test_reconstruct_batch_equals_single_reconstructions():
         (simulate_counts(mix_duty_cycle(0.5), PSET, AcquisitionConfig(1e3, seed=2)), None, None),
         (np.full((9, 4), 250), None, "uniform"),
         (simulate_counts(phi, PSET, AcquisitionConfig(1e5, seed=4)), phi, None),
+        # Depolarized states are full rank, and so are their fits.
+        *((_noisy_counts(alpha, noise, seed), None, None)
+          for noise, seed in _NOISES for alpha in (0.0, 0.25)),
     ]
     tables, targets, descriptions = (list(column) for column in zip(*points))
     assert min(_count_vector(zeros, PSET)) == 0
