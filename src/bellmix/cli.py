@@ -16,6 +16,7 @@ import gc
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import fixtures
 from .counting import AcquisitionConfig, read_counts_csv, simulate_counts, write_counts_csv
@@ -134,7 +135,8 @@ def _cmd_paper_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    new_parser = partial(argparse.ArgumentParser, allow_abbrev=False)  # a prefix names no flag
+    parser = new_parser(
         prog="bellmix",
         description=(
             "Simulate a duty-cycled two-photon mixed-state source, run the "
@@ -142,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
             "compute figures of merit."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     p = sub.add_parser("generate", help="emit the configured source state as matrix JSON")
     p.add_argument("--config", help="source config JSON (defaults apply if omitted)")

@@ -4,14 +4,14 @@ A sweep writes one directory per point (state.json, counts.csv, recon.json)
 plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
 bootstrap error bars, and the closed-form theory columns.
 
-Each point is generated, all are simulated in one draw and reconstructed as
-one batch, their resamples are fitted in stacks that may split a point, and
-each point is written. With workers, the grid splits into interleaved shares
-(point i goes to share i % workers), each run and written this way by its own
-forked child. The coordinator makes every point directory first and writes
-sweep.csv last, from the results the children send back. Every point derives
-its seed from (master seed, point index) and every sample of a batch comes out
-as it would alone, so output bytes do not depend on batching or on the workers.
+The spec builds its points once. Each is generated, all are simulated in one
+draw and reconstructed as one batch, their resamples are fitted in stacks
+that may split a point, and each point is written. With workers, the grid
+splits into interleaved shares (point i goes to share i % workers), each run
+and written this way by a forked child that returns its results, and the
+coordinator makes every point directory first and writes sweep.csv last.
+Every point derives its seed from (master seed, point index) and every sample
+of a batch comes out as it would alone, so batching and workers change no byte.
 
 A sweep that fails on a data error is rerun one point at a time, computing
 only, to name the first point in grid order that fails: a batch fails exactly
@@ -27,8 +27,8 @@ import contextlib
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -86,15 +86,16 @@ class SweepSpec:
             raise OutOfRange("pairs_per_setting + accidental_rate must be at most "
                              f"{_POISSON_MAX!r}, the largest Poisson mean numpy draws")
         # alpha_{alpha:g} keeps 6 significant digits, so 0.1 and 0.1000001 share alpha_0.1.
-        names = [point.directory for point in self.points()]
+        names = [point.directory for point in self.points]
         shared = sorted({name for name in names if names.count(name) > 1})
         if shared:
             raise InvalidConfig(f"sweep points would share the directories {shared}")
 
-    def points(self) -> list:
-        """A new SweepPoint for every point, in point order: the duty cycles, then two_vpr."""
+    @cached_property
+    def points(self) -> tuple:
+        """A SweepPoint for every point, in point order (duty cycles, then two_vpr), built once."""
         points = [
-            SweepPoint(index, alpha, "pump_vpr", f"alpha_{alpha:g}",
+            SweepPoint(index, "pump_vpr", f"alpha_{alpha:g}",
                        SourceConfig(alpha=alpha, noise=self.noise), partial(mix_duty_cycle, alpha),
                        f"duty-cycle mixture alpha={alpha:g}",
                        tuple(family(alpha, self.noise.dephasing, self.noise.depolarizing)
@@ -102,10 +103,10 @@ class SweepSpec:
             for index, alpha in enumerate(map(float, self.alphas))
         ]
         if self.include_completely_mixed:  # I/4 at any noise
-            points.append(SweepPoint(len(points), 0.5, "two_vpr", "completely_mixed",
+            points.append(SweepPoint(len(points), "two_vpr", "completely_mixed",
                                      SourceConfig(alpha=0.5, signal_dc=0.5, noise=self.noise),
                                      partial(completely_mixed), "identity/4", (0.0, 0.0, 0.25)))
-        return points
+        return tuple(points)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
@@ -116,15 +117,14 @@ class SweepSpec:
         return cls.from_json_dict(read_json(path, "sweep spec", InvalidConfig))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SweepPoint:
-    """One sweep point as SweepSpec.points() fixes it and, once _run, its result."""
+    """One sweep point as SweepSpec.points fixes it and, as run_sweep returns it, its result."""
 
     index: int
-    alpha: float
     source: str
     directory: str
-    config: SourceConfig
+    config: SourceConfig  # its alpha is the point's duty cycle
     make_target: partial  # called where the point runs: a pool's coordinator never calls LAPACK
     description: str  # of the target
     theory: tuple  # closed-form (visibility, tangle, purity) of config's state
@@ -135,8 +135,8 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def _run(spec: SweepSpec, points: list) -> tuple:
-    """Run the points as batches: set each one's result, return their states and count tables."""
+def _run(spec: SweepSpec, points) -> tuple:
+    """Run the points as batches: return their states, count tables and results."""
     pset = standard_projector_set()
     states = [generate(point.config) for point in points]
     keys = [(_SWEEP_STREAM, point.index) for point in points]  # derive_seed(master, *key) each
@@ -146,24 +146,22 @@ def _run(spec: SweepSpec, points: list) -> tuple:
                                  [point.description for point in points])
     if spec.resamples:
         _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
-    for point, result in zip(points, results):
-        point.result = result
-    return states, tables
+    return states, tables, results
 
 
-def _run_and_write(spec: SweepSpec, points: list) -> list:
-    """_run the points, then write each one's state.json, counts.csv and recon.json."""
-    states, tables = _run(spec, points)
-    for point, state, counts in zip(points, states, tables):
+def _run_and_write(spec: SweepSpec, points) -> list:
+    """_run the points, write each one's state.json, counts.csv and recon.json; return results."""
+    states, tables, results = _run(spec, points)
+    for point, state, counts, result in zip(points, states, tables, results):
         point_dir = os.path.join(spec.outputs, point.directory)
         write_state_json(os.path.join(point_dir, "state.json"), state)
         write_counts_csv(os.path.join(point_dir, "counts.csv"), counts)
-        write_result_json(os.path.join(point_dir, "recon.json"), point.result)
-    return points
+        write_result_json(os.path.join(point_dir, "recon.json"), result)
+    return results
 
 
-def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
-    """Run and write each share points[i::shares] in a forked child, then set its results.
+def _fork_shares(spec: SweepSpec, points, shares: int) -> list:
+    """Run and write each share points[i::shares] in a forked child; return the results in order.
 
     A child pickles the results of its points, or its exception, to a pipe.
     Every child is reaped, after a SIGKILL if this process raised first.
@@ -176,8 +174,7 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
             if pid == 0:  # the child never returns into the caller's code
                 try:
                     try:
-                        payload = pickle.dumps([point.result for point
-                                                in _run_and_write(spec, points[share::shares])])
+                        payload = pickle.dumps(_run_and_write(spec, points[share::shares]))
                     except BaseException as exc:  # the parent raises it
                         try:
                             payload = pickle.dumps(exc)
@@ -197,20 +194,21 @@ def _fork_shares(spec: SweepSpec, points: list, shares: int) -> None:
             if not payloads:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results = [None] * len(points)
     for share, (payload, status) in enumerate(zip(payloads, statuses)):
         outcome = pickle.loads(payload) if payload else RuntimeError(  # bytes our child wrote
             f"sweep share {share} reported nothing; exit status {status}")
         if isinstance(outcome, BaseException):
             raise outcome
-        for point, result in zip(points[share::shares], outcome):
-            point.result = result
+        results[share::shares] = outcome
+    return results
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
-    """Run the sweep (on `parallel` workers if > 1), write it to spec.outputs, return the points."""
+    """Run the sweep (on `parallel` workers if > 1) into spec.outputs; return the run points."""
     if not is_kind(parallel, int) or parallel < 0:
         raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel}")
-    points = spec.points()
+    points = spec.points
     for point in points:  # an unwritable outputs fails before any compute
         point_dir = os.path.join(spec.outputs, point.directory)
         with writing(point_dir):
@@ -220,26 +218,25 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
         os.remove(table)  # a sweep.csv found after a run is that run's
     shares = max(1, min(parallel, len(points)))
     try:
-        if shares > 1:
-            _fork_shares(spec, points, shares)
-        else:
-            _run_and_write(spec, points)
+        results = (_fork_shares(spec, points, shares) if shares > 1
+                   else _run_and_write(spec, points))
     except DataError:  # only writing raises a ConfigError once SweepSpec has checked the spec
         for point in points:
             try:
                 _run(spec, [point])
             except DataError as exc:
-                raise type(exc)(f"sweep point alpha={point.alpha:g} ({point.source}): {exc}") from exc
+                alpha = point.config.alpha
+                raise type(exc)(f"sweep point alpha={alpha:g} ({point.source}): {exc}") from exc
         raise
 
     rows = [SWEEP_CSV_HEADER]
-    for point in points:
-        metrics, errors = point.result.metrics, point.result.metric_errors
-        estimates = [point.alpha, metrics.visibility, metrics.tangle, metrics.purity,
+    for point, result in zip(points, results):
+        metrics, errors = result.metrics, result.metric_errors
+        estimates = [point.config.alpha, metrics.visibility, metrics.tangle, metrics.purity,
                      metrics.fidelity_to_target]
         bars = [_format(errors[name]) if errors else ""
                 for name in ("visibility", "tangle", "purity", "fidelity")]
         row = [*map(_format, estimates), *bars, *map(_format, point.theory), point.source]
         rows.append(",".join(row))
     write_text(table, "\n".join(rows) + "\n")
-    return points
+    return [replace(point, result=result) for point, result in zip(points, results)]

@@ -162,11 +162,11 @@ def _mle_batch(
     probability is positive at the first step) at eps = 1. Each iterates until
     its relative likelihood gain per accepted step drops below `tolerance`,
     its dilution stalls, or `max_iterations` is exhausted; the last is
-    reported as converged=False, never silently. A sample is written into
-    the record, and leaves the working arrays, at the end of the iteration
-    that stopped it; the samples still running at the cap are written once,
-    after the loop. Projectors flat (n_outcomes, 16) spanning fewer than 16
-    dimensions identify no state, and raise InvalidState.
+    reported as converged=False, never silently. The record starts as the
+    start state; a sample is written into it once, when it leaves the
+    working arrays at the end of the iteration that stopped or capped it.
+    Projectors flat (n_outcomes, 16) spanning fewer than 16 dimensions
+    identify no state, and raise InvalidState.
     """
     if not (is_kind(tolerance, float) and tolerance > 0.0):
         raise OutOfRange(f"tolerance must be finite and > 0, got {tolerance!r}")
@@ -189,8 +189,7 @@ def _mle_batch(
 
     # Working arrays hold the running samples; rows maps them to the batch.
     rows = np.arange(n)
-    fit = _Fit(np.empty_like(rho), np.empty_like(ll), np.zeros(n, dtype=int),
-               np.zeros(n, dtype=bool))
+    fit = _Fit(rho.copy(), ll.copy(), np.zeros(n, dtype=int), np.zeros(n, dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iterations + 1):
             weights = counts / (totals * probs)
@@ -214,18 +213,17 @@ def _mle_batch(
                 ll_new[downhill] = ll[downhill]
             # The accepted candidate's probabilities are the next iterate's.
             rho, probs, ll = candidate, candidate_probs, ll_new
-            if np.count_nonzero(stop):  # the stopped samples leave the working arrays
-                done = rows[stop]
-                fit.rho[done], fit.log_likelihood[done] = rho[stop], ll[stop]
-                fit.iterations[done], fit.converged[done] = it, True
-                keep = ~stop
+            leave = stop | (it == max_iterations)  # the cap is the third way out, not converged
+            if np.count_nonzero(leave):  # the leaving samples are recorded, once
+                done = rows[leave]
+                fit.rho[done], fit.log_likelihood[done] = rho[leave], ll[leave]
+                fit.iterations[done], fit.converged[done] = it, stop[leave]
+                keep = ~leave
                 if not keep.any():
                     break
                 rows, rho, probs, ll, eps, counts, totals = (a[keep] for a in (
                     rows, rho, probs, ll, eps, counts, totals))
                 groups = _nonzero_groups(counts)
-        else:  # reached only if the loop ran max_iterations times, so the cap fits in int64
-            fit.rho[rows], fit.log_likelihood[rows], fit.iterations[rows] = rho, ll, max_iterations
     return fit
 
 
@@ -235,12 +233,11 @@ def _reconstruct_batch(count_tables: list, pset: ProjectorSet, targets: list,
     counts = np.stack([_count_vector(table, pset) for table in count_tables])
     flat = pset.flattened()
     fit = _mle_batch(counts, flat, **stop)
-    rho = fit.rho
-    floored = ((counts > 0) & (_probabilities(flat, rho) <= PROBABILITY_FLOOR)).sum(axis=1)
-    rho_hats = [DensityMatrix(m) for m in rho]
+    floored = ((counts > 0) & (_probabilities(flat, fit.rho) <= PROBABILITY_FLOOR)).sum(axis=1)
+    rho_hats = [DensityMatrix(m) for m in fit.rho]
     # Fidelity is to the target, else to the estimate itself.
-    sigma = np.stack([m if target is None else target.matrix for m, target in zip(rho, targets)])
-    figures = [values.tolist() for values in _figures(rho, sigma)]
+    sigma = np.stack([m if t is None else t.matrix for m, t in zip(fit.rho, targets)])
+    figures = [values.tolist() for values in _figures(fit.rho, sigma)]
     return [ReconstructionResult(
         rho_hat=rho_hats[b],
         log_likelihood=float(fit.log_likelihood[b]),

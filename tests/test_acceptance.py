@@ -261,7 +261,7 @@ def test_bootstrap_sigma_covers_the_truth_on_interior_points(tmp_path):
         for point in run_sweep(spec):
             total += 1
             for name, truth in truths.items():
-                error = abs(getattr(point.result.metrics, name) - truth(point.alpha))
+                error = abs(getattr(point.result.metrics, name) - truth(point.config.alpha))
                 hits[name] += error <= point.result.metric_errors[name]
     assert total == 120
     for name, count in hits.items():

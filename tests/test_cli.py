@@ -14,7 +14,7 @@ import sys
 import threading
 import time
 import typing
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -330,6 +330,23 @@ def test_seed_and_fit_settings_come_only_from_flags(tmp_path, capsys, monkeypatc
     assert "--dilution" in capsys.readouterr().err
 
 
+def test_a_flag_is_never_read_from_its_prefix(tmp_path, capsys):
+    # --projectors would be read as simulate's --projectors-out, and overwrite the file it names.
+    mine, counts, uniform = tmp_path / "mine.json", tmp_path / "c.csv", tmp_path / "uniform.csv"
+    mine.write_text('{"settings": []}\n', encoding="utf-8")
+    write_counts_csv(uniform, np.full((9, 4), 250))
+    for argv, flag in (
+            (["simulate", "--pairs", "1e3", "--projectors", str(mine), "--out", str(counts)],
+             "--projectors"),
+            (["reconstruct", str(uniform), "--max-it", "0"], "--max-it")):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert mine.read_text(encoding="utf-8") == '{"settings": []}\n'
+    assert not counts.exists()
+
+
 @pytest.mark.parametrize("flags", [["--seed", "-4"], ["--seed", "-1", "--resamples", "0"]],
                          ids=["negative_seed", "negative_seed_without_bootstrap"])
 def test_reconstruct_rejects_its_bootstrap_seed_before_the_fit(tmp_path, capsys, monkeypatch,
@@ -486,12 +503,49 @@ def test_array_holding_records_compare_by_identity(tmp_path):
         (mix_duty_cycle(0.25), DensityMatrix(mix_duty_cycle(0.25).matrix)),
         (pset, projector_set_from_json_dict(projector_set_to_json_dict(pset))),
         (mle_reconstruct(counts, pset), mle_reconstruct(counts, pset)),
-        (spec.points()[0], spec.points()[0]),
+        (spec.points[0], replace(spec).points[0]),
     ]
     for value, twin in pairs:
         assert (value == value) is True and (value != value) is False
         assert (value == twin) is False and (value != twin) is True
-    assert spec.points() != spec.points()
+    assert spec.points != replace(spec).points
+
+
+def test_a_spec_builds_its_frozen_points_once(tmp_path, monkeypatch):
+    spec = SweepSpec(alphas=(0.0, 1.0), resamples=0, outputs=str(tmp_path / "out"),
+                     acquisition=AcquisitionConfig(pairs_per_setting=1e3))
+    assert spec.points is spec.points
+    with pytest.raises(FrozenInstanceError):
+        spec.points[0].result = None
+    other = replace(spec, alphas=(0.5,))
+    assert [point.config.alpha for point in other.points] == [0.5]
+    built = []
+    monkeypatch.setattr(sweep, "SourceConfig", lambda **kw: built.append(kw) or SourceConfig(**kw))
+    points = run_sweep(spec)
+    assert built == []  # run_sweep builds no point
+    assert all(mine.config is theirs.config and theirs.result is None and mine.result.converged
+               for mine, theirs in zip(points, spec.points))
+    replace(spec, outputs=str(tmp_path / "again"))
+    assert [kw["alpha"] for kw in built] == [0.0, 1.0]  # a new spec builds its own
+
+
+def test_a_batch_error_that_no_point_raises_alone_is_raised_unchanged(tmp_path, monkeypatch):
+    # The rerun looks for the first point that fails alone; finding none, it raises the
+    # batch's own error, with no point named.
+    error, real_run = DataParse("the batch failed"), sweep._run
+
+    def run(spec, points):
+        if len(points) > 1:
+            raise error
+        return real_run(spec, points)
+
+    monkeypatch.setattr(sweep, "_run", run)
+    spec = SweepSpec(alphas=(0.0, 1.0), resamples=0, outputs=str(tmp_path / "out"),
+                     acquisition=AcquisitionConfig(pairs_per_setting=1e3))
+    with pytest.raises(DataParse) as raised:
+        run_sweep(spec)
+    assert raised.value is error and str(raised.value) == "the batch failed"
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 @pytest.mark.forks

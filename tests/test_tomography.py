@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -9,11 +10,21 @@ from bellmix.counting import (
     AcquisitionConfig,
     derive_seed,
     simulate_counts,
+    write_counts_csv,
 )
 from bellmix.errors import DataParse, InvalidState, OutOfRange
 from bellmix.linalg import DensityMatrix, nearest_physical
 from bellmix.metrics import fidelity
-from bellmix.optics import ProjectorSet, standard_projector_set
+from bellmix import optics
+from bellmix.cli import main
+from bellmix.optics import (
+    BASIS_ANGLES,
+    BASIS_ORDER,
+    ProjectorSet,
+    analyzer_projectors,
+    standard_projector_set,
+    write_projector_set_json,
+)
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
 from bellmix import tomography
 from bellmix.tomography import (
@@ -243,6 +254,27 @@ def test_a_locally_rotated_standard_set_still_reconstructs():
     assert result.metrics.fidelity_to_target >= 0.999
 
 
+def test_a_retardance_perturbed_complete_set_still_reconstructs(tmp_path, monkeypatch):
+    # Quarter-wave plates 2 % off a quarter wave move only the RL settings, and the set still
+    # spans all 16 dimensions. Not standard_projector_set(), which is cached.
+    monkeypatch.setattr(optics, "QWP_RETARDANCE", 1.02 * optics.QWP_RETARDANCE)
+    pset = ProjectorSet(np.array([analyzer_projectors(BASIS_ANGLES[signal], BASIS_ANGLES[idler])
+                                  for signal, idler in itertools.product(BASIS_ORDER, repeat=2)]))
+    assert np.linalg.matrix_rank(pset.flattened()) == 16
+    truth = mix_duty_cycle(0.25)
+    counts = simulate_counts(truth, pset, AcquisitionConfig(1e5, seed=3))
+    result = mle_reconstruct(counts, pset, target=truth)
+    assert result.converged
+    # Fitted under the unperturbed standard set, these counts give fidelity 0.99986.
+    assert result.metrics.fidelity_to_target >= 0.99999
+    projectors, counts_csv, recon = (tmp_path / name for name in ("p.json", "c.csv", "r.json"))
+    write_projector_set_json(projectors, pset)
+    write_counts_csv(counts_csv, counts)
+    assert main(["reconstruct", str(counts_csv), "--projectors", str(projectors), "--alpha", "0.25",
+                 "--out", str(recon)]) == 0
+    assert json.loads(recon.read_text(encoding="utf-8"))["iterations"] == result.iterations
+
+
 def test_mle_matches_diagonal_oracle_exact_counts():
     truth = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     counts = _expected_counts(truth, 1e5)
@@ -470,6 +502,13 @@ def test_batch_matches_single_fits_when_some_hit_the_cap():
     assert {fit.iterations for fit in fits if not fit.converged} == {25}
     for counts, fit in zip(tables, fits):
         _assert_same_fit(fit, mle_reconstruct(counts, PSET, max_iterations=25))
+
+
+def test_a_fit_capped_at_zero_iterations_is_its_start_state():
+    mixed = simulate_counts(mix_duty_cycle(0.3), PSET, AcquisitionConfig(1e3, seed=4))
+    for fit in _batch([np.full((9, 4), 250), mixed], max_iterations=0):
+        assert fit.iterations == 0 and not fit.converged
+        assert fit.rho_hat.matrix.tobytes() == (np.eye(4, dtype=complex) / 4.0).tobytes()
 
 
 def test_batch_matches_single_fits_that_reject_steps_and_stall():
