@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="master seed (overrides spec)")
     p.add_argument("--pairs", type=float, default=None, help="pairs per setting (overrides spec)")
     p.add_argument("--resamples", type=int, default=None, help="bootstrap resamples (overrides spec)")
-    p.add_argument("--parallel", type=int, default=0, help="worker processes (0/1 = serial)")
+    p.add_argument("--parallel", type=int, default=0, help="processes incl. this one (0/1: serial)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("paper-fixtures", help="check the bundled reference fixtures")

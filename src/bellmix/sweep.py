@@ -4,14 +4,12 @@ A sweep writes one directory per point (state.json, counts.csv, recon.json)
 plus a top-level sweep.csv whose rows carry the reconstructed metrics, their
 bootstrap error bars, and the closed-form theory columns.
 
-The spec builds its points once. Each is generated, all are simulated in one
-draw and reconstructed as one batch, their resamples are fitted in stacks
-that may split a point, and each point is written. With workers, the grid
-splits into interleaved shares (point i goes to share i % workers), each run
-and written this way by a forked child that returns its results, and the
-coordinator makes every point directory first and writes sweep.csv last.
-Every point derives its seed from (master seed, point index) and every sample
-of a batch comes out as it would alone, so batching and workers change no byte.
+The spec builds its points once. The calling process generates them, draws
+their counts in one pass and fits them as one batch. Only bootstrapping and
+writing split, into N interleaved shares (point i goes to share i % N): the
+caller finishes share 0 and a forked child each other one. Every point derives
+its seed from (master seed, point index) and every sample of a batch comes out
+as it would alone, so batching and workers change no byte.
 
 A sweep that fails on a data error is rerun one point at a time, computing
 only, to name the first point in grid order that fails: a batch fails exactly
@@ -27,6 +25,7 @@ import contextlib
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
@@ -125,7 +124,7 @@ class SweepPoint:
     source: str
     directory: str
     config: SourceConfig  # its alpha is the point's duty cycle
-    make_target: partial  # called where the point runs: a pool's coordinator never calls LAPACK
+    make_target: partial  # called by run_sweep: building a SweepSpec never calls LAPACK
     description: str  # of the target
     theory: tuple  # closed-form (visibility, tangle, purity) of config's state
     result: ReconstructionResult | None = None
@@ -135,8 +134,8 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def _run(spec: SweepSpec, points) -> tuple:
-    """Run the points as batches: return their states, count tables and results."""
+def _fit(spec: SweepSpec, points, resamples: int = 0) -> tuple:
+    """Generate, draw, fit and bootstrap the points as one batch: seeds, results, states, tables."""
     pset = standard_projector_set()
     states = [generate(point.config) for point in points]
     keys = [(_SWEEP_STREAM, point.index) for point in points]  # derive_seed(master, *key) each
@@ -144,15 +143,17 @@ def _run(spec: SweepSpec, points) -> tuple:
     tables = _simulate(np.stack([state.matrix for state in states]), pset, spec.acquisition, seeds)
     results = _reconstruct_batch(list(tables), pset, [point.make_target() for point in points],
                                  [point.description for point in points])
+    if resamples:
+        _bootstrap_batch(results, pset, spec.acquisition, seeds, resamples)
+    return seeds, results, states, tables
+
+
+def _finish(spec: SweepSpec, points, fitted: tuple, share: int, shares: int) -> list:
+    """Bootstrap and write the points[share::shares] that _fit fitted; return their results."""
+    seeds, results, states, tables = (column[share::shares] for column in fitted)
     if spec.resamples:
-        _bootstrap_batch(results, pset, spec.acquisition, seeds, spec.resamples)
-    return states, tables, results
-
-
-def _run_and_write(spec: SweepSpec, points) -> list:
-    """_run the points, write each one's state.json, counts.csv and recon.json; return results."""
-    states, tables, results = _run(spec, points)
-    for point, state, counts, result in zip(points, states, tables, results):
+        _bootstrap_batch(results, standard_projector_set(), spec.acquisition, seeds, spec.resamples)
+    for point, result, state, counts in zip(points[share::shares], results, states, tables):
         point_dir = os.path.join(spec.outputs, point.directory)
         write_state_json(os.path.join(point_dir, "state.json"), state)
         write_counts_csv(os.path.join(point_dir, "counts.csv"), counts)
@@ -160,21 +161,21 @@ def _run_and_write(spec: SweepSpec, points) -> list:
     return results
 
 
-def _fork_shares(spec: SweepSpec, points, shares: int) -> list:
-    """Run and write each share points[i::shares] in a forked child; return the results in order.
+def _finish_shares(spec: SweepSpec, points, fitted: tuple, shares: int) -> list:
+    """_finish share 0 here and every other share in a forked child; return results in order.
 
-    A child pickles the results of its points, or its exception, to a pipe.
-    Every child is reaped, after a SIGKILL if this process raised first.
+    A child pickles its results, or its exception, to a pipe. Every child is
+    reaped, and killed first only if this process is interrupted.
     """
-    children, payloads, statuses = [], [], []
+    results, children, payloads, statuses = [None] * len(points), [], [], []
     try:
-        for share in range(shares):
+        for share in range(1, shares):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child never returns into the caller's code
                 try:
                     try:
-                        payload = pickle.dumps(_run_and_write(spec, points[share::shares]))
+                        payload = pickle.dumps(_finish(spec, points, fitted, share, shares))
                     except BaseException as exc:  # the parent raises it
                         try:
                             payload = pickle.dumps(exc)
@@ -187,15 +188,15 @@ def _fork_shares(spec: SweepSpec, points, shares: int) -> list:
                     os._exit(1)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
+        results[0::shares] = _finish(spec, points, fitted, 0, shares)
         payloads = [pipe.read() for _pid, pipe in children]
     finally:
         for pid, pipe in children:
-            pipe.close()
-            if not payloads:
+            pipe.close()  # a child still writing its payload then exits on EPIPE
+            if not payloads and not isinstance(sys.exc_info()[1], Exception):  # interrupted
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    results = [None] * len(points)
-    for share, (payload, status) in enumerate(zip(payloads, statuses)):
+    for share, (payload, status) in enumerate(zip(payloads, statuses), start=1):
         outcome = pickle.loads(payload) if payload else RuntimeError(  # bytes our child wrote
             f"sweep share {share} reported nothing; exit status {status}")
         if isinstance(outcome, BaseException):
@@ -218,12 +219,11 @@ def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
         os.remove(table)  # a sweep.csv found after a run is that run's
     shares = max(1, min(parallel, len(points)))
     try:
-        results = (_fork_shares(spec, points, shares) if shares > 1
-                   else _run_and_write(spec, points))
+        results = _finish_shares(spec, points, _fit(spec, points), shares)
     except DataError:  # only writing raises a ConfigError once SweepSpec has checked the spec
         for point in points:
             try:
-                _run(spec, [point])
+                _fit(spec, [point], spec.resamples)
             except DataError as exc:
                 alpha = point.config.alpha
                 raise type(exc)(f"sweep point alpha={alpha:g} ({point.source}): {exc}") from exc

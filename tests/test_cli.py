@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+import textwrap
 import time
 import typing
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -32,7 +33,12 @@ from bellmix.counting import (
     visibility_scan,
     write_counts_csv,
 )
-from bellmix.linalg import DensityMatrix, matrix_from_json_dict, matrix_to_json_dict
+from bellmix.linalg import (
+    DensityMatrix,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+    read_state_json,
+)
 from bellmix.optics import (
     CALIBRATION_IDLER,
     analyzer_ports,
@@ -532,14 +538,14 @@ def test_a_spec_builds_its_frozen_points_once(tmp_path, monkeypatch):
 def test_a_batch_error_that_no_point_raises_alone_is_raised_unchanged(tmp_path, monkeypatch):
     # The rerun looks for the first point that fails alone; finding none, it raises the
     # batch's own error, with no point named.
-    error, real_run = DataParse("the batch failed"), sweep._run
+    error, real_fit = DataParse("the batch failed"), sweep._fit
 
-    def run(spec, points):
+    def fit(spec, points, *resamples):
         if len(points) > 1:
             raise error
-        return real_run(spec, points)
+        return real_fit(spec, points, *resamples)
 
-    monkeypatch.setattr(sweep, "_run", run)
+    monkeypatch.setattr(sweep, "_fit", fit)
     spec = SweepSpec(alphas=(0.0, 1.0), resamples=0, outputs=str(tmp_path / "out"),
                      acquisition=AcquisitionConfig(pairs_per_setting=1e3))
     with pytest.raises(DataParse) as raised:
@@ -595,17 +601,17 @@ def _raise(exc):
     (lambda: _raise(RuntimeError("share blew up")), r"^share blew up$"),
     # An exception holding a lock cannot be pickled, so its repr comes back instead.
     (lambda: _raise(ValueError(threading.Lock())), r"^ValueError\(<unlocked"),
-    (lambda: os._exit(3), r"^sweep share 0 reported nothing; exit status 3$"),
+    (lambda: os._exit(3), r"^sweep share 1 reported nothing; exit status 3$"),
 ], ids=["raises", "raises-unpicklable", "exits"])
 def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, misbehave, message):
-    parent, real_run = os.getpid(), sweep._run
+    parent, real_finish = os.getpid(), sweep._finish
 
-    def run(spec, points):
+    def finish(*args):
         if os.getpid() != parent:
             misbehave()
-        return real_run(spec, points)
+        return real_finish(*args)
 
-    monkeypatch.setattr(sweep, "_run", run)
+    monkeypatch.setattr(sweep, "_finish", finish)
     spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
     with pytest.raises(RuntimeError, match=message):
         run_sweep(spec, parallel=2)
@@ -625,17 +631,17 @@ def test_a_pooled_sweep_leaves_no_child(tmp_path):
 
 @pytest.mark.forks
 def test_an_interrupted_pooled_sweep_kills_its_children(tmp_path, monkeypatch):
-    parent, real_run = os.getpid(), sweep._run
+    parent, real_finish = os.getpid(), sweep._finish
 
-    def run(spec, points):
+    def finish(*args):
         if os.getpid() != parent:
             time.sleep(60)
-        return real_run(spec, points)
+        return real_finish(*args)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sweep, "_run", run)
+    monkeypatch.setattr(sweep, "_finish", finish)
     spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
@@ -648,6 +654,110 @@ def test_an_interrupted_pooled_sweep_kills_its_children(tmp_path, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
     _assert_no_child_left()
+
+
+@pytest.mark.forks
+@pytest.mark.parametrize("caller, child_sleep, raised, message", [
+    # Point 0 (share 0) draws 2 counts and a resample of it none; point 1 draws 4 and its
+    # resamples all draw some, so only share 0's bootstrap fails. The rerun names its point.
+    (None, 1, DataParse, r"^sweep point alpha=0\.5 \(pump_vpr\): bootstrap resample: all counts "),
+    (lambda: _raise(KeyboardInterrupt()), 60, KeyboardInterrupt, None),
+], ids=["data-error", "interrupted"])
+def test_a_failing_caller_share_lets_its_child_finish_unless_interrupted(
+        tmp_path, monkeypatch, caller, child_sleep, raised, message):
+    parent, real_finish = os.getpid(), sweep._finish
+
+    def finish(*args):
+        if os.getpid() != parent:
+            time.sleep(child_sleep)
+        elif caller:
+            caller()
+        return real_finish(*args)
+
+    monkeypatch.setattr(sweep, "_finish", finish)
+    table = tmp_path / "out" / "sweep.csv"
+    table.parent.mkdir()
+    table.write_text("an earlier run's table\n", encoding="utf-8")
+    spec = SweepSpec(alphas=(0.5, 1.0), resamples=5, outputs=str(tmp_path / "out"),
+                     acquisition=AcquisitionConfig(pairs_per_setting=0.2, seed=10))
+    start = time.monotonic()
+    with pytest.raises(raised, match=message):
+        run_sweep(spec, parallel=2)
+    assert time.monotonic() - start < 30  # an interrupt kills the sleeping child
+    _assert_no_child_left()
+    assert not table.exists()
+    point = tmp_path / "out" / "alpha_1"
+    if raised is KeyboardInterrupt:
+        assert list(point.iterdir()) == []
+    else:  # an error in the caller's share leaves the child to finish its point's files whole
+        read_state_json(point / "state.json")
+        assert read_counts_csv(point / "counts.csv").sum() == 4
+        assert set(json.loads((point / "recon.json").read_text())["metric_errors"]) == {
+            "purity", "tangle", "visibility", "fidelity"}
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("the pooled sweep did not finish")
+
+
+@pytest.mark.forks
+def test_a_pooled_sweep_started_after_threaded_blas_completes(tmp_path):
+    # Matrices this large start OpenBLAS's worker threads, unless OPENBLAS_NUM_THREADS=1, in the
+    # process that then fits the grid and forks its child.
+    matrix = np.cos(np.arange(600 * 600.0)).reshape(600, 600)
+    np.linalg.eigh(matrix @ matrix.T)
+    spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "pooled"))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    try:
+        signal.alarm(60)
+        run_sweep(spec, parallel=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+    run_sweep(replace(spec, outputs=str(tmp_path / "serial")))
+    assert _tree_bytes(tmp_path / "pooled") == _tree_bytes(tmp_path / "serial")
+
+
+def test_one_share_writes_the_serial_tree_without_forking(tmp_path):
+    # Unmarked, so the fork guard fails the test if either sweep forks.
+    grid = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "grid"))
+    single = replace(grid, alphas=(0.25,), include_completely_mixed=False,
+                     outputs=str(tmp_path / "single"))
+    for spec, parallel in ((grid, 1), (single, 4)):
+        run_sweep(spec)
+        run_sweep(replace(spec, outputs=spec.outputs + "_pooled"), parallel=parallel)
+        assert _tree_bytes(spec.outputs + "_pooled") == _tree_bytes(spec.outputs)
+
+
+@pytest.mark.forks
+def test_a_share_child_inherits_the_projector_set_and_numpy_random(tmp_path):
+    # A fresh process has neither; the caller's fit builds both before it forks.
+    code = textwrap.dedent("""\
+        import os, sys
+        from bellmix import sweep
+        from bellmix.optics import standard_projector_set
+
+        def loaded():
+            print(standard_projector_set.cache_info().currsize, "numpy.random" in sys.modules,
+                  flush=True)
+
+        parent, real_finish = os.getpid(), sweep._finish
+
+        def finish(*args):
+            if os.getpid() != parent:  # before the child's share runs
+                loaded()
+            return real_finish(*args)
+
+        loaded()
+        sweep._finish = finish
+        sweep.run_sweep(sweep.SweepSpec.from_file(sys.argv[1]), parallel=2)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    spec = _sweep_spec(tmp_path, tmp_path / "out")
+    child = subprocess.run([sys.executable, "-c", code, str(spec)], env=env, capture_output=True,
+                           text=True, check=True)
+    assert child.stdout == "0 False\n1 True\n"
 
 
 # The sweep spec printed in README.md, but for its outputs.
@@ -1131,17 +1241,17 @@ def test_unwritable_outputs_exit_2_before_any_compute(tmp_path, capsys, parallel
 
 
 @pytest.mark.forks
-@pytest.mark.parametrize("parallel, runs", [("0", [3]), ("2", [])], ids=["serial", "pooled"])
+@pytest.mark.parametrize("parallel, runs", [("0", [3]), ("2", [3])], ids=["serial", "pooled"])
 def test_unwritable_outputs_of_a_point_exit_2_without_recomputing(tmp_path, capsys, monkeypatch,
                                                                    parallel, runs):
-    parent, real_run, sizes = os.getpid(), sweep._run, []
+    parent, real_fit, sizes = os.getpid(), sweep._fit, []
 
-    def run(spec, points):
+    def fit(spec, points, *resamples):
         if os.getpid() == parent:
             sizes.append(len(points))
-        return real_run(spec, points)
+        return real_fit(spec, points, *resamples)
 
-    monkeypatch.setattr(sweep, "_run", run)
+    monkeypatch.setattr(sweep, "_fit", fit)
     blocked = tmp_path / "out" / "alpha_1" / "recon.json"
     blocked.mkdir(parents=True)  # a directory where the point's recon.json goes
     spec = tmp_path / "spec.json"
@@ -1149,7 +1259,7 @@ def test_unwritable_outputs_of_a_point_exit_2_without_recomputing(tmp_path, caps
                       "outputs": str(tmp_path / "out"), "resamples": 3})
     assert main(["sweep", "--spec", str(spec), "--parallel", parallel]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}")
-    assert sizes == runs  # one serial run of the grid, or none in the pooled parent
+    assert sizes == runs  # the calling process fits the grid once, serial or pooled
 
 
 @pytest.mark.forks
