@@ -5,13 +5,13 @@ file, or text that is not JSON, ends in one one-line error: DataParse for data
 files, InvalidConfig for sweep specs and source configs. Every file it writes
 goes through write_text, where a path of None means stdout, and a path that
 cannot be written ends in InvalidConfig("cannot write <path>: <reason>").
-A config's JSON reader checks its keys; its constructor checks its values.
+from_json, the one config JSON reader, checks keys; a config's constructor its values.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import numbers
 import reprlib
 import sys
@@ -23,9 +23,9 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import DataParse, InvalidConfig, OutOfRange
 
 # The builtin types first, so a JSON value skips the slower abstract check.
-_WIDE = {int: (int, numbers.Integral), float: (float, int, numbers.Real), complex: numbers.Complex}
+_WIDE = {int: (int, numbers.Integral), float: (float, int, numbers.Real)}
 _KINDS = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false",
-          list: "a list", dict: "an object", tuple: "a tuple", complex: "a finite number"}
+          list: "a list", dict: "an object", tuple: "a tuple"}
 _field_kinds = cache(get_type_hints)  # a config class's field kinds: its resolved annotations
 
 
@@ -80,16 +80,16 @@ def parsing(what: str, error=DataParse):
 
 
 def is_kind(value, kind) -> bool:
-    """Whether value is of kind: int any integer, float any real, complex any number; no bool.
+    """Whether value is of kind: int any integer, float any real; no bool.
 
-    A real or complex value must also be finite: not NaN, inf or an int above 1.8e308.
+    A real value must also be finite: not NaN, inf or an int above 1.8e308.
     """
     wide = _WIDE.get(kind, kind)
     if not isinstance(value, wide) or (wide is not bool and isinstance(value, bool)):
         return False
-    if kind in (float, complex):
+    if kind is float:
         try:
-            return cmath.isfinite(kind(value))
+            return math.isfinite(value)
         except OverflowError:
             return False
     return True
@@ -110,19 +110,6 @@ def by_index(rows: list, what: str) -> list:
     return [value for _, value in sorted(rows, key=lambda row: row[0])]
 
 
-def checked(data, what: str, kinds: dict) -> dict:
-    """data, if it is a JSON object whose every key is in kinds, with a value of its kind if set."""
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"{what} must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(kinds)
-    if unknown:
-        raise InvalidConfig(f"unknown {what} fields: {sorted(unknown)}")
-    for key, value in data.items():
-        if kinds[key]:
-            typed(value, kinds[key], f"{what} field {key!r}", InvalidConfig)
-    return data
-
-
 def check_fields(config) -> None:
     """OutOfRange("<field> must be <kind>, got <value>") unless each field is its annotated kind."""
     for name, kind in _field_kinds(type(config)).items():
@@ -135,9 +122,16 @@ def check_fields(config) -> None:
 
 
 def from_json(cls, data, what: str):
-    """cls from the JSON object data of its fields; a nested config's object is read alike."""
+    """cls from the JSON object data of its fields; a nested config's object is read alike.
+
+    Every key must name a field, else InvalidConfig; an absent field keeps its default.
+    """
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{what} must be a JSON object, got {type(data).__name__}")
     kinds = _field_kinds(cls)
-    checked(data, what, dict.fromkeys(kinds))
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise InvalidConfig(f"unknown {what} fields: {sorted(unknown)}")
     with parsing(what, InvalidConfig):  # a required field absent
         return cls(**{key: from_json(kinds[key], value, key) if is_dataclass(kinds[key])
                       else tuple(value) if isinstance(value, list) else value  # JSON has no tuple

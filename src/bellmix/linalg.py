@@ -166,10 +166,10 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     }
 
 
-def _is_square(value, dim: int) -> bool:
-    """Whether a JSON value is a dim x dim nested list of finite numbers."""
-    return is_kind(value, list) and len(value) == dim and all(
-        is_kind(row, list) and len(row) == dim and all(is_kind(x, float) for x in row)
+def _is_4x4(value) -> bool:
+    """Whether a JSON value is a 4 x 4 nested list of finite numbers."""
+    return is_kind(value, list) and len(value) == 4 and all(
+        is_kind(row, list) and len(row) == 4 and all(is_kind(x, float) for x in row)
         for row in value
     )
 
@@ -177,9 +177,8 @@ def _is_square(value, dim: int) -> bool:
 def matrix_from_json_dict(data: dict) -> np.ndarray:
     with parsing("matrix JSON"):
         dim, re, im = data["dim"], data["re"], data["im"]
-        if not (is_kind(dim, int) and dim in (2, 4) and _is_square(re, dim)
-                and _is_square(im, dim)):
-            raise DataParse("matrix JSON needs dim 2 or 4 and dim x dim lists of finite numbers "
+        if not (is_kind(dim, int) and dim == 4 and _is_4x4(re) and _is_4x4(im)):
+            raise DataParse("matrix JSON needs dim 4 and 4 x 4 lists of finite numbers "
                             f"re and im, got dim={dim!r}")
         m = np.array(re, dtype=complex)
         m.imag = im  # re + 1j * im would turn a -0.0 into +0.0

@@ -182,7 +182,6 @@ def projector_set_from_json_dict(data: dict) -> ProjectorSet:
         for entry in data["settings"]:
             group = [matrix_from_json_dict(entry["projectors"][label]) for label in OUTCOME_LABELS]
             rows.append((typed(entry["index"], int, "projector-set JSON 'index'"), group))
-        # np.array raises ValueError when 2x2 and 4x4 matrices are mixed.
         return ProjectorSet(np.array(by_index(rows, "projector-set JSON")))
 
 

@@ -1,11 +1,13 @@
 """State factory for the duty-cycled two-photon source.
 
 The source emits beta|HH> - e^{i phi} gamma|VV> while the pump rotator sits at
-low voltage and the sign-flipped state at high voltage. Averaging over the
-square waveform mixes the two with weights set by the duty cycle alpha
-(alpha = 0: pure low-voltage state, alpha = 1: pure high-voltage state). A
-second rotator in the signal arm swaps H and V on that photon for a fraction
-signal_dc of the time, which turns Phi-type states into Psi-type states.
+low voltage and the sign-flipped state at high voltage. The amplitudes beta and
+gamma are real: complex ones would change the state only through |beta|,
+|gamma| and arg gamma - arg beta, which phi carries. Averaging over the square
+waveform mixes the two with weights set by the duty cycle alpha (alpha = 0:
+pure low-voltage state, alpha = 1: pure high-voltage state). A second rotator
+in the signal arm swaps H and V on that photon for a fraction signal_dc of the
+time, which turns Phi-type states into Psi-type states.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, OutOfRange
-from .fileio import check_fields, checked, is_kind, parsing, read_json
+from .fileio import check_fields, from_json, is_kind, read_json
 from .linalg import DensityMatrix, hermitize
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -54,8 +56,8 @@ class SourceConfig:
 
     alpha: float = 0.0
     phi: float = 0.0
-    beta: complex = _INV_SQRT2
-    gamma: complex = _INV_SQRT2
+    beta: float = _INV_SQRT2
+    gamma: float = _INV_SQRT2
     signal_dc: float = 0.0
     noise: NoiseParams = field(default_factory=NoiseParams)
 
@@ -65,8 +67,8 @@ class SourceConfig:
             raise OutOfRange(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not 0.0 <= self.signal_dc <= 1.0:
             raise OutOfRange(f"signal_dc must lie in [0, 1], got {self.signal_dc!r}")
-        try:
-            total = float(abs(self.beta) ** 2 + abs(self.gamma) ** 2)
+        try:  # in Python floats, which raise on overflow where numpy's would warn
+            total = float(self.beta) ** 2 + float(self.gamma) ** 2
         except OverflowError:  # an amplitude too large to square
             total = math.inf
         if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
@@ -74,18 +76,8 @@ class SourceConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
-        """A config from its JSON fields, all numbers; an absent field keeps cls()'s value."""
-        d = cls()  # the JSON splits the pump amplitudes into *_re/*_im and flattens the noise
-        defaults = {"alpha": d.alpha, "phi": d.phi, "beta_re": d.beta.real, "beta_im": d.beta.imag,
-                    "gamma_re": d.gamma.real, "gamma_im": d.gamma.imag, "signal_dc": d.signal_dc,
-                    "dephasing": d.noise.dephasing, "depolarizing": d.noise.depolarizing}
-        checked(data, "config", dict.fromkeys(defaults, float))
-        with parsing("config", InvalidConfig):
-            num = {key: float(value) for key, value in {**defaults, **data}.items()}
-            return cls(alpha=num["alpha"], phi=num["phi"], signal_dc=num["signal_dc"],
-                       beta=complex(num["beta_re"], num["beta_im"]),
-                       gamma=complex(num["gamma_re"], num["gamma_im"]),
-                       noise=NoiseParams(num["dephasing"], num["depolarizing"]))
+        """A config from its JSON fields, its noise an object as in a sweep spec; all optional."""
+        return from_json(cls, data, "config")
 
     @classmethod
     def from_file(cls, path) -> "SourceConfig":
@@ -100,7 +92,7 @@ def bell_state(kind: str) -> DensityMatrix:
     return DensityMatrix(np.outer(ket, ket.conj()))
 
 
-def _pump_amplitudes(phi: float, beta: complex, gamma: complex, flip: bool) -> np.ndarray:
+def _pump_amplitudes(phi: float, beta: float, gamma: float, flip: bool) -> np.ndarray:
     # exp(1j*0.0) is exactly 1, so the default phase introduces no rounding.
     vv = (1.0 if flip else -1.0) * np.exp(1j * phi) * gamma
     amps = np.array([beta, 0.0, 0.0, vv], dtype=complex)

@@ -81,7 +81,8 @@ class SweepSpec:
         check_resamples(self.resamples)
         if not self.outputs:
             raise InvalidConfig("sweep outputs must name a directory, got ''")
-        if self.acquisition.pairs_per_setting + self.acquisition.accidental_rate > _POISSON_MAX:
+        acq = self.acquisition  # summed in Python floats, which do not warn on overflow
+        if float(acq.pairs_per_setting) + float(acq.accidental_rate) > _POISSON_MAX:
             raise OutOfRange("pairs_per_setting + accidental_rate must be at most "
                              f"{_POISSON_MAX!r}, the largest Poisson mean numpy draws")
         # alpha_{alpha:g} keeps 6 significant digits, so 0.1 and 0.1000001 share alpha_0.1.

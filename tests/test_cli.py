@@ -1,10 +1,10 @@
-import cmath
 import copy
 import csv
 import gc
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -1004,7 +1004,7 @@ _WRONG_KINDS = [
     (SweepSpec, "outputs", 5, {}),
     (SweepSpec, "include_completely_mixed", "no", {}),  # truthy, yet not True
     (SweepSpec, "resamples", "3", {}),
-    # NaN or an infinity where a number goes: a float or complex kind is a finite number.
+    # NaN or an infinity where a number goes: a float kind is a finite number.
     (AcquisitionConfig, "pairs_per_setting", float("inf"), {}),
     (AcquisitionConfig, "accidental_rate", float("nan"), {}),
     (NoiseParams, "dephasing", float("nan"), {}),
@@ -1013,6 +1013,9 @@ _WRONG_KINDS = [
     (SourceConfig, "phi", float("-inf"), {}),
     (SourceConfig, "beta", complex(float("inf"), 0.0), {}),
     (SourceConfig, "gamma", complex(0.0, float("nan")), {}),
+    # A complex amplitude, however large: the pump amplitudes are real.
+    (SourceConfig, "beta", complex(1e308, 1e308), {}),
+    (SourceConfig, "gamma", 0.8j, {"beta": 0.6}),
     (SourceConfig, "signal_dc", float("inf"), {}),
     (SweepSpec, "alphas", (0.5, float("nan")), {}),
 ]
@@ -1026,8 +1029,9 @@ def test_config_fields_of_the_wrong_kind_are_out_of_range(tmp_path, cls, field, 
         others = {"alphas": (0.5,), "acquisition": AcquisitionConfig(1e3, seed=3), "resamples": 0,
                   "outputs": str(tmp_path / "out")}
     entries = value if isinstance(value, tuple) else (value,)
-    non_finite = any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in entries)
-    kind = " a finite number, got " if non_finite else ""
+    number = any(isinstance(x, complex) or isinstance(x, float) and not math.isfinite(x)
+                 for x in entries)  # a number, yet not a finite real one
+    kind = " a finite number, got " if number else ""
     with pytest.raises(OutOfRange, match=rf"^(each of )?{field} must be{kind}"):
         config = cls(**{**others, field: value})
         if cls is SweepSpec:
@@ -1058,12 +1062,12 @@ def test_ints_no_float_holds_are_out_of_range(call, name):
 
 
 def test_every_config_field_has_its_kind_checked():
-    # A float, complex, bool or str field, or a tuple of one, is checked by its annotation;
+    # A float, bool or str field, or a tuple of one, is checked by its annotation;
     # an int field by its own range check; a nested config as an instance of its class.
     for cls in _CONFIGS:
         for name, kind in typing.get_type_hints(cls).items():
             entry = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
-            checked = entry in (float, complex, bool, str) or kind in _CONFIGS
+            checked = entry in (float, bool, str) or kind in _CONFIGS
             assert checked or (kind, name) in ((int, "seed"), (int, "resamples")), (cls, name)
     cases = {(cls, field) for cls, field, _, _ in _WRONG_KINDS}
     assert cases == {(cls, f.name) for cls in _CONFIGS for f in fields(cls)}
@@ -1093,6 +1097,7 @@ def test_every_config_field_has_its_kind_checked():
         {"alphas": [0.1, 0.1000001]},
         {"alphas": [0.3, 0.3]},
         {"acquisition": {"pairs_per_setting": 1e20}},  # a Poisson mean numpy cannot draw
+        {"acquisition": {"pairs_per_setting": 1.7e308, "accidental_rate": 1.7e308}},  # sum: inf
         {"outputs": ""},  # would write into the current directory
     ],
 )
@@ -1108,6 +1113,14 @@ def test_sweep_spec_escapes_exit_2(tmp_path, capsys, monkeypatch, changes):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
     assert os.listdir(tmp_path) == ["spec.json"]
+
+
+def test_numpy_rates_summing_past_the_poisson_limit_are_out_of_range():
+    # JSON gives Python floats, whose sum is inf; numpy's sum would only warn on overflow.
+    acquisition = AcquisitionConfig(pairs_per_setting=np.float64(1.7e308),
+                                    accidental_rate=np.float64(1.7e308))
+    with pytest.raises(OutOfRange, match=r"^pairs_per_setting \+ accidental_rate must be at most"):
+        SweepSpec(alphas=(0.5,), acquisition=acquisition)
 
 
 def test_sweep_empty_out_exits_2(tmp_path, capsys, monkeypatch):
@@ -1319,8 +1332,8 @@ _VALID = {
     "spec": {"alphas": [0.5], "acquisition": {"pairs_per_setting": 1e3, "accidental_rate": 0.0,
                                               "seed": 1},
              "noise": {"dephasing": 0.0, "depolarizing": 0.0}, "resamples": 0},
-    "config": {"alpha": 0.25, "phi": 0.0, "beta_re": 0.6, "beta_im": 0.0, "gamma_re": 0.8,
-               "gamma_im": 0.0, "signal_dc": 0.0, "dephasing": 0.0, "depolarizing": 0.0},
+    "config": {"alpha": 0.25, "phi": 0.0, "beta": 0.6, "gamma": 0.8, "signal_dc": 0.0,
+               "noise": {"dephasing": 0.0, "depolarizing": 0.0}},
 }
 
 
@@ -1412,7 +1425,7 @@ _EXAMPLES = [
     ("counts_csv", _counts_csv(range(9)).replace("3,RR,250\n", "").encode(), 3),
     ("state", _overflowing_state(), 3),
     ("state", b"[" * 100000, 3),  # nested past the recursion limit
-    ("config", b'{"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308}', 2),  # |beta|^2 overflows
+    ("config", b'{"alpha": 0.2, "beta": 1e308, "gamma": 1e308}', 2),  # |beta|^2 overflows
 ]
 
 # (kind, content, exit code, its error line with the file as {file}) of failures each of the
@@ -1423,14 +1436,20 @@ _ERROR_LINES = [
      "all counts are zero; nothing to reconstruct"),
     ("projectors", json.dumps({"settings": _VALID["projectors"]["settings"][:8]}).encode(), 3,
      "counts of shape (9, 4) do not match the projector set's (8, 4)"),
-    ("projectors", _projector_file(np.full((9, 4, 2, 2), np.eye(2) / 2.0)), 3,
-     "projector array has shape (9, 4, 2, 2)"),
+    # A matrix file is 4x4, whatever reads it.
+    *((kind, document, 3, "matrix JSON needs dim 4 and 4 x 4 lists of finite numbers re and im, "
+                          "got dim=2")
+      for kind, document in (("projectors", _projector_file(np.full((9, 4, 2, 2), np.eye(2) / 2.0))),
+                             ("state", json.dumps(matrix_to_json_dict(np.eye(2) / 2.0)).encode()))),
     # Nine copies of HV/HV (standard setting 0), and HV/HV alternated with DA/DA (setting 4).
     *(("projectors", _projector_file(standard_projector_set().projectors[settings]), 3,
        f"projector set spans {rank} of 16 dimensions; no state is identifiable")
       for settings, rank in (([0] * 9, 4), ([0, 4] * 4 + [0], 7))),
-    ("config", b'{"beta_re": 0.9, "gamma_re": 0.9}', 2,
+    ("config", b'{"beta": 0.9, "gamma": 0.9}', 2,
      "|beta|^2 + |gamma|^2 = 1.62, not 1 within 1e-12"),
+    # A config of the flat format, complex amplitudes as *_re/*_im and the noise beside them.
+    ("config", b'{"alpha": 0.25, "beta_re": 0.6, "beta_im": 0.0, "gamma_re": 0.8, "dephasing": 0}',
+     2, "unknown config fields: ['beta_im', 'beta_re', 'dephasing', 'gamma_re']"),
     ("config", b"{not json", 2, "config {file} is not valid JSON: Expecting property name "
                                 "enclosed in double quotes: line 1 column 2 (char 1)"),
     ("spec", b"{not json", 2, "sweep spec {file} is not valid JSON: Expecting property name "

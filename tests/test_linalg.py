@@ -168,7 +168,6 @@ def test_density_matrix_is_read_only():
 
 def test_matrix_json_round_trip_is_exact():
     rng = np.random.default_rng(3)
-    for dim in (2, 4):
-        m = random_hermitian(rng, dim) + 1j * 0.3 * random_hermitian(rng, dim)
-        back = matrix_from_json_dict(matrix_to_json_dict(m))
-        assert np.array_equal(back, m)
+    m = random_hermitian(rng, 4) + 1j * 0.3 * random_hermitian(rng, 4)
+    back = matrix_from_json_dict(matrix_to_json_dict(m))
+    assert np.array_equal(back, m)

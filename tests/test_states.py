@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,8 @@ def test_generate_dephasing_sets_visibility():
 def test_generate_rank_two_without_signal_rotation():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        beta = rng.normal() + 1j * rng.normal()
-        gamma = rng.normal() + 1j * rng.normal()
-        norm = np.sqrt(abs(beta) ** 2 + abs(gamma) ** 2)
+        beta, gamma = rng.normal(size=2)
+        norm = math.hypot(beta, gamma)
         config = SourceConfig(
             alpha=float(rng.uniform()),
             phi=float(rng.uniform(0, 2 * np.pi)),
@@ -128,9 +128,8 @@ def test_generate_rank_two_without_signal_rotation():
 def test_generate_always_physical():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        beta = rng.normal() + 1j * rng.normal()
-        gamma = rng.normal() + 1j * rng.normal()
-        norm = np.sqrt(abs(beta) ** 2 + abs(gamma) ** 2)
+        beta, gamma = rng.normal(size=2)
+        norm = math.hypot(beta, gamma)
         config = SourceConfig(
             alpha=float(rng.uniform()),
             phi=float(rng.uniform(0, 2 * np.pi)),
@@ -163,7 +162,7 @@ def test_source_config_range_checks():
         SourceConfig(signal_dc=-0.2)
     with pytest.raises(OutOfRange, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = 2"):
         SourceConfig(beta=1.0, gamma=1.0)
-    for beta in (1e200, complex(1e308, 1e308)):  # too large to square
+    for beta in (1e200, np.float64(1e200)):  # too large to square, and numpy's would only warn
         with pytest.raises(OutOfRange, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
             SourceConfig(beta=beta, gamma=0.0)
 
@@ -174,7 +173,7 @@ def test_source_config_json_defaults_and_fields():
     assert abs(config.beta - INV_SQRT2) < 1e-15 and abs(config.gamma - INV_SQRT2) < 1e-15
 
     config = SourceConfig.from_json_dict(
-        {"alpha": 0.25, "phi": 0.1, "beta_re": 0.6, "gamma_re": 0.8, "dephasing": 0.027}
+        {"alpha": 0.25, "phi": 0.1, "beta": 0.6, "gamma": 0.8, "noise": {"dephasing": 0.027}}
     )
     assert config.alpha == 0.25 and config.noise.dephasing == 0.027
     assert config.beta == 0.6 + 0.0j and config.gamma == 0.8 + 0.0j
@@ -182,24 +181,55 @@ def test_source_config_json_defaults_and_fields():
 
 def test_source_config_json_defaults_come_from_the_dataclass():
     assert SourceConfig.from_json_dict({}) == SourceConfig()
-    partial = SourceConfig.from_json_dict({"alpha": 0.25, "gamma_im": 0.0, "depolarizing": 0.1})
+    partial = SourceConfig.from_json_dict({"alpha": 0.25, "noise": {"depolarizing": 0.1}})
     assert partial == SourceConfig(alpha=0.25, noise=NoiseParams(depolarizing=0.1))
 
     @dataclass(frozen=True)
     class Shifted(SourceConfig):
         alpha: float = 0.3
-        beta: complex = 0.6
-        gamma: complex = 0.8j
+        beta: float = 0.6
+        gamma: float = 0.8
 
     assert Shifted.from_json_dict({"phi": 0.5}) == Shifted(phi=0.5)
 
 
 def test_source_config_json_rejects_bad_fields():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(OutOfRange, match="^alpha must be a finite number, got 'big'$"):
         SourceConfig.from_json_dict({"alpha": "big"})
     with pytest.raises(InvalidConfig):
         SourceConfig.from_json_dict({"alfa": 0.2})
+    with pytest.raises(InvalidConfig, match=r"^unknown noise fields: \['dephase'\]$"):
+        SourceConfig.from_json_dict({"noise": {"dephase": 0.1}})
+    with pytest.raises(InvalidConfig, match="^noise must be a JSON object, got float$"):
+        SourceConfig.from_json_dict({"noise": 0.1})
     with pytest.raises(OutOfRange, match=r"alpha must lie in \[0, 1\], got 1.5"):
         SourceConfig.from_json_dict({"alpha": 1.5})
     with pytest.raises(OutOfRange, match=r"\|beta\|\^2 \+ \|gamma\|\^2 = inf"):
-        SourceConfig.from_json_dict({"alpha": 0.2, "beta_re": 1e308, "gamma_re": 1e308})
+        SourceConfig.from_json_dict({"alpha": 0.2, "beta": 1e308, "gamma": 1e308})
+
+
+def test_real_amplitudes_lose_no_state():
+    # The state complex amplitudes made is the one their moduli make with phi + arg gamma - arg
+    # beta: rho is built by hand from the complex ket, as the source model did with one.
+    signal_flip = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    signal_z = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        beta, gamma = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = math.hypot(abs(beta), abs(gamma))
+        beta, gamma = beta / norm, gamma / norm
+        phi = rng.uniform(-2 * np.pi, 2 * np.pi)
+        alpha, dc, d, p = rng.uniform(size=4)
+        rho = np.zeros((4, 4), dtype=complex)
+        branches = (((1 - alpha) * (1 - dc), -1.0, False), (alpha * (1 - dc), 1.0, False),
+                    ((1 - alpha) * dc, -1.0, True), (alpha * dc, 1.0, True))
+        for weight, sign, flip in branches:  # pump low or high, signal rotator off or on
+            ket = np.array([beta, 0.0, 0.0, sign * np.exp(1j * phi) * gamma])
+            ket = signal_flip @ ket if flip else ket
+            rho += weight * np.outer(ket, ket.conj())
+        rho = (1 - d / 2) * rho + d / 2 * (signal_z @ rho @ signal_z)
+        rho = (1 - p) * rho + p * np.eye(4) / 4
+        config = SourceConfig(alpha=alpha, phi=phi + np.angle(gamma) - np.angle(beta),
+                              beta=abs(beta), gamma=abs(gamma), signal_dc=dc,
+                              noise=NoiseParams(d, p))
+        assert np.abs(generate(config).matrix - rho).max() <= 1e-14
