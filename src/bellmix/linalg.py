@@ -156,11 +156,12 @@ def nearest_physical(m: np.ndarray) -> DensityMatrix:
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:
-    """{"dim": n, "re": [[...]], "im": [[...]]}, row-major."""
+    """{"dim": 4, "re": [[...]], "im": [[...]]}, row-major; InvalidState unless m is 4x4."""
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
+    if m.shape != (4, 4):
+        raise InvalidState(f"matrix JSON needs a 4x4 matrix, got shape {m.shape}")
     return {
-        "dim": int(n),
+        "dim": 4,
         "re": [[float(x) for x in row] for row in m.real],
         "im": [[float(x) for x in row] for row in m.imag],
     }

@@ -7,9 +7,11 @@ bootstrap error bars, and the closed-form theory columns.
 The spec builds its points once. The calling process generates them, draws
 their counts in one pass and fits them as one batch. Only bootstrapping and
 writing split, into N interleaved shares (point i goes to share i % N): the
-caller finishes share 0 and a forked child each other one. Every point derives
-its seed from (master seed, point index) and every sample of a batch comes out
-as it would alone, so batching and workers change no byte.
+caller finishes share 0 and a forked child each other one. A child reports by
+its exit status; the caller reads its points back from their recon.json files
+and finishes a failed share again itself. Every point derives its seed from
+(master seed, point index) and every sample of a batch comes out as it would
+alone, so batching, workers and a share finished twice change no byte.
 
 A sweep that fails on a data error is rerun one point at a time, computing
 only, to name the first point in grid order that fails: a batch fails exactly
@@ -23,11 +25,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import signal
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .counting import (
 )
 from .errors import DataError, InvalidConfig, OutOfRange
 from .fileio import check_fields, from_json, is_kind, read_json, write_text, writing
-from .linalg import write_state_json
+from .linalg import DensityMatrix, write_state_json
 from .metrics import family_purity, family_tangle, family_visibility
 from .optics import standard_projector_set
 from .states import NoiseParams, SourceConfig, completely_mixed, generate, mix_duty_cycle
@@ -50,6 +51,7 @@ from .tomography import (
     _bootstrap_batch,
     _reconstruct_batch,
     check_resamples,
+    read_result_json,
     write_result_json,
 )
 
@@ -96,7 +98,7 @@ class SweepSpec:
         """A SweepPoint for every point, in point order (duty cycles, then two_vpr), built once."""
         points = [
             SweepPoint(index, "pump_vpr", f"alpha_{alpha:g}",
-                       SourceConfig(alpha=alpha, noise=self.noise), partial(mix_duty_cycle, alpha),
+                       SourceConfig(alpha=alpha, noise=self.noise), mix_duty_cycle(alpha),
                        f"duty-cycle mixture alpha={alpha:g}",
                        tuple(family(alpha, self.noise.dephasing, self.noise.depolarizing)
                              for family in (family_visibility, family_tangle, family_purity)))
@@ -105,7 +107,7 @@ class SweepSpec:
         if self.include_completely_mixed:  # I/4 at any noise
             points.append(SweepPoint(len(points), "two_vpr", "completely_mixed",
                                      SourceConfig(alpha=0.5, signal_dc=0.5, noise=self.noise),
-                                     partial(completely_mixed), "identity/4", (0.0, 0.0, 0.25)))
+                                     completely_mixed(), "identity/4", (0.0, 0.0, 0.25)))
         return tuple(points)
 
     @classmethod
@@ -125,7 +127,7 @@ class SweepPoint:
     source: str
     directory: str
     config: SourceConfig  # its alpha is the point's duty cycle
-    make_target: partial  # called by run_sweep: building a SweepSpec never calls LAPACK
+    target: DensityMatrix
     description: str  # of the target
     theory: tuple  # closed-form (visibility, tangle, purity) of config's state
     result: ReconstructionResult | None = None
@@ -142,7 +144,7 @@ def _fit(spec: SweepSpec, points, resamples: int = 0) -> tuple:
     keys = [(_SWEEP_STREAM, point.index) for point in points]  # derive_seed(master, *key) each
     seeds = _philox_keys([spec.acquisition.seed], keys)[0, :, 0]
     tables = _simulate(np.stack([state.matrix for state in states]), pset, spec.acquisition, seeds)
-    results = _reconstruct_batch(list(tables), pset, [point.make_target() for point in points],
+    results = _reconstruct_batch(list(tables), pset, [point.target for point in points],
                                  [point.description for point in points])
     if resamples:
         _bootstrap_batch(results, pset, spec.acquisition, seeds, resamples)
@@ -165,44 +167,36 @@ def _finish(spec: SweepSpec, points, fitted: tuple, share: int, shares: int) -> 
 def _finish_shares(spec: SweepSpec, points, fitted: tuple, shares: int) -> list:
     """_finish share 0 here and every other share in a forked child; return results in order.
 
-    A child pickles its results, or its exception, to a pipe. Every child is
-    reaped, and killed first only if this process is interrupted.
+    A failed share is finished again here, raising its child's error. Every
+    child is reaped, and killed first only if this process is interrupted.
     """
-    results, children, payloads, statuses = [None] * len(points), [], [], []
+    results, children, statuses = [None] * len(points), [], []
     try:
         for share in range(1, shares):
-            read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child never returns into the caller's code
                 try:
-                    try:
-                        payload = pickle.dumps(_finish(spec, points, fitted, share, shares))
-                    except BaseException as exc:  # the parent raises it
-                        try:
-                            payload = pickle.dumps(exc)
-                        except Exception:  # noqa: BLE001 - an exception that cannot be pickled
-                            payload = pickle.dumps(RuntimeError(repr(exc)))
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(payload)
+                    _finish(spec, points, fitted, share, shares)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
+            children.append(pid)
         results[0::shares] = _finish(spec, points, fitted, 0, shares)
-        payloads = [pipe.read() for _pid, pipe in children]
-    finally:
-        for pid, pipe in children:
-            pipe.close()  # a child still writing its payload then exits on EPIPE
-            if not payloads and not isinstance(sys.exc_info()[1], Exception):  # interrupted
-                os.kill(pid, signal.SIGKILL)
+        for pid in children:
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for share, (payload, status) in enumerate(zip(payloads, statuses), start=1):
-        outcome = pickle.loads(payload) if payload else RuntimeError(  # bytes our child wrote
-            f"sweep share {share} reported nothing; exit status {status}")
-        if isinstance(outcome, BaseException):
-            raise outcome
-        results[share::shares] = outcome
+    finally:
+        for pid in children[len(statuses):]:  # not reaped yet
+            if not isinstance(sys.exc_info()[1], Exception):  # interrupted
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for share, status in enumerate(statuses, start=1):
+        if status:
+            _finish(spec, points, fitted, share, shares)
+            raise RuntimeError(f"sweep share {share} failed in its child alone; "
+                               f"exit status {status}")
+        for index in range(share, len(points), shares):
+            recon = os.path.join(spec.outputs, points[index].directory, "recon.json")
+            results[index] = read_result_json(recon)
     return results
 
 

@@ -16,7 +16,6 @@ import textwrap
 import time
 import typing
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from bellmix.optics import (
     standard_projector_set,
 )
 from bellmix.states import NoiseParams, SourceConfig, bell_state, generate, mix_duty_cycle
-from bellmix.errors import DataParse, OutOfRange
+from bellmix.errors import DataParse, InvalidConfig, OutOfRange
 import bellmix.errors
 from bellmix import sweep
 from bellmix.sweep import SweepSpec, run_sweep
@@ -466,7 +465,7 @@ def test_reconstruct_takes_a_cap_above_int64(tmp_path):
 def _same(a, b):
     """a and b hold the same values.
 
-    Arrays match bit for bit and in their write flag, dataclasses and partials field by field.
+    Arrays match bit for bit and in their write flag, dataclasses field by field.
     """
     if isinstance(a, np.ndarray):
         return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -474,8 +473,6 @@ def _same(a, b):
     if is_dataclass(a):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    if isinstance(a, partial):
-        return a.func is b.func and _same(a.args, b.args) and _same(a.keywords, b.keywords)
     if isinstance(a, (list, tuple)):
         return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, dict):
@@ -598,10 +595,12 @@ def _raise(exc):
 
 @pytest.mark.forks
 @pytest.mark.parametrize("misbehave, message", [
-    (lambda: _raise(RuntimeError("share blew up")), r"^share blew up$"),
-    # An exception holding a lock cannot be pickled, so its repr comes back instead.
-    (lambda: _raise(ValueError(threading.Lock())), r"^ValueError\(<unlocked"),
-    (lambda: os._exit(3), r"^sweep share 1 reported nothing; exit status 3$"),
+    # Only the child misbehaves, so the calling process finishes the share again without error.
+    (lambda: _raise(RuntimeError("share blew up")),
+     r"^sweep share 1 failed in its child alone; exit status 1$"),
+    (lambda: _raise(ValueError(threading.Lock())),  # an exception that cannot be pickled
+     r"^sweep share 1 failed in its child alone; exit status 1$"),
+    (lambda: os._exit(3), r"^sweep share 1 failed in its child alone; exit status 3$"),
 ], ids=["raises", "raises-unpicklable", "exits"])
 def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, misbehave, message):
     parent, real_finish = os.getpid(), sweep._finish
@@ -617,6 +616,44 @@ def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, mis
         run_sweep(spec, parallel=2)
     _assert_no_child_left()
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.forks
+def test_a_child_share_failing_its_bootstrap_names_the_serial_point(tmp_path, capsys):
+    # Point 0 (share 0) and its resamples all draw counts; point 1 draws some and a resample of
+    # it none, so only the child's share fails. The calling process finishes that share again.
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.5, 1.0], "resamples": 5, "outputs": str(tmp_path / "out"),
+                      "acquisition": {"pairs_per_setting": 0.2, "seed": 1}})
+    message = "sweep point alpha=1 (pump_vpr): bootstrap resample: all counts are zero"
+    for parallel in ("0", "2"):
+        assert main(["sweep", "--spec", str(spec), "--parallel", parallel]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        _assert_no_child_left()
+    with pytest.raises(DataParse, match=f"^{re.escape(message)}"):
+        run_sweep(SweepSpec.from_file(spec), parallel=2)
+    _assert_no_child_left()
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.forks
+def test_an_unwritable_point_file_in_a_child_share_fails_as_a_serial_run(tmp_path, capsys):
+    blocked = tmp_path / "out" / "alpha_0.5" / "recon.json"  # point 1, in share 1 of 2
+    blocked.mkdir(parents=True)
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"alphas": [0.0, 0.5, 1.0], "acquisition": {"pairs_per_setting": 1e3},
+                      "outputs": str(tmp_path / "out"), "resamples": 3})
+    errors = []
+    for parallel in ("0", "2"):
+        assert main(["sweep", "--spec", str(spec), "--parallel", parallel]) == 2
+        errors.append(capsys.readouterr().err)
+        _assert_no_child_left()
+    assert errors[0] == errors[1] and errors[0].startswith(f"error: cannot write {blocked}")
+    assert errors[0].count("\n") == 1
+    with pytest.raises(InvalidConfig, match=f"^cannot write {re.escape(str(blocked))}:") as raised:
+        run_sweep(SweepSpec.from_file(spec), parallel=2)
+    assert isinstance(raised.value.__cause__, OSError)
+    _assert_no_child_left()
 
 
 @pytest.mark.forks
@@ -1371,6 +1408,10 @@ def _overflowing_state():
     return json.dumps(matrix_to_json_dict(m)).encode()
 
 
+# I/2 as a matrix file, written out: matrix_to_json_dict writes only 4x4 matrices.
+_HALF_I2 = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
 def _projector_file(projectors):
     """The standard set's file with its projectors replaced by projectors (9, 4, 4, 4)."""
     document = copy.deepcopy(_VALID["projectors"])
@@ -1439,8 +1480,11 @@ _ERROR_LINES = [
     # A matrix file is 4x4, whatever reads it.
     *((kind, document, 3, "matrix JSON needs dim 4 and 4 x 4 lists of finite numbers re and im, "
                           "got dim=2")
-      for kind, document in (("projectors", _projector_file(np.full((9, 4, 2, 2), np.eye(2) / 2.0))),
-                             ("state", json.dumps(matrix_to_json_dict(np.eye(2) / 2.0)).encode()))),
+      for kind, document in (
+          ("projectors", json.dumps({"settings": [
+              {**entry, "projectors": dict.fromkeys(entry["projectors"], _HALF_I2)}
+              for entry in _VALID["projectors"]["settings"]]}).encode()),
+          ("state", json.dumps(_HALF_I2).encode()))),
     # Nine copies of HV/HV (standard setting 0), and HV/HV alternated with DA/DA (setting 4).
     *(("projectors", _projector_file(standard_projector_set().projectors[settings]), 3,
        f"projector set spans {rank} of 16 dimensions; no state is identifiable")

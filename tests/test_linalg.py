@@ -166,6 +166,13 @@ def test_density_matrix_is_read_only():
         rho.matrix[0, 0] = 9.0
 
 
+def test_matrix_json_holds_only_4x4_matrices():
+    # Every reader of a matrix file requires dim 4, so the writer refuses any other shape.
+    with pytest.raises(InvalidState, match=r"^matrix JSON needs a 4x4 matrix, got shape \(2, 2\)$"):
+        matrix_to_json_dict(np.eye(2) / 2)
+    assert matrix_to_json_dict(np.eye(4) / 4)["dim"] == 4
+
+
 def test_matrix_json_round_trip_is_exact():
     rng = np.random.default_rng(3)
     m = random_hermitian(rng, 4) + 1j * 0.3 * random_hermitian(rng, 4)
