@@ -23,11 +23,7 @@ from .metrics import (
     family_purity,
     family_tangle,
     family_visibility,
-    fidelity,
-    purity,
     report_for,
-    tangle,
-    visibility,
 )
 from .optics import (
     ProjectorSet,
@@ -72,7 +68,6 @@ __all__ = [
     "family_purity",
     "family_tangle",
     "family_visibility",
-    "fidelity",
     "generate",
     "hermitian_eigen",
     "log_likelihood",
@@ -80,13 +75,10 @@ __all__ = [
     "mix_duty_cycle",
     "mle_reconstruct",
     "nearest_physical",
-    "purity",
     "report_for",
     "run_sweep",
     "simulate_counts",
     "standard_projector_set",
-    "tangle",
-    "visibility",
     "visibility_scan",
     "waveplate_jones",
 ]

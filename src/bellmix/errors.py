@@ -1,8 +1,9 @@
 """Exception types shared across the package: four kinds under two exit codes.
 
 Exit 2, a ConfigError: OutOfRange (a parameter value) or InvalidConfig (a config
-file, or an output that cannot be written). Exit 3, a DataError: DataParse (a
-data file or count table) or InvalidState (a matrix, or a figure computed from it).
+file, an output that cannot be written, or a sweep share whose forked child failed
+alone). Exit 3, a DataError: DataParse (a data file or count table) or InvalidState
+(a matrix, or a figure computed from it).
 """
 
 

@@ -4,7 +4,7 @@ The tangle is the squared Wootters concurrence. Its spin-flipped eigenvalue
 problem is solved through the Hermitian similarity sqrt(rho) * rho_tilde *
 sqrt(rho), whose spectrum equals that of rho * rho_tilde, so the whole module
 stays on the Hermitian eigensolver. Every figure is computed over a
-(..., 4, 4) stack of states; a single state is a batch of one.
+(..., 4, 4) stack of states by _figures; report_for evaluates one state.
 The visibility uses the scan's calibration projectors with its own trace, since
 optics._born moves the last bit of about half the visibilities pinned in sweep.csv.
 """
@@ -44,6 +44,7 @@ def _root_spectrum(root: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _tangle(m: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Squared Wootters concurrence, C = max(0, l1 - l2 - l3 - l4)."""
     lam = _root_spectrum(root, _SPIN_FLIP @ m.conj() @ _SPIN_FLIP)
     concurrence = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     # Square by C pow, as a Python float's ** does; x * x differs in ~0.1 % of last bits.
@@ -51,6 +52,12 @@ def _tangle(m: np.ndarray, root: np.ndarray) -> np.ndarray:
 
 
 def _visibility(m: np.ndarray) -> np.ndarray:
+    """Contrast |N+ - N-| / (N+ + N-) of the +-45 degree coincidence rates.
+
+    N+- are the Born probabilities of the transmitted-transmitted outcome with
+    the signal HWP at +22.5 and -22.5 degrees. Unlike the other metrics this
+    is basis-dependent by construction.
+    """
     n_plus = np.maximum(0.0, np.trace(m @ _calibration_projector(22.5), axis1=-2, axis2=-1).real)
     n_minus = np.maximum(0.0, np.trace(m @ _calibration_projector(-22.5), axis1=-2, axis2=-1).real)
     denominator = n_plus + n_minus
@@ -64,31 +71,6 @@ def _figures(m: np.ndarray, target: np.ndarray | None = None) -> tuple:
     root = matrix_sqrt(m)
     sigma = m if target is None else target
     return _purity(m), _tangle(m, root), _visibility(m), _root_spectrum(root, sigma).sum(axis=-1)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); 1 for pure states, 1/4 for the completely mixed state."""
-    return float(_purity(rho.matrix))
-
-
-def tangle(rho: DensityMatrix) -> float:
-    """Squared Wootters concurrence, C = max(0, l1 - l2 - l3 - l4)."""
-    return float(_tangle(rho.matrix, matrix_sqrt(rho.matrix)))
-
-
-def visibility(rho: DensityMatrix) -> float:
-    """Contrast |N+ - N-| / (N+ + N-) of the +-45 degree coincidence rates.
-
-    N+- are the Born probabilities of the transmitted-transmitted outcome with
-    the signal HWP at +22.5 and -22.5 degrees. Unlike the other metrics this
-    is basis-dependent by construction.
-    """
-    return float(_visibility(rho.matrix))
-
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) = tr|sqrt(rho) sqrt(sigma)|."""
-    return float(_root_spectrum(matrix_sqrt(rho.matrix), sigma.matrix).sum())
 
 
 def family_purity(alpha: float, dephasing: float = 0.0, depolarizing: float = 0.0) -> float:
@@ -165,6 +147,9 @@ def report_for(
     target: DensityMatrix | None = None,
     target_description: str | None = None,
 ) -> MetricsReport:
-    """Evaluate all four metrics; fidelity is against target, or rho itself if none."""
+    """Evaluate all four metrics; fidelity is against target, or rho itself if none.
+
+    The fidelity is Uhlmann's, tr sqrt(sqrt(rho) target sqrt(rho)) = tr|sqrt(rho) sqrt(target)|.
+    """
     figures = _figures(rho.matrix, None if target is None else target.matrix)
     return MetricsReport(*map(float, figures), _described(target, target_description))

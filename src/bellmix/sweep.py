@@ -192,8 +192,8 @@ def _finish_shares(spec: SweepSpec, points, fitted: tuple, shares: int) -> list:
     for share, status in enumerate(statuses, start=1):
         if status:
             _finish(spec, points, fitted, share, shares)
-            raise RuntimeError(f"sweep share {share} failed in its child alone; "
-                               f"exit status {status}")
+            raise InvalidConfig(f"sweep share {share} failed in its child alone; "
+                                f"exit status {status}")
         for index in range(share, len(points), shares):
             recon = os.path.join(spec.outputs, points[index].directory, "recon.json")
             results[index] = read_result_json(recon)

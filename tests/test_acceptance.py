@@ -22,10 +22,7 @@ from bellmix.metrics import (
     family_purity,
     family_tangle,
     family_visibility,
-    fidelity,
-    purity,
-    tangle,
-    visibility,
+    report_for,
 )
 from bellmix.optics import standard_projector_set
 from bellmix.states import (
@@ -51,10 +48,10 @@ def _report(number, description, elapsed, limit):
 def test_criterion_1_closed_form_suite():
     start = time.perf_counter()
     for alpha in np.linspace(0.0, 1.0, 101):
-        rho = mix_duty_cycle(float(alpha))
-        assert abs(purity(rho) - family_purity(float(alpha))) <= 1e-10
-        assert abs(tangle(rho) - family_tangle(float(alpha))) <= 1e-10
-        assert abs(visibility(rho) - family_visibility(float(alpha))) <= 1e-10
+        report = report_for(mix_duty_cycle(float(alpha)))
+        assert abs(report.purity - family_purity(float(alpha))) <= 1e-10
+        assert abs(report.tangle - family_tangle(float(alpha))) <= 1e-10
+        assert abs(report.visibility - family_visibility(float(alpha))) <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, "purity/tangle/visibility match closed forms on 101 alphas", elapsed, 1)
@@ -65,15 +62,15 @@ def test_criterion_2_reference_fixture_suite():
     reference = reference_quarter_dc()
 
     target, tol = REFERENCE_EXPECTATIONS["purity"]
-    p = purity(reference)
+    p = report_for(reference).purity
     assert abs(p - target) <= tol
 
     target, tol = REFERENCE_EXPECTATIONS["tangle"]
-    t = tangle(reference)
+    t = report_for(reference).tangle
     assert abs(t - target) <= tol
 
     target, tol = REFERENCE_EXPECTATIONS["fidelity"]
-    f = fidelity(reference, mix_duty_cycle(0.25))
+    f = report_for(reference, target=mix_duty_cycle(0.25)).fidelity_to_target
     assert abs(f - target) <= tol
 
     elapsed = time.perf_counter() - start
@@ -85,8 +82,9 @@ def test_criterion_3_completely_mixed_pipeline():
     start = time.perf_counter()
     rho = generate(SourceConfig(alpha=0.5, signal_dc=0.5))
     assert np.abs(rho.matrix - completely_mixed().matrix).max() <= 1e-12
-    assert abs(purity(rho) - 0.25) <= 1e-10
-    assert abs(tangle(rho) - 0.0) <= 1e-10
+    report = report_for(rho)
+    assert abs(report.purity - 0.25) <= 1e-10
+    assert abs(report.tangle - 0.0) <= 1e-10
     elapsed = time.perf_counter() - start
     _report(3, "two-rotator state equals identity/4 with P=0.25, T=0", elapsed, 1)
 
@@ -111,7 +109,7 @@ def test_criterion_4_tomography_round_trip():
 def test_criterion_5_noise_matched_band():
     start = time.perf_counter()
     noise = NoiseParams(dephasing=CALIBRATED_DEPHASING)
-    calibrated = visibility(generate(SourceConfig(alpha=0.0, noise=noise)))
+    calibrated = report_for(generate(SourceConfig(alpha=0.0, noise=noise))).visibility
     assert abs(calibrated - 0.973) <= 1e-9
     worst_low, worst_high = 1.0, 0.0
     for index, alpha in enumerate(TABLE_ALPHAS):
@@ -183,13 +181,13 @@ def test_criterion_7_mle_oracle_equivalence():
     counts = _expected_counts(truth, 1e5)
     oracle = diagonal_grid_search(counts)
     result = mle_reconstruct(counts, PSET)
-    f_exact = fidelity(result.rho_hat, oracle)
+    f_exact = report_for(result.rho_hat, target=oracle).fidelity_to_target
     assert f_exact >= 1.0 - 1e-4
 
     noisy = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=123))
     oracle = diagonal_grid_search(noisy)
     result = mle_reconstruct(noisy, PSET)
-    f_noisy = fidelity(result.rho_hat, oracle)
+    f_noisy = report_for(result.rho_hat, target=oracle).fidelity_to_target
     assert f_noisy >= 1.0 - 1e-4
 
     elapsed = time.perf_counter() - start

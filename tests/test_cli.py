@@ -594,15 +594,15 @@ def _raise(exc):
 
 
 @pytest.mark.forks
-@pytest.mark.parametrize("misbehave, message", [
+@pytest.mark.parametrize("misbehave, status", [
     # Only the child misbehaves, so the calling process finishes the share again without error.
-    (lambda: _raise(RuntimeError("share blew up")),
-     r"^sweep share 1 failed in its child alone; exit status 1$"),
-    (lambda: _raise(ValueError(threading.Lock())),  # an exception that cannot be pickled
-     r"^sweep share 1 failed in its child alone; exit status 1$"),
-    (lambda: os._exit(3), r"^sweep share 1 failed in its child alone; exit status 3$"),
-], ids=["raises", "raises-unpicklable", "exits"])
-def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, misbehave, message):
+    (lambda: _raise(RuntimeError("share blew up")), 1),
+    (lambda: _raise(ValueError(threading.Lock())), 1),  # an exception that cannot be pickled
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -9),  # as the OOM killer would
+], ids=["raises", "raises-unpicklable", "exits", "killed"])
+def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, capsys, misbehave,
+                                                     status):
     parent, real_finish = os.getpid(), sweep._finish
 
     def finish(*args):
@@ -611,9 +611,12 @@ def test_a_failing_share_child_fails_the_pooled_sweep(tmp_path, monkeypatch, mis
         return real_finish(*args)
 
     monkeypatch.setattr(sweep, "_finish", finish)
-    spec = SweepSpec.from_file(_sweep_spec(tmp_path, tmp_path / "out"))
-    with pytest.raises(RuntimeError, match=message):
-        run_sweep(spec, parallel=2)
+    spec = _sweep_spec(tmp_path, tmp_path / "out")
+    message = f"sweep share 1 failed in its child alone; exit status {status}"
+    assert main(["sweep", "--spec", str(spec), "--parallel", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        run_sweep(SweepSpec.from_file(spec), parallel=2)
     _assert_no_child_left()
     assert not (tmp_path / "out" / "sweep.csv").exists()
 

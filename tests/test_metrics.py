@@ -11,11 +11,7 @@ from bellmix.metrics import (
     family_purity,
     family_tangle,
     family_visibility,
-    fidelity,
-    purity,
     report_for,
-    tangle,
-    visibility,
 )
 from bellmix.optics import standard_projector_set
 from bellmix.states import (
@@ -33,31 +29,31 @@ ALPHA_GRID = np.linspace(0.0, 1.0, 101)
 
 
 def test_purity_examples():
-    assert purity(mix_duty_cycle(0.5)) == pytest.approx(0.5, abs=1e-12)
+    assert report_for(mix_duty_cycle(0.5)).purity == pytest.approx(0.5, abs=1e-12)
     for kind in ("phi+", "phi-", "psi+", "psi-"):
-        assert purity(bell_state(kind)) == pytest.approx(1.0, abs=1e-12)
-    assert purity(completely_mixed()) == pytest.approx(0.25, abs=1e-12)
+        assert report_for(bell_state(kind)).purity == pytest.approx(1.0, abs=1e-12)
+    assert report_for(completely_mixed()).purity == pytest.approx(0.25, abs=1e-12)
 
 
 def test_purity_reference_matrix():
-    assert purity(reference_quarter_dc()) == pytest.approx(0.6295, abs=0.005)
+    assert report_for(reference_quarter_dc()).purity == pytest.approx(0.6295, abs=0.005)
 
 
 def test_tangle_examples():
     for kind in ("phi+", "phi-", "psi+", "psi-"):
-        assert tangle(bell_state(kind)) == pytest.approx(1.0, abs=1e-10)
-    assert tangle(mix_duty_cycle(0.5)) == pytest.approx(0.0, abs=1e-12)
-    assert tangle(completely_mixed()) == pytest.approx(0.0, abs=1e-12)
+        assert report_for(bell_state(kind)).tangle == pytest.approx(1.0, abs=1e-10)
+    assert report_for(mix_duty_cycle(0.5)).tangle == pytest.approx(0.0, abs=1e-12)
+    assert report_for(completely_mixed()).tangle == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tangle_reference_matrix():
-    assert tangle(reference_quarter_dc()) == pytest.approx(0.2476, abs=0.01)
+    assert report_for(reference_quarter_dc()).tangle == pytest.approx(0.2476, abs=0.01)
 
 
 def test_visibility_examples():
-    assert visibility(mix_duty_cycle(0.0)) == pytest.approx(1.0, abs=1e-12)
-    assert visibility(mix_duty_cycle(0.5)) == pytest.approx(0.0, abs=1e-12)
-    assert visibility(mix_duty_cycle(0.25)) == pytest.approx(0.5, abs=1e-12)
+    assert report_for(mix_duty_cycle(0.0)).visibility == pytest.approx(1.0, abs=1e-12)
+    assert report_for(mix_duty_cycle(0.5)).visibility == pytest.approx(0.0, abs=1e-12)
+    assert report_for(mix_duty_cycle(0.25)).visibility == pytest.approx(0.5, abs=1e-12)
 
 
 def test_visibility_degenerate_denominator():
@@ -65,28 +61,32 @@ def test_visibility_degenerate_denominator():
     # +-45 degree transmitted-transmitted rates vanish.
     ket = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0)
     with pytest.raises(InvalidState, match=r"both \+-45 degree coincidence rates vanish"):
-        visibility(DensityMatrix(np.outer(ket, ket.conj())))
+        report_for(DensityMatrix(np.outer(ket, ket.conj())))
+
+
+def _fidelity(rho, sigma) -> float:
+    return report_for(rho, target=sigma).fidelity_to_target
 
 
 def test_fidelity_examples():
     rho = mix_duty_cycle(0.3)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(bell_state("phi+"), bell_state("phi-")) == pytest.approx(0.0, abs=1e-12)
+    assert _fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+    assert _fidelity(bell_state("phi+"), bell_state("phi-")) == pytest.approx(0.0, abs=1e-12)
     pure = bell_state("psi+")
-    assert fidelity(completely_mixed(), pure) == pytest.approx(0.5, abs=1e-12)
+    assert _fidelity(completely_mixed(), pure) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fidelity_reference_matrix():
-    value = fidelity(reference_quarter_dc(), mix_duty_cycle(0.25))
+    value = _fidelity(reference_quarter_dc(), mix_duty_cycle(0.25))
     assert value == pytest.approx(0.9814, abs=0.02)
 
 
 def test_closed_form_agreement():
     for alpha in ALPHA_GRID:
-        rho = mix_duty_cycle(float(alpha))
-        assert abs(purity(rho) - family_purity(float(alpha))) <= 1e-12
-        assert abs(tangle(rho) - family_tangle(float(alpha))) <= 1e-10
-        assert abs(visibility(rho) - family_visibility(float(alpha))) <= 1e-10
+        report = report_for(mix_duty_cycle(float(alpha)))
+        assert abs(report.purity - family_purity(float(alpha))) <= 1e-12
+        assert abs(report.tangle - family_tangle(float(alpha))) <= 1e-10
+        assert abs(report.visibility - family_visibility(float(alpha))) <= 1e-10
 
 
 @pytest.mark.parametrize("dephasing", [0.0, 0.027, 0.3, 1.0])
@@ -116,15 +116,15 @@ def test_family_curves_reject_what_a_source_config_rejects(family, args, message
 
 def test_visibility_squared_equals_tangle_on_family():
     for alpha in ALPHA_GRID:
-        rho = mix_duty_cycle(float(alpha))
-        assert abs(visibility(rho) ** 2 - tangle(rho)) <= 1e-9
+        report = report_for(mix_duty_cycle(float(alpha)))
+        assert abs(report.visibility ** 2 - report.tangle) <= 1e-9
 
 
 def test_fidelity_symmetry_on_random_pairs():
     rng = np.random.default_rng(13)
     for _ in range(200):
         rho, sigma = random_density_matrix(rng), random_density_matrix(rng)
-        assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) <= 1e-9
+        assert abs(_fidelity(rho, sigma) - _fidelity(sigma, rho)) <= 1e-9
 
 
 def test_metrics_invariant_under_local_unitaries():
@@ -135,9 +135,10 @@ def test_metrics_invariant_under_local_unitaries():
         sigma = random_density_matrix(rng)
         u = random_local_unitary(rng)
         rho_u, sigma_u = rotate_state(rho, u), rotate_state(sigma, u)
-        assert abs(purity(rho) - purity(rho_u)) <= 1e-9
-        assert abs(tangle(rho) - tangle(rho_u)) <= 1e-9
-        assert abs(fidelity(rho, sigma) - fidelity(rho_u, sigma_u)) <= 1e-9
+        report, rotated = report_for(rho, target=sigma), report_for(rho_u, target=sigma_u)
+        assert abs(report.purity - rotated.purity) <= 1e-9
+        assert abs(report.tangle - rotated.tangle) <= 1e-9
+        assert abs(report.fidelity_to_target - rotated.fidelity_to_target) <= 1e-9
 
 
 def test_report_for_and_serialization():

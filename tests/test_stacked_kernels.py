@@ -20,15 +20,12 @@ from bellmix.linalg import (
     zero_clip,
 )
 from bellmix.metrics import (
+    _LOWS,
     _SPIN_FLIP,
     MetricsReport,
     _figures,
     check_ranges,
-    fidelity,
-    purity,
     report_for,
-    tangle,
-    visibility,
 )
 from bellmix.optics import _born, standard_projector_set
 from bellmix.states import completely_mixed
@@ -69,27 +66,12 @@ def test_stacked_linalg_equals_per_matrix_calls(stack):
 @settings(max_examples=40, deadline=None)
 @given(stack=_stacks(), targets=_stacks())
 def test_stacked_figures_equal_per_state_metrics(stack, targets):
-    states = [DensityMatrix(m) for m in stack]
-    target = DensityMatrix(targets[0])
-    for figures, sigmas in (
-        (_figures(stack), states),
-        (_figures(stack, target.matrix), [target] * len(states)),
-    ):
-        assert _equal(figures[0], [purity(rho) for rho in states])
-        assert _equal(figures[1], [tangle(rho) for rho in states])
-        assert _equal(figures[2], [visibility(rho) for rho in states])
-        assert _equal(figures[3], [fidelity(rho, sigma) for rho, sigma in zip(states, sigmas)])
+    for target in (None, DensityMatrix(targets[0])):
+        figures = _figures(stack, None if target is None else target.matrix)
         check_ranges(*figures)
-
-
-@settings(max_examples=25, deadline=None)
-@given(stack=_stacks())
-def test_report_for_equals_a_batch_of_one(stack):
-    rho, target = DensityMatrix(stack[0]), DensityMatrix(stack[-1])
-    for sigma in (None, target):
-        report = report_for(rho, target=sigma, target_description="t")
-        batch = _figures(stack[:1], None if sigma is None else stack[-1:])
-        assert report == MetricsReport(*(float(values[0]) for values in batch), "t")
+        alone = [report_for(DensityMatrix(m), target=target) for m in stack]
+        for values, name in zip(figures, _LOWS):
+            assert _equal(values, [getattr(report, name) for report in alone])
 
 
 def test_stacked_tangle_squares_as_a_float_does():
@@ -135,7 +117,7 @@ def test_one_bad_member_raises_what_it_raises_alone():
         with pytest.raises(InvalidState):
             check_density(_pair(bad))
     with pytest.raises(InvalidState, match=r"both \+-45 degree coincidence rates vanish"):
-        visibility(DensityMatrix(dark))
+        report_for(DensityMatrix(dark))
     with pytest.raises(InvalidState, match=r"both \+-45 degree coincidence rates vanish"):
         _figures(_pair(dark))
     with pytest.raises(InvalidState):

@@ -6,7 +6,7 @@ import pytest
 
 from bellmix.errors import InvalidConfig, OutOfRange
 from bellmix.linalg import DensityMatrix
-from bellmix.metrics import visibility
+from bellmix.metrics import report_for
 from bellmix.states import (
     NoiseParams,
     SourceConfig,
@@ -107,7 +107,7 @@ def test_generate_reduces_to_duty_cycle_mixture():
 
 def test_generate_dephasing_sets_visibility():
     rho = generate(SourceConfig(alpha=0.0, noise=NoiseParams(dephasing=0.027)))
-    assert visibility(rho) == pytest.approx(0.973, abs=1e-9)
+    assert report_for(rho).visibility == pytest.approx(0.973, abs=1e-9)
 
 
 def test_generate_rank_two_without_signal_rotation():

@@ -14,7 +14,7 @@ from bellmix.counting import (
 )
 from bellmix.errors import DataParse, InvalidState, OutOfRange
 from bellmix.linalg import DensityMatrix, nearest_physical
-from bellmix.metrics import fidelity
+from bellmix.metrics import report_for
 from bellmix import optics
 from bellmix.cli import main
 from bellmix.optics import (
@@ -280,7 +280,7 @@ def test_mle_matches_diagonal_oracle_exact_counts():
     counts = _expected_counts(truth, 1e5)
     oracle = diagonal_grid_search(counts)
     result = mle_reconstruct(counts, PSET)
-    assert fidelity(result.rho_hat, oracle) >= 1.0 - 1e-4
+    assert report_for(result.rho_hat, target=oracle).fidelity_to_target >= 1.0 - 1e-4
 
 
 def test_mle_matches_diagonal_oracle_noisy_counts():
@@ -288,7 +288,7 @@ def test_mle_matches_diagonal_oracle_noisy_counts():
     counts = simulate_counts(truth, PSET, AcquisitionConfig(pairs_per_setting=1e5, seed=123))
     oracle = diagonal_grid_search(counts)
     result = mle_reconstruct(counts, PSET)
-    assert fidelity(result.rho_hat, oracle) >= 1.0 - 1e-4
+    assert report_for(result.rho_hat, target=oracle).fidelity_to_target >= 1.0 - 1e-4
 
 
 # ---------------------------------------------------------------------------
