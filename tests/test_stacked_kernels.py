@@ -74,6 +74,16 @@ def test_stacked_figures_equal_per_state_metrics(stack, targets):
             assert _equal(values, [getattr(report, name) for report in alone])
 
 
+@settings(max_examples=25, deadline=None)
+@given(stack=_stacks())
+def test_report_for_equals_a_batch_of_one(stack):
+    rho, target = DensityMatrix(stack[0]), DensityMatrix(stack[-1])
+    for sigma in (None, target):
+        report = report_for(rho, target=sigma, target_description="t")
+        batch = _figures(stack[:1], None if sigma is None else stack[-1:])
+        assert report == MetricsReport(*(float(values[0]) for values in batch), "t")
+
+
 def test_stacked_tangle_squares_as_a_float_does():
     # The scalar tangle squared a Python float, which calls C pow; x * x
     # differs from that in the last bit for about 1 in 1000 concurrences, and
