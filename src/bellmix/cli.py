@@ -2,8 +2,8 @@
 
 Subcommands: generate, simulate, reconstruct, metrics, sweep, paper-fixtures.
 Exit codes: 0 success, 1 a paper-fixtures check failed, 2 configuration
-error, 3 data error, 4 reconstruction did not converge. A seed comes only
-from --seed, else from the sweep spec or the subcommand's default.
+error, 3 data error, 4 reconstruction did not converge. A sweep takes its seed
+from its spec; any other seed comes only from --seed, else from its default.
 
 The `bellmix` command enters through run(); main(argv) is the in-process
 function, which returns the exit code.
@@ -111,17 +111,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = SweepSpec.from_file(args.spec)
-    acq = spec.acquisition
-    if args.pairs is not None:
-        acq = replace(acq, pairs_per_setting=args.pairs)
-    if args.seed is not None:
-        acq = replace(acq, seed=args.seed)
-    spec = replace(
-        spec,
-        acquisition=acq,
-        outputs=args.out if args.out is not None else spec.outputs,
-        resamples=args.resamples if args.resamples is not None else spec.resamples,
-    )
+    spec = replace(spec, outputs=spec.outputs if args.out is None else args.out)
     points = run_sweep(spec, parallel=args.parallel)
     print(f"sweep written to {spec.outputs}")
     return EXIT_OK if all(point.result.converged for point in points) else EXIT_NO_CONVERGENCE
@@ -153,9 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate coincidence counts for the configured state")
     p.add_argument("--config", help="source config JSON")
-    p.add_argument("--pairs", type=float, default=1e5, help="mean detected pairs per setting")
-    p.add_argument("--accidentals", type=float, default=0.0, help="flat accidental mean per outcome")
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
+    p.add_argument("--pairs", type=float, default=AcquisitionConfig.pairs_per_setting,
+                   help="mean detected pairs per setting")
+    p.add_argument("--accidentals", type=float, default=AcquisitionConfig.accidental_rate,
+                   help="flat accidental mean per outcome")
+    p.add_argument("--seed", type=int, default=AcquisitionConfig.seed, help="simulation seed")
     p.add_argument("--out", help="counts CSV path (stdout if omitted)")
     p.add_argument("--projectors-out", help="also write the projector set JSON here")
     p.set_defaults(func=_cmd_simulate)
@@ -170,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=TOLERANCE)
     p.add_argument("--resamples", type=int, default=0,
                    help="bootstrap resamples (0 disables, else >= 2)")
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
+    p.add_argument("--seed", type=int, default=AcquisitionConfig.seed, help="bootstrap seed")
     p.add_argument("--out", help="result JSON path (stdout if omitted)")
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -184,10 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a duty-cycle sweep from a spec file")
     p.add_argument("--spec", required=True, help="sweep spec JSON")
-    p.add_argument("--out", help="output directory (overrides spec)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (overrides spec)")
-    p.add_argument("--pairs", type=float, default=None, help="pairs per setting (overrides spec)")
-    p.add_argument("--resamples", type=int, default=None, help="bootstrap resamples (overrides spec)")
+    p.add_argument("--out", help="output directory (overrides the spec's outputs)")
     p.add_argument("--parallel", type=int, default=0, help="processes incl. this one (0/1: serial)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -203,7 +203,7 @@ def _finish_shares(spec: SweepSpec, points, fitted: tuple, shares: int) -> list:
 def run_sweep(spec: SweepSpec, parallel: int = 0) -> list[SweepPoint]:
     """Run the sweep (on `parallel` workers if > 1) into spec.outputs; return the run points."""
     if not is_kind(parallel, int) or parallel < 0:
-        raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel}")
+        raise OutOfRange(f"parallel must be >= 0 (0 and 1 run serially), got {parallel!r}")
     points = spec.points
     for point in points:  # an unwritable outputs fails before any compute
         point_dir = os.path.join(spec.outputs, point.directory)

@@ -246,21 +246,34 @@ def test_criterion_8_sweep_determinism(tmp_path):
     )
 
 
-def test_bootstrap_sigma_covers_the_truth_on_interior_points(tmp_path):
+# Master seeds, pairs per setting and noise of each regime. Each regime has its own
+# seeds: the counter-based streams make cells that share a seed draw correlated counts.
+_REGIMES = {
+    "noiseless": (range(1000, 1040), 1e5, NoiseParams()),
+    "depolarized": (range(2000, 2040), 1e6, NoiseParams(dephasing=0.027, depolarizing=0.01)),
+}
+
+
+@pytest.mark.parametrize("seeds, pairs, noise", _REGIMES.values(), ids=_REGIMES)
+def test_bootstrap_sigma_covers_the_truth_on_interior_points(tmp_path, seeds, pairs, noise):
     # Fixed before looking at the outcome: 40 master seeds, three interior duty
-    # cycles, 1e5 pairs, 50 resamples, no noise. The band is 0.68 +- 3 binomial
-    # standard deviations of 120 points. The ends of the grid are left out: there
-    # sigma is not a confidence interval (see the README's sweep section).
-    truths = {"purity": family_purity, "tangle": family_tangle, "visibility": family_visibility}
-    hits, total = dict.fromkeys(truths, 0), 0
-    for seed in range(1000, 1040):
+    # cycles, 50 resamples. The band is 0.68 +- 3 binomial standard deviations of
+    # 120 points, and the mean standardized error (estimate - theory) / sigma lies
+    # within 3 of its standard errors, 3/sqrt(120), of 0. The ends of the grid are
+    # left out: there sigma is not a confidence interval (see the README's sweep section).
+    names = ("visibility", "tangle", "purity")  # the order of point.theory
+    errors, sigmas = [], []
+    for seed in seeds:
         spec = SweepSpec(alphas=(0.1, 0.25, 0.75), resamples=50, outputs=str(tmp_path / str(seed)),
-                         acquisition=AcquisitionConfig(pairs_per_setting=1e5, seed=seed))
+                         acquisition=AcquisitionConfig(pairs_per_setting=pairs, seed=seed),
+                         noise=noise)
         for point in run_sweep(spec):
-            total += 1
-            for name, truth in truths.items():
-                error = abs(getattr(point.result.metrics, name) - truth(point.config.alpha))
-                hits[name] += error <= point.result.metric_errors[name]
-    assert total == 120
-    for name, count in hits.items():
-        assert 0.55 <= count / total <= 0.81, (name, count / total)
+            errors.append([getattr(point.result.metrics, name) - truth
+                           for name, truth in zip(names, point.theory)])
+            sigmas.append([point.result.metric_errors[name] for name in names])
+    errors, sigmas = np.array(errors), np.array(sigmas)
+    assert errors.shape == (120, 3)
+    for name, error, sigma in zip(names, errors.T, sigmas.T):
+        coverage, mean_z = np.mean(np.abs(error) <= sigma), np.mean(error / sigma)
+        assert 0.55 <= coverage <= 0.81, (name, coverage)
+        assert abs(mean_z) <= 3 / np.sqrt(120), (name, mean_z)

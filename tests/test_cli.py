@@ -329,10 +329,16 @@ def test_seed_and_fit_settings_come_only_from_flags(tmp_path, capsys, monkeypatc
     monkeypatch.setenv("BELLMIX_SEED", "777")  # no longer read: --seed 1 stands
     assert main(["simulate", "--pairs", "1e4", "--seed", "1", "--out", str(with_env)]) == 0
     assert with_env.read_bytes() == plain.read_bytes()
-    with pytest.raises(SystemExit) as exited:  # every fit starts at eps = 1
-        main(["reconstruct", str(plain), "--dilution", "1"])
-    assert exited.value.code == 2
-    assert "--dilution" in capsys.readouterr().err
+    spec = _sweep_spec(tmp_path, tmp_path / "out")
+    for argv in (["reconstruct", str(plain), "--dilution", "1"],  # every fit starts at eps = 1
+                 # A sweep takes every number from its spec.
+                 *(["sweep", "--spec", str(spec), flag, value]
+                   for flag, value in (("--seed", "3"), ("--pairs", "1e3"), ("--resamples", "0")))):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_flag_is_never_read_from_its_prefix(tmp_path, capsys):
@@ -827,6 +833,18 @@ def test_readme_json_examples_read():
     assert {key: value for key, value in spec.items() if key != "outputs"} == _README_SPEC
 
 
+def test_readme_command_lines_name_only_options_of_their_subcommand(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL)[1].splitlines()
+    assert len(lines) == 6
+    option = re.compile(r"(?<![\w-])--[\w-]+")  # a whole option: --out is not --projectors-out
+    for line in lines:
+        with pytest.raises(SystemExit) as exited:
+            main([line.split()[1], "--help"])
+        assert exited.value.code == 0
+        assert set(option.findall(line)) <= set(option.findall(capsys.readouterr().out)), line
+
+
 def test_sweep_csv_theory_columns_match_closed_forms(tmp_path):
     from bellmix.metrics import family_purity, family_tangle, family_visibility
 
@@ -896,26 +914,6 @@ def test_sweep_artifacts_round_trip(tmp_path):
     copy_path = tmp_path / "recon_copy.json"
     write_result_json(copy_path, result)
     assert (point / "recon.json").read_bytes() == copy_path.read_bytes()
-
-
-def _assert_flag_writes_the_tree_of_the_edited_spec(tmp_path, flag, field, value):
-    """sweep with flag=value writes the tree of the spec whose acquisition field is value."""
-    spec = _sweep_spec(tmp_path, tmp_path / "flag")
-    assert main(["sweep", "--spec", str(spec), flag, str(value)]) == 0
-    document = json.loads(spec.read_text(encoding="utf-8"))
-    document["acquisition"][field] = value
-    document["outputs"] = str(tmp_path / "spec")
-    write_json(spec, document)
-    assert main(["sweep", "--spec", str(spec)]) == 0
-    assert _tree_bytes(tmp_path / "flag") == _tree_bytes(tmp_path / "spec")
-
-
-def test_sweep_pairs_flag_writes_the_tree_of_a_spec_with_those_pairs(tmp_path):
-    _assert_flag_writes_the_tree_of_the_edited_spec(tmp_path, "--pairs", "pairs_per_setting", 3e4)
-
-
-def test_sweep_seed_flag_writes_the_tree_of_a_spec_with_that_seed(tmp_path):
-    _assert_flag_writes_the_tree_of_the_edited_spec(tmp_path, "--seed", "seed", 405)
 
 
 def test_sweep_bad_spec(tmp_path):
@@ -1172,9 +1170,6 @@ def test_sweep_empty_out_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_resamples_one_is_rejected(tmp_path, capsys):
-    spec = _sweep_spec(tmp_path, tmp_path / "out")
-    assert main(["sweep", "--spec", str(spec), "--resamples", "1"]) == 2
-    assert "resamples" in capsys.readouterr().err
     counts = tmp_path / "counts.csv"
     assert main(["simulate", "--pairs", "1e3", "--seed", "4", "--out", str(counts)]) == 0
     for value in ("1", "-1"):
@@ -1241,6 +1236,7 @@ def test_reconstruct_rejects_stop_settings_that_cannot_stop_right(tmp_path, caps
     (True, 0, r"^resamples must be 0 \(no error bars\) or >= 2, got True$"),
     (0, 2.5, r"^parallel must be >= 0 \(0 and 1 run serially\), got 2.5$"),
     (0, None, r"^parallel must be >= 0 \(0 and 1 run serially\), got None$"),
+    (0, "2", r"^parallel must be >= 0 \(0 and 1 run serially\), got '2'$"),
 ])
 def test_sweep_rejects_settings_that_are_not_integers(tmp_path, resamples, parallel, message):
     # Three points, so a pool of 2.5 workers is not cut down to a whole number of points.
@@ -1270,8 +1266,8 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         ["reconstruct", str(counts), "--out", str(blocker / "r.json")],
         ["generate", "--out", str(blocker / "state.json")],
         ["simulate", "--pairs", "1e3", "--out", str(blocker / "counts.csv")],
-        ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker / "out")), "--resamples", "0"],
-        ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker)), "--resamples", "0"],
+        ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker / "out"))],
+        ["sweep", "--spec", str(_sweep_spec(tmp_path, blocker))],
     ]
     for argv in runs:
         capsys.readouterr()
@@ -1359,8 +1355,7 @@ _FILE_INPUTS = {
     "projectors": ("projectors.json", 3,
                    ["reconstruct", "{dir}/uniform.csv", "--projectors", "{file}"]),
     "state": ("state.json", 3, ["metrics", "--state", "{file}"]),
-    "spec": ("spec.json", 2, ["sweep", "--spec", "{file}", "--out", "{dir}/sweep",
-                              "--pairs", "1e3", "--resamples", "0"]),
+    "spec": ("spec.json", 2, ["sweep", "--spec", "{file}", "--out", "{dir}/sweep"]),
     "config": ("config.json", 2, ["generate", "--config", "{file}",
                                   "--out", "{dir}/generated.json"]),
 }
@@ -1443,7 +1438,7 @@ _EXAMPLES = [
     *((kind, b"[1, 2]", code) for kind, (_, code, _) in _FILE_INPUTS.items()),
     *((kind, _with_literal(doc, path, "1e400"), _FILE_INPUTS[kind][1])
       for kind, doc in _VALID.items() for path in _numeric_paths(doc)),
-    # An int no float holds; a spec's resamples takes any such int, and --resamples 0 wins.
+    # An int no float holds; a spec's resamples takes any such int, which the test runs at 0.
     *((kind, _with_literal(doc, path, str(10**400)), _FILE_INPUTS[kind][1])
       for kind, doc in _VALID.items() for path in _numeric_paths(doc) if path != ("resamples",)),
     # A projector set places its settings by index: integers 0..n-1, each once, in any order.
@@ -1518,6 +1513,11 @@ def file_dir(tmp_path_factory):
     return path
 
 
+def _run_sweep_without_resamples(spec, parallel):
+    """run_sweep of the spec read at 0 resamples: a valid spec may ask for 2**63 of them."""
+    return run_sweep(replace(spec, resamples=0), parallel=parallel)
+
+
 def _with_examples(test):
     for kind, content, code, line in [*(entry + (None,) for entry in _EXAMPLES), *_ERROR_LINES]:
         test = example(kind=kind, content=content, code=code, line=line)(test)
@@ -1533,12 +1533,13 @@ def _with_examples(test):
     line=st.none(),
 )
 @_with_examples
-def test_any_file_content_exits_with_a_documented_code(file_dir, capsys, kind, content, code,
-                                                        line):
+def test_any_file_content_exits_with_a_documented_code(file_dir, capsys, monkeypatch, kind,
+                                                        content, code, line):
     """Whatever a file holds, the CLI exits 0, 2, 3 or 4 with at most a one-line error.
 
     The explicit examples also name the exit code they must reach, and some the error line.
     """
+    monkeypatch.setattr("bellmix.cli.run_sweep", _run_sweep_without_resamples)
     name, _, argv = _FILE_INPUTS[kind]
     path = file_dir / name
     path.write_bytes(content)

@@ -119,11 +119,14 @@ def _nan_entry():
 
 
 _BROKEN = {"setting 2: outcomes do not sum to identity": _nan_entry(),
-           **broken_setting_zero(standard_projector_set().projectors)}
+           **broken_setting_zero(standard_projector_set().projectors),
+           "projector array has shape (9, 4, 2, 2)": np.zeros((9, 4, 2, 2)),
+           "projector array has shape (4, 4, 4)": np.zeros((4, 4, 4))}
 
 
 @pytest.mark.parametrize("message, projectors", _BROKEN.items(),
-                         ids=["nan_entry", "not_idempotent", "not_hermitian", "not_unit_trace"])
+                         ids=["nan_entry", "not_idempotent", "not_hermitian", "not_unit_trace",
+                              "qubit_projectors", "one_setting_unstacked"])
 def test_a_projector_set_is_checked_when_constructed(message, projectors):
     with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
         ProjectorSet(projectors)
